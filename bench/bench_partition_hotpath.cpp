@@ -27,13 +27,14 @@
 // Gate ledger (bench::GateSet): the checks block's `pass` is the AND over
 // gates that ran; skipped gates land in `gates_skipped` with a reason.
 // Structural gates (bitwise on all engines, zero-alloc, preflight
-// zero-cost, exhaustive determinism) always run -- --smoke runs a reduced
-// rep count and exits nonzero if any of them fails; tier-1 runs that on
-// every build.  Wall-clock gates (fast >= 3x, batched < 40 ns, parallel
-// speedup >= 0.8x per effective thread) run in full mode only, and the
-// single-core skip (no wall-clock speedup physically possible; batched
-// < 40 ns is a multi-core-host gate) is explicit, unit-tested, and
-// driven by detected_hardware_concurrency() / NETPART_HW_CONCURRENCY.
+// zero-cost, allocation-free service hits, exhaustive determinism) always
+// run -- --smoke runs a reduced rep count and exits nonzero if any of them
+// fails; tier-1 runs that on every build.  Wall-clock gates (fast >= 3x,
+// batched < 40 ns, parallel speedup >= 0.8x per effective thread) run in
+// full mode only, and the single-core skip (no wall-clock speedup
+// physically possible; batched < 40 ns is a multi-core-host gate) is
+// explicit, unit-tested, and driven by detected_hardware_concurrency() /
+// NETPART_HW_CONCURRENCY.
 //
 // Keys: eval_reps, searches, exhaustive_size, threads, json_out, smoke.
 #include <algorithm>
@@ -50,6 +51,7 @@
 #include "bench/common.hpp"
 #include "core/general.hpp"
 #include "net/builder.hpp"
+#include "svc/service.hpp"
 #include "svc/validate.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
@@ -405,10 +407,14 @@ int run(const Config& args) {
   // (analysis::preflight) and screens every request at submit()
   // (svc::validate_request) in front of the cache.  Neither may tax the
   // cached hot path: validation must be allocation-free, and the startup
-  // lint must not consume a single estimator evaluation.
+  // lint must not consume a single estimator evaluation.  The whole warm
+  // hit -- validation, epoch, key, shard lookup, the entry's ready reply,
+  // the hit metrics -- must not allocate either.
   std::uint64_t validate_allocs = 0;
   std::uint64_t preflight_evals = 0;
+  std::uint64_t service_hit_allocs = 0;
   const std::int64_t validate_reps = smoke ? 5000 : 50000;
+  constexpr std::int64_t kServiceHits = 10000;
   {
     svc::PartitionRequest request;
     request.spec = "stencil";
@@ -424,6 +430,25 @@ int run(const Config& args) {
         g_allocations.load(std::memory_order_relaxed) - before;
     if (!all_valid) validate_allocs = ~std::uint64_t{0};  // can't happen
 
+    AvailabilityFeed feed(bed.snap);
+    svc::ServiceOptions service_options;
+    service_options.workers = 1;
+    svc::PartitionService service(
+        bed.net, bed.cal.db, feed,
+        [&bed](const svc::PartitionRequest&) { return bed.spec; },
+        service_options);
+    // One cold compute fills the entry; one warm-up hit builds its reply.
+    bool all_hits = service.query(request).status == svc::ServiceStatus::Ok &&
+                    service.query(request).cache_hit;
+    const std::uint64_t hits_before =
+        g_allocations.load(std::memory_order_relaxed);
+    for (std::int64_t i = 0; i < kServiceHits; ++i) {
+      all_hits = all_hits && service.submit(request).get().cache_hit;
+    }
+    service_hit_allocs =
+        g_allocations.load(std::memory_order_relaxed) - hits_before;
+    if (!all_hits) service_hit_allocs = ~std::uint64_t{0};
+
     const std::uint64_t evals_before = estimator.evaluations();
     const analysis::DiagnosticSink gate =
         analysis::preflight(bed.net, bed.cal.db);
@@ -434,6 +459,9 @@ int run(const Config& args) {
                  .set("validate_calls", validate_reps)
                  .set("validate_allocations",
                       static_cast<std::int64_t>(validate_allocs))
+                 .set("service_hits", kServiceHits)
+                 .set("service_hit_allocations",
+                      static_cast<std::int64_t>(service_hit_allocs))
                  .set("preflight_estimator_evals",
                       static_cast<std::int64_t>(preflight_evals))
                  .set("preflight_errors", gate.errors())
@@ -555,6 +583,7 @@ int run(const Config& args) {
   const bool zero_alloc =
       fast_allocs == 0 && batched_allocs == 0 && delta_allocs == 0;
   const bool preflight_zero = validate_allocs == 0 && preflight_evals == 0;
+  const bool service_hit_zero_alloc = service_hit_allocs == 0;
   const bool fast_3x = eval_speedup >= 3.0;
   const bool batched_under_40ns = batched_ns < 40.0;
   const bench::SpeedupEvaluation parallel_eval =
@@ -567,6 +596,7 @@ int run(const Config& args) {
   gates.require("delta_bitwise_match", delta_bitwise);
   gates.require("zero_alloc_per_eval", zero_alloc);
   gates.require("preflight_zero_cost", preflight_zero);
+  gates.require("service_hit_zero_alloc", service_hit_zero_alloc);
   gates.require("exhaustive_configs_match", exhaustive_match);
   if (smoke) {
     gates.skip("fast_speedup_3x", "skipped_smoke");
@@ -598,6 +628,7 @@ int run(const Config& args) {
                .set("delta_bitwise_match", delta_bitwise)
                .set("zero_alloc_per_eval", zero_alloc)
                .set("preflight_zero_cost", preflight_zero)
+               .set("service_hit_zero_alloc", service_hit_zero_alloc)
                .set("exhaustive_configs_match", exhaustive_match)
                .set("fast_speedup_3x", fast_3x)
                .set("batched_under_40ns", batched_under_40ns)
@@ -624,6 +655,8 @@ int run(const Config& args) {
       {"bitwise batched == fast", batched_bitwise ? "yes" : "NO"});
   table.add_row({"bitwise delta == fast", delta_bitwise ? "yes" : "NO"});
   table.add_row({"preflight gate zero-cost", preflight_zero ? "yes" : "NO"});
+  table.add_row({"service hit allocations (10k warm hits)",
+                 std::to_string(service_hit_allocs)});
   table.add_row({"parallel speedup gate", bench::to_string(parallel_gate)});
   std::printf("%s\n", table.render("partition hot path").c_str());
 
@@ -636,9 +669,12 @@ int run(const Config& args) {
     std::fprintf(stderr,
                  "bench_partition_hotpath --smoke FAILED: bitwise=%d "
                  "batched_bitwise=%d delta_bitwise=%d zero_alloc=%d "
-                 "preflight_zero=%d exhaustive_match=%d\n",
+                 "preflight_zero=%d service_hit_allocations=%llu "
+                 "exhaustive_match=%d\n",
                  bitwise, batched_bitwise, delta_bitwise, zero_alloc,
-                 preflight_zero, exhaustive_match);
+                 preflight_zero,
+                 static_cast<unsigned long long>(service_hit_allocs),
+                 exhaustive_match);
     return 1;
   }
   return 0;

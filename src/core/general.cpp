@@ -145,15 +145,16 @@ PartitionResult general_partition(const CycleEstimator& estimator,
   // own; +1 covers the final reference materialisation).  Deltas, not
   // totals: a caller-provided scratch carries counts from prior searches.
   estimator.merge_evaluations(evaluations);
-  obs::TelemetryRegistry::global()
-      .counter("estimator.evaluations")
-      .add(evaluations + 1);
-  obs::TelemetryRegistry::global()
-      .counter("estimator.batch_evals")
-      .add(sc.batch_evaluations - batch_evals_before);
-  obs::TelemetryRegistry::global()
-      .counter("estimator.delta_evals")
-      .add(sc.delta_evaluations - delta_evals_before);
+  auto& telemetry = obs::TelemetryRegistry::global();
+  static obs::Counter& evals_counter =
+      telemetry.counter("estimator.evaluations");
+  static obs::Counter& batch_evals_counter =
+      telemetry.counter("estimator.batch_evals");
+  static obs::Counter& delta_evals_counter =
+      telemetry.counter("estimator.delta_evals");
+  evals_counter.add(evaluations + 1);
+  batch_evals_counter.add(sc.batch_evaluations - batch_evals_before);
+  delta_evals_counter.add(sc.delta_evaluations - delta_evals_before);
   return PartitionResult{
       best_config, estimator.estimate(best_config),
       contiguous_placement(net, best_config, estimator.cluster_order()),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/race/annotations.hpp"
 #include "util/error.hpp"
 
 namespace netpart {
@@ -120,23 +121,25 @@ AvailabilityFeed::AvailabilityFeed(
     : AvailabilityFeed(gather_availability(net, managers)) {}
 
 std::uint64_t AvailabilityFeed::epoch() const {
-  std::lock_guard lock(mutex_);
-  return epoch_;
+  NP_ATOMIC_ACQUIRE(&epoch_, "net.feed.epoch");
+  return epoch_.load(std::memory_order_acquire);
 }
 
 std::pair<AvailabilitySnapshot, std::uint64_t> AvailabilityFeed::read()
     const {
   std::lock_guard lock(mutex_);
-  return {current_, epoch_};
+  return {current_, epoch_.load(std::memory_order_relaxed)};
 }
 
 std::uint64_t AvailabilityFeed::update(AvailabilitySnapshot next) {
   std::lock_guard lock(mutex_);
+  std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
   if (next.available != current_.available) {
     current_ = std::move(next);
-    ++epoch_;
+    NP_ATOMIC_RELEASE(&epoch_, "net.feed.epoch");
+    epoch_.store(++epoch, std::memory_order_release);
   }
-  return epoch_;
+  return epoch;
 }
 
 std::uint64_t AvailabilityFeed::refresh(

@@ -7,6 +7,7 @@
 // gathers the per-cluster available counts N_i.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <utility>
@@ -112,6 +113,9 @@ class AvailabilityFeed {
   AvailabilityFeed(const Network& net,
                    const std::vector<ClusterManager>& managers);
 
+  /// Lock-free: one acquire load, no copy.  A consumer that keys on it and
+  /// then needs the snapshot must call read() and re-key if the epoch moved
+  /// in between, so that key, epoch and snapshot come from one read.
   std::uint64_t epoch() const;
 
   /// The snapshot and the epoch it belongs to, read atomically.
@@ -139,7 +143,9 @@ class AvailabilityFeed {
   mutable std::mutex mutex_;
   AvailabilitySnapshot baseline_;
   AvailabilitySnapshot current_;
-  std::uint64_t epoch_ = 1;
+  /// Stored (release) only under mutex_, beside current_, so read() sees
+  /// the pair together while epoch() reads it without the lock.
+  std::atomic<std::uint64_t> epoch_{1};
 };
 
 }  // namespace netpart

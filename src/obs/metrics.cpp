@@ -5,55 +5,54 @@
 namespace netpart::obs {
 
 LatencyHistogram::LatencyHistogram(double lo_us, double hi_us,
-                                   std::size_t buckets)
-    : histogram_(lo_us, hi_us, buckets) {
-  // npracer contract: the histogram and running stats (tracked as one
-  // location) move only under mutex_.
-  NP_GUARDED_BY(&stats_, &mutex_, "obs.latency.stats");
+                                   std::size_t buckets) {
+  for (auto& stripe : stripes_) {
+    stripe = std::make_unique<Stripe>(lo_us, hi_us, buckets);
+    // npracer contract: each stripe's histogram and running stats
+    // (tracked as one location) move only under that stripe's mutex.
+    NP_GUARDED_BY(&stripe->stats, &stripe->mutex, "obs.latency.stats");
+  }
 }
 
 void LatencyHistogram::record(double us) {
-  std::lock_guard lock(mutex_);
-  NP_LOCK_SCOPE(&mutex_, "obs.latency.mutex");
-  NP_WRITE(&stats_, "obs.latency.stats");
-  histogram_.add(us);
-  stats_.add(us);
+  Stripe& stripe = *stripes_[this_thread_stripe()];
+  std::lock_guard lock(stripe.mutex);
+  NP_LOCK_SCOPE(&stripe.mutex, "obs.latency.mutex");
+  NP_WRITE(&stripe.stats, "obs.latency.stats");
+  stripe.histogram.add(us);
+  stripe.stats.add(us);
 }
 
-std::size_t LatencyHistogram::count() const {
-  std::lock_guard lock(mutex_);
-  NP_LOCK_SCOPE(&mutex_, "obs.latency.mutex");
-  NP_READ(&stats_, "obs.latency.stats");
-  return stats_.count();
+RunningStats LatencyHistogram::merged_stats() const {
+  RunningStats merged;
+  for (const auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->mutex);
+    NP_LOCK_SCOPE(&stripe->mutex, "obs.latency.mutex");
+    NP_READ(&stripe->stats, "obs.latency.stats");
+    merged.merge(stripe->stats);
+  }
+  return merged;
 }
 
-double LatencyHistogram::mean_us() const {
-  std::lock_guard lock(mutex_);
-  NP_LOCK_SCOPE(&mutex_, "obs.latency.mutex");
-  NP_READ(&stats_, "obs.latency.stats");
-  return stats_.mean();
-}
+std::size_t LatencyHistogram::count() const { return merged_stats().count(); }
 
-double LatencyHistogram::min_us() const {
-  std::lock_guard lock(mutex_);
-  NP_LOCK_SCOPE(&mutex_, "obs.latency.mutex");
-  NP_READ(&stats_, "obs.latency.stats");
-  return stats_.min();
-}
+double LatencyHistogram::mean_us() const { return merged_stats().mean(); }
 
-double LatencyHistogram::max_us() const {
-  std::lock_guard lock(mutex_);
-  NP_LOCK_SCOPE(&mutex_, "obs.latency.mutex");
-  NP_READ(&stats_, "obs.latency.stats");
-  return stats_.max();
-}
+double LatencyHistogram::min_us() const { return merged_stats().min(); }
+
+double LatencyHistogram::max_us() const { return merged_stats().max(); }
 
 QuantileSummary LatencyHistogram::quantiles() const {
-  std::lock_guard lock(mutex_);
-  NP_LOCK_SCOPE(&mutex_, "obs.latency.mutex");
-  NP_READ(&stats_, "obs.latency.stats");
-  if (stats_.count() == 0) return {};
-  return summarize_quantiles(histogram_);
+  Histogram merged(stripes_[0]->histogram.lo(), stripes_[0]->histogram.hi(),
+                   stripes_[0]->histogram.bucket_count());
+  for (const auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->mutex);
+    NP_LOCK_SCOPE(&stripe->mutex, "obs.latency.mutex");
+    NP_READ(&stripe->stats, "obs.latency.stats");
+    merged.merge(stripe->histogram);
+  }
+  if (merged.count() == 0) return {};
+  return summarize_quantiles(merged);
 }
 
 MetricsSnapshot snapshot_delta(const MetricsSnapshot& before,

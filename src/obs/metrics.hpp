@@ -1,19 +1,29 @@
 // Telemetry primitives shared by every subsystem (see DESIGN.md §9).
 //
-// Counter and LatencyHistogram used to live in svc/metrics.hpp; they moved
-// here so the partitioner, estimator, adaptive executor, MMPS, and the
-// service all meter through one vocabulary.  Callers resolve a metric once
-// (registry mutex) and then update it lock-free (counters) or under the
-// metric's own short lock (histograms), never the registry's.
+// The partitioner, estimator, adaptive executor, MMPS, and the service all
+// meter through this one vocabulary.  Callers resolve a metric once
+// (registry mutex) and then update it lock-free (counters) or under a
+// short per-stripe lock (histograms), never the registry's.
+//
+// Both metric types are striped per thread: kMetricStripes cache-line-
+// aligned stripes, picked by this_thread_id(), so threads that record
+// into one metric do not share a cache line or a lock (up to
+// kMetricStripes threads).  Reads merge the stripes in stripe order; the
+// merged value is the one an unstriped metric would hold -- a counter's
+// sum exactly, a histogram's buckets, count, min and max exactly and its
+// mean up to floating-point reassociation.
 //
 // MetricsSnapshot captures the registry's counter values and histogram
 // counts at a point in time; snapshot_delta() subtracts two snapshots so
 // benchmarks can report what one phase cost without resetting anything.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -23,18 +33,39 @@
 
 namespace netpart::obs {
 
+/// Stable small integer identifying the calling thread (assigned on first
+/// use, process-wide).  Chrome trace events use it as `tid`; metrics use
+/// it to pick a stripe.
+std::uint32_t this_thread_id();
+
+/// Stripes per Counter / LatencyHistogram.
+inline constexpr std::size_t kMetricStripes = 8;
+
+/// The calling thread's stripe index.
+inline std::size_t this_thread_stripe() {
+  return this_thread_id() % kMetricStripes;
+}
+
 /// Monotonic event counter.
 class Counter {
  public:
   void add(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    stripes_[this_thread_stripe()].value.fetch_add(
+        delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Stripe {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Stripe, kMetricStripes> stripes_;
 };
 
 /// Latency distribution: a fixed-width histogram (drives the p50/p95/p99
@@ -54,9 +85,18 @@ class LatencyHistogram {
   QuantileSummary quantiles() const;
 
  private:
-  mutable std::mutex mutex_;
-  Histogram histogram_;
-  RunningStats stats_;
+  struct alignas(64) Stripe {
+    Stripe(double lo_us, double hi_us, std::size_t buckets)
+        : histogram(lo_us, hi_us, buckets) {}
+    mutable std::mutex mutex;
+    Histogram histogram;
+    RunningStats stats;
+  };
+
+  /// The stripes' running stats merged in stripe order.
+  RunningStats merged_stats() const;
+
+  std::array<std::unique_ptr<Stripe>, kMetricStripes> stripes_;
 };
 
 /// Point-in-time view of a registry: counter values plus per-histogram

@@ -68,10 +68,6 @@ struct InstantRecord {
   AttrList attrs;
 };
 
-/// Stable small integer identifying the calling thread (assigned on first
-/// use, process-wide).  Chrome trace events use it as `tid`.
-std::uint32_t this_thread_id();
-
 class TelemetryRegistry {
  public:
   /// A locally constructed registry starts with span recording enabled;

@@ -1,11 +1,19 @@
 #include "svc/cache.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "analysis/race/annotations.hpp"
+#include "util/adaptive_lock.hpp"
 #include "util/error.hpp"
 
 namespace netpart::svc {
+
+std::shared_future<ServiceReply> ready_reply(ServiceReply reply) {
+  std::promise<ServiceReply> promise;
+  promise.set_value(std::move(reply));
+  return promise.get_future().share();
+}
 
 DecisionCache::DecisionCache(std::size_t capacity, int shards) {
   NP_REQUIRE(capacity >= 1, "cache capacity must be positive");
@@ -30,11 +38,8 @@ DecisionCache::Shard& DecisionCache::shard_for(std::uint64_t key) const {
   return *shards_[(key ^ (key >> 32)) % shards_.size()];
 }
 
-std::shared_ptr<const PartitionDecision> DecisionCache::lookup(
-    std::uint64_t key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  NP_LOCK_SCOPE(&shard.mutex, "svc.cache.shard.mutex");
+DecisionCache::Entry* DecisionCache::find_and_touch(Shard& shard,
+                                                    std::uint64_t key) {
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     NP_WRITE(&shard.stats, "svc.cache.shard.stats");
@@ -45,13 +50,36 @@ std::shared_ptr<const PartitionDecision> DecisionCache::lookup(
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   NP_WRITE(&shard.stats, "svc.cache.shard.stats");
   ++shard.stats.hits;
-  return it->second->decision;
+  return &*it->second;
+}
+
+std::shared_ptr<const PartitionDecision> DecisionCache::lookup(
+    std::uint64_t key) {
+  Shard& shard = shard_for(key);
+  AdaptiveLockGuard lock(shard.mutex);
+  NP_LOCK_SCOPE(&shard.mutex, "svc.cache.shard.mutex");
+  const Entry* entry = find_and_touch(shard, key);
+  return entry == nullptr ? nullptr : entry->decision;
+}
+
+std::shared_future<ServiceReply> DecisionCache::lookup_reply(
+    std::uint64_t key) {
+  Shard& shard = shard_for(key);
+  AdaptiveLockGuard lock(shard.mutex);
+  NP_LOCK_SCOPE(&shard.mutex, "svc.cache.shard.mutex");
+  Entry* entry = find_and_touch(shard, key);
+  if (entry == nullptr) return {};
+  if (!entry->reply.valid()) {
+    entry->reply = ready_reply(ServiceReply{
+        ServiceStatus::Ok, entry->decision, /*cache_hit=*/true, {}});
+  }
+  return entry->reply;
 }
 
 std::shared_ptr<const PartitionDecision> DecisionCache::peek(
     std::uint64_t key) const {
   Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
+  AdaptiveLockGuard lock(shard.mutex);
   NP_LOCK_SCOPE(&shard.mutex, "svc.cache.shard.mutex");
   NP_READ(&shard.lru, "svc.cache.shard.lru");
   const auto it = shard.index.find(key);
@@ -63,19 +91,21 @@ void DecisionCache::insert(
   NP_ASSERT(decision != nullptr);
   const std::uint64_t key = decision->key;
   Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
+  std::list<Entry> evicted;  // freed after the shard lock is released
+  AdaptiveLockGuard lock(shard.mutex);
   NP_LOCK_SCOPE(&shard.mutex, "svc.cache.shard.mutex");
   NP_WRITE(&shard.lru, "svc.cache.shard.lru");
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
     it->second->decision = std::move(decision);
+    it->second->reply = {};
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, std::move(decision)});
+  shard.lru.push_front(Entry{key, std::move(decision), {}});
   shard.index[key] = shard.lru.begin();
   if (shard.index.size() > shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
+    evicted.splice(evicted.begin(), shard.lru, std::prev(shard.lru.end()));
     NP_WRITE(&shard.stats, "svc.cache.shard.stats");
     ++shard.stats.evictions;
   }
@@ -83,14 +113,17 @@ void DecisionCache::insert(
 
 std::size_t DecisionCache::invalidate_before(std::uint64_t epoch) {
   std::size_t purged = 0;
+  std::list<Entry> stale;  // freed after the shard locks are released
   for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
+    AdaptiveLockGuard lock(shard->mutex);
     NP_LOCK_SCOPE(&shard->mutex, "svc.cache.shard.mutex");
     NP_WRITE(&shard->lru, "svc.cache.shard.lru");
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
       if (it->decision->epoch < epoch) {
         shard->index.erase(it->key);
-        it = shard->lru.erase(it);
+        const auto next = std::next(it);
+        stale.splice(stale.end(), shard->lru, it);
+        it = next;
         NP_WRITE(&shard->stats, "svc.cache.shard.stats");
         ++shard->stats.invalidated;
         ++purged;

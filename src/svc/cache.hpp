@@ -11,12 +11,20 @@
 // entries can never be *hit* -- invalidate_before() exists to reclaim
 // their memory the moment the service observes a bump, and to make
 // staleness visible in the stats.
+//
+// Ready replies: a cache hit answers with a resolved future.  Each entry
+// builds its own on its first lookup_reply() and every later hit copies
+// it, so a warm hit allocates nothing.  The build is lazy because most
+// cold decisions are never hit again before they are evicted or
+// invalidated; building eagerly would tax every cold compute.
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +50,26 @@ struct PartitionDecision {
   std::uint64_t evaluations = 0;
 };
 
+enum class ServiceStatus {
+  Ok,
+  /// Shed at admission: the request queue was full.  The client retries
+  /// (with backoff) or falls back to a local decision.
+  Overloaded,
+  /// The cold path threw; `error` carries the message.  Failures are not
+  /// cached -- a retry recomputes.
+  Failed,
+};
+
+struct ServiceReply {
+  ServiceStatus status = ServiceStatus::Failed;
+  std::shared_ptr<const PartitionDecision> decision;  ///< set iff Ok
+  bool cache_hit = false;
+  std::string error;
+};
+
+/// A future that already holds `reply`.
+std::shared_future<ServiceReply> ready_reply(ServiceReply reply);
+
 class DecisionCache {
  public:
   struct Stats {
@@ -56,6 +84,11 @@ class DecisionCache {
 
   /// nullptr on miss; refreshes recency on hit.
   std::shared_ptr<const PartitionDecision> lookup(std::uint64_t key);
+
+  /// lookup() answered as a ready `cache_hit` reply: the entry's own
+  /// future, built on its first hit and shared by every later one.  An
+  /// invalid (default) future on miss.  Counts and refreshes as lookup().
+  std::shared_future<ServiceReply> lookup_reply(std::uint64_t key);
 
   /// Stats-neutral lookup: no hit/miss counting, no recency refresh.  The
   /// service's double-checked admission uses this to close the race between
@@ -91,6 +124,8 @@ class DecisionCache {
   struct Entry {
     std::uint64_t key;
     std::shared_ptr<const PartitionDecision> decision;
+    /// Empty until the first lookup_reply(); reset when `decision` is.
+    std::shared_future<ServiceReply> reply;
   };
   struct Shard {
     mutable std::mutex mutex;
@@ -100,6 +135,9 @@ class DecisionCache {
   };
 
   Shard& shard_for(std::uint64_t key) const;
+  /// Under `shard.mutex`: the entry for `key` moved to the LRU front, or
+  /// nullptr.  Counts the hit or miss.
+  static Entry* find_and_touch(Shard& shard, std::uint64_t key);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_capacity_;

@@ -4,6 +4,7 @@
 #include "core/estimator.hpp"
 #include "obs/span.hpp"
 #include "svc/validate.hpp"
+#include "util/adaptive_lock.hpp"
 #include "util/error.hpp"
 
 namespace netpart::svc {
@@ -69,12 +70,6 @@ PartitionService::~PartitionService() {
   NP_THREAD_JOIN(this, "svc.service.workers");
 }
 
-std::shared_future<ServiceReply> PartitionService::ready(ServiceReply reply) {
-  std::promise<ServiceReply> promise;
-  promise.set_value(std::move(reply));
-  return promise.get_future().share();
-}
-
 void PartitionService::observe_epoch(std::uint64_t epoch) {
   NP_ATOMIC_ACQUIRE(&seen_epoch_, "svc.service.seen_epoch");
   std::uint64_t seen = seen_epoch_.load(std::memory_order_acquire);
@@ -97,27 +92,39 @@ std::shared_future<ServiceReply> PartitionService::submit(
   // Admission gate: a request that violates its own contract is rejected
   // here, before it can occupy a cache slot, coalesce other clients onto a
   // doomed key, or reach arithmetic in the cold path that assumes the
-  // contract.  validate_request never allocates, so the cached hot path
-  // stays allocation-free (the hot-path bench pins this).
+  // contract.  validate_request never allocates, and neither does the hit
+  // path below once the entry's reply exists (bench_partition_hotpath
+  // --smoke gates service_hit_allocations at zero).
   if (const char* violation = validate_request(request)) {
     failed_.add();
     span.attr("outcome", JsonValue("invalid"));
-    return ready(ServiceReply{ServiceStatus::Failed, nullptr, false,
-                              violation});
+    return ready_reply(
+        ServiceReply{ServiceStatus::Failed, nullptr, false, violation});
   }
-  auto [snapshot, epoch] = feed_.read();
+  // A hit needs only the epoch, read lock-free: no feed mutex, no snapshot
+  // copy, and the reply is the cache entry's own ready future.
+  std::uint64_t epoch = feed_.epoch();
   observe_epoch(epoch);
-  const std::uint64_t key = request_key(request, signature_, epoch);
-
-  if (auto hit = cache_.lookup(key)) {
+  std::uint64_t key = request_key(request, signature_, epoch);
+  if (auto hit = cache_.lookup_reply(key); hit.valid()) {
     hits_.add();
     hit_latency_.record(us_since(t0));
     span.attr("outcome", JsonValue("hit"));
-    return ready(ServiceReply{ServiceStatus::Ok, std::move(hit),
-                              /*cache_hit=*/true, {}});
+    return hit;
   }
 
-  std::unique_lock lock(mutex_);
+  // A miss hands the job a snapshot.  If the epoch moved since the
+  // lock-free read, re-key, so the job's key, epoch and snapshot all come
+  // from this one read and no decision is filed under another epoch's key.
+  auto [snapshot, read_epoch] = feed_.read();
+  if (read_epoch != epoch) {
+    epoch = read_epoch;
+    observe_epoch(epoch);
+    key = request_key(request, signature_, epoch);
+  }
+
+  std::unique_lock lock(mutex_, std::defer_lock);
+  lock_adaptive(lock);
   // Explicit acquire/release (not NP_LOCK_SCOPE): this function unlocks
   // early on several paths, and the annotation must track the *real* lock
   // state or the detector would model critical sections that never were.
@@ -127,8 +134,8 @@ std::shared_future<ServiceReply> PartitionService::submit(
     NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
     lock.unlock();
     span.attr("outcome", JsonValue("rejected"));
-    return ready(ServiceReply{ServiceStatus::Failed, nullptr, false,
-                              "service shutting down"});
+    return ready_reply(ServiceReply{ServiceStatus::Failed, nullptr, false,
+                                    "service shutting down"});
   }
   NP_READ(&inflight_, "svc.service.inflight");
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
@@ -145,8 +152,8 @@ std::shared_future<ServiceReply> PartitionService::submit(
     hits_.add();
     hit_latency_.record(us_since(t0));
     span.attr("outcome", JsonValue("hit"));
-    return ready(ServiceReply{ServiceStatus::Ok, std::move(hit),
-                              /*cache_hit=*/true, {}});
+    return ready_reply(ServiceReply{ServiceStatus::Ok, std::move(hit),
+                                    /*cache_hit=*/true, {}});
   }
   NP_READ(&queue_, "svc.service.queue");
   if (queue_.size() >= options_.queue_capacity) {
@@ -154,8 +161,8 @@ std::shared_future<ServiceReply> PartitionService::submit(
     lock.unlock();
     shed_.add();
     span.attr("outcome", JsonValue("shed"));
-    return ready(ServiceReply{ServiceStatus::Overloaded, nullptr, false,
-                              "request queue full"});
+    return ready_reply(ServiceReply{ServiceStatus::Overloaded, nullptr,
+                                    false, "request queue full"});
   }
   auto job = std::make_shared<Job>();
   job->request = request;
@@ -191,7 +198,8 @@ void PartitionService::worker_loop() {
   for (;;) {
     JobPtr job;
     {
-      std::unique_lock lock(mutex_);
+      std::unique_lock lock(mutex_, std::defer_lock);
+      lock_adaptive(lock);
       // Explicit acquire/release: the condition wait below drops and
       // retakes the real mutex, and the annotations must mirror that or
       // the detector would see one long critical section that never
@@ -248,11 +256,12 @@ void PartitionService::run_cold(Job& job, EstimatorScratch& scratch) {
     span.attr("outcome", JsonValue("failed"));
     reply = ServiceReply{ServiceStatus::Failed, nullptr, false, e.what()};
   }
+  decltype(inflight_)::node_type done;  // freed after the lock is released
   {
-    std::lock_guard lock(mutex_);
+    AdaptiveLockGuard lock(mutex_);
     NP_LOCK_SCOPE(&mutex_, "svc.service.mutex");
     NP_WRITE(&inflight_, "svc.service.inflight");
-    inflight_.erase(job.key);
+    done = inflight_.extract(job.key);
   }
   job.promise.set_value(std::move(reply));
 }

@@ -42,9 +42,9 @@
 #include "dp/phases.hpp"
 #include "net/availability.hpp"
 #include "net/network.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace_context.hpp"
 #include "svc/cache.hpp"
-#include "svc/metrics.hpp"
 #include "svc/request.hpp"
 
 namespace netpart {
@@ -52,23 +52,6 @@ struct EstimatorScratch;  // core/estimator.hpp
 }
 
 namespace netpart::svc {
-
-enum class ServiceStatus {
-  Ok,
-  /// Shed at admission: the request queue was full.  The client retries
-  /// (with backoff) or falls back to a local decision.
-  Overloaded,
-  /// The cold path threw; `error` carries the message.  Failures are not
-  /// cached -- a retry recomputes.
-  Failed,
-};
-
-struct ServiceReply {
-  ServiceStatus status = ServiceStatus::Failed;
-  std::shared_ptr<const PartitionDecision> decision;  ///< set iff Ok
-  bool cache_hit = false;
-  std::string error;
-};
 
 /// Materialises the ComputationSpec a Partition-kind request names.
 /// Must be thread-safe (called concurrently from workers).
@@ -113,7 +96,7 @@ class PartitionService {
   std::uint64_t signature() const { return signature_; }
   const AvailabilityFeed& feed() const { return feed_; }
   DecisionCache& cache() { return cache_; }
-  MetricsRegistry& metrics() { return metrics_; }
+  obs::TelemetryRegistry& metrics() { return metrics_; }
 
  private:
   struct Job {
@@ -140,8 +123,6 @@ class PartitionService {
   /// Purge stale cache entries the first time a new epoch is observed.
   void observe_epoch(std::uint64_t epoch);
 
-  static std::shared_future<ServiceReply> ready(ServiceReply reply);
-
   const Network& net_;
   const CostModelDb& db_;
   AvailabilityFeed& feed_;
@@ -150,16 +131,16 @@ class PartitionService {
   std::uint64_t signature_;
 
   DecisionCache cache_;
-  MetricsRegistry metrics_;
-  Counter& requests_;
-  Counter& hits_;
-  Counter& coalesced_;
-  Counter& shed_;
-  Counter& failed_;
-  Counter& cold_computes_;
-  Counter& epoch_bumps_;
-  LatencyHistogram& hit_latency_;
-  LatencyHistogram& cold_latency_;
+  obs::TelemetryRegistry metrics_;
+  obs::Counter& requests_;
+  obs::Counter& hits_;
+  obs::Counter& coalesced_;
+  obs::Counter& shed_;
+  obs::Counter& failed_;
+  obs::Counter& cold_computes_;
+  obs::Counter& epoch_bumps_;
+  obs::LatencyHistogram& hit_latency_;
+  obs::LatencyHistogram& cold_latency_;
 
   std::atomic<std::uint64_t> seen_epoch_{0};
 

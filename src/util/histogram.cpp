@@ -24,6 +24,16 @@ void Histogram::add(double value) {
   ++total_;
 }
 
+void Histogram::merge(const Histogram& other) {
+  NP_REQUIRE(other.lo_ == lo_ && other.hi_ == hi_ &&
+                 other.counts_.size() == counts_.size(),
+             "merged histograms must share one bucket layout");
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
+  total_ += other.total_;
+}
+
 std::size_t Histogram::bucket(std::size_t index) const {
   NP_REQUIRE(index < counts_.size(), "bucket index out of range");
   return counts_[index];

@@ -16,6 +16,10 @@ class Histogram {
 
   void add(double value);
 
+  /// Add another histogram's counts bucket by bucket.  Requires the same
+  /// range and bucket count.
+  void merge(const Histogram& other);
+
   std::size_t count() const { return total_; }
   std::size_t bucket_count() const { return counts_.size(); }
   std::size_t bucket(std::size_t index) const;

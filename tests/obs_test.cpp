@@ -531,6 +531,47 @@ TEST_F(ObsThreadedTest, ConcurrentCountersSumExactly) {
             static_cast<std::uint64_t>(kThreads) * kAdds);
 }
 
+// The striped histogram merges back to exactly what one unstriped
+// histogram would hold: 8 threads (one stripe each) record a known
+// multiset, and bucket-derived quantiles, count, min and max equal a
+// single-threaded util::Histogram reference exactly.  Only the mean may
+// differ, by floating-point reassociation across the stripe merge.
+TEST_F(ObsThreadedTest, StripedHistogramMergesToSingleThreadedReference) {
+  constexpr int kThreads = 8, kPerThread = 3000;
+  const auto sample = [](int t, int i) {
+    // 0..250 us over a 0..200 us range: the top fifth clamps.
+    return static_cast<double>((t * 7919 + i * 104729) % 250000) / 1000.0;
+  };
+  obs::LatencyHistogram striped(0.0, 200.0, 400);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&striped, &sample, t] {
+      for (int i = 0; i < kPerThread; ++i) striped.record(sample(t, i));
+    });
+  }
+  for (std::thread& t : pool) t.join();
+
+  Histogram reference(0.0, 200.0, 400);
+  RunningStats reference_stats;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      reference.add(sample(t, i));
+      reference_stats.add(sample(t, i));
+    }
+  }
+  EXPECT_EQ(striped.count(), reference.count());
+  EXPECT_EQ(striped.min_us(), reference_stats.min());
+  EXPECT_EQ(striped.max_us(), reference_stats.max());
+  const QuantileSummary got = striped.quantiles();
+  const QuantileSummary want = summarize_quantiles(reference);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_NEAR(striped.mean_us(), reference_stats.mean(),
+              1e-12 * reference_stats.mean());
+}
+
 TEST_F(ObsThreadedTest, ConcurrentSpansAndMetricsAreSafe) {
   TelemetryRegistry reg;
   constexpr int kThreads = 8, kSpans = 200;

@@ -758,13 +758,22 @@ TEST(RaceQuietGateTest, DecisionCacheShards) {
           threads.emplace_back([&cache, seed, t] {
             for (std::uint64_t i = 0; i < 40; ++i) {
               const std::uint64_t key = (seed + i * 7 + t) % 32;
-              if (auto hit = cache.lookup(key); hit == nullptr) {
+              const std::uint64_t epoch = 1 + i / 20;
+              // Half the probes take the ready-reply path, which builds
+              // the entry's future under the shard lock on first hit.
+              const bool hit = (i + t) % 2 == 0
+                                   ? cache.lookup_reply(key).valid()
+                                   : cache.lookup(key) != nullptr;
+              if (!hit) {
                 auto decision = std::make_shared<svc::PartitionDecision>();
                 decision->key = key;
-                decision->epoch = 1;
+                decision->epoch = epoch;
                 cache.insert(std::move(decision));
               }
               if (i % 8 == 0) cache.stats();
+              if (i == 20 + static_cast<std::uint64_t>(t)) {
+                cache.invalidate_before(epoch);
+              }
             }
           });
         }
@@ -799,6 +808,18 @@ TEST(RaceQuietGateTest, PartitionServiceWorkerPool) {
             };
         svc::PartitionService service(net, db, feed, nullptr,
                                       service_options);
+        // Availability flips while clients hit: the lock-free epoch read
+        // on the hit path, the miss-path re-key and the invalidation
+        // sweep all run under the detector.
+        std::thread bumper([&feed] {
+          const AvailabilitySnapshot base = feed.read().first;
+          AvailabilitySnapshot revoked = base;
+          revoked.available[0] -= 1;
+          for (int b = 0; b < 6; ++b) {
+            feed.update(b % 2 == 0 ? revoked : base);
+            std::this_thread::yield();
+          }
+        });
         constexpr int kClients = 3;
         std::vector<std::thread> clients;
         clients.reserve(kClients);
@@ -817,6 +838,7 @@ TEST(RaceQuietGateTest, PartitionServiceWorkerPool) {
           });
         }
         for (std::thread& t : clients) t.join();
+        bumper.join();
       },  // service joins its workers here; all events stay in-schedule
       options);
   EXPECT_TRUE(result.sink.clean()) << result.sink.render_text();

@@ -161,8 +161,13 @@ TEST(ServiceTest, StressColdComputedOncePerKey) {
     EXPECT_EQ(count, 1) << "key n=" << n << " computed " << count
                         << " times despite coalescing";
   }
-  const auto stats = service.cache().stats();
-  EXPECT_EQ(stats.hits + service.metrics().counter("coalesced").value() +
+  // Every request is one hit, one coalesce or one of the kUniverse cold
+  // computes.  Hits are the service's count: a request can miss the
+  // lock-free lookup and then hit admission's double-checked peek (the
+  // worker finished its key in between), which the cache's own stats leave
+  // out.
+  EXPECT_EQ(service.metrics().counter("cache_hits").value() +
+                service.metrics().counter("coalesced").value() +
                 static_cast<std::uint64_t>(kUniverse),
             static_cast<std::uint64_t>(kClients * kRounds));
 }
@@ -430,6 +435,150 @@ TEST(ServiceTest, AdaptiveExecutorUsesServiceClient) {
   // Every repartition went through the service as a Repartition request.
   EXPECT_GE(service.metrics().counter("requests").value(),
             static_cast<std::uint64_t>(result.repartitions));
+}
+
+// A hit keys on the feed's lock-free epoch alone; only a miss reads the
+// snapshot, and it re-keys when the epoch moved in between.  Four clients
+// hit a warm universe while a fifth thread flips availability back and
+// forth.  The cold path stamps each decision with the snapshot it was
+// handed, so every Ok reply must carry the snapshot the feed held at the
+// decision's epoch -- a decision filed under one epoch's key but computed
+// from another epoch's snapshot breaks this.
+TEST(ServiceTest, RepliesCarryTheSnapshotOfTheirEpochUnderEpochChurn) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+  const AvailabilitySnapshot base = feed.read().first;
+  AvailabilitySnapshot revoked = base;
+  ASSERT_GT(revoked.available[0], 1);
+  revoked.available[0] -= 1;
+
+  svc::ServiceOptions options;
+  options.workers = 2;
+  options.queue_capacity = 1024;
+  options.cold_override = [](const svc::PartitionRequest& request,
+                             const AvailabilitySnapshot& snapshot) {
+    svc::PartitionDecision decision;
+    decision.partition = PartitionVector({request.n});
+    decision.config = snapshot.available;  // the stamp
+    return decision;
+  };
+  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
+                                options);
+  constexpr int kUniverse = 16;
+  for (int k = 0; k < kUniverse; ++k) {
+    ASSERT_EQ(service.query(stencil_request(100 + k)).status,
+              svc::ServiceStatus::Ok);
+  }
+
+  // Written only by the bumper, read after it joins.
+  std::map<std::uint64_t, std::vector<int>> snapshot_at{
+      {feed.epoch(), base.available}};
+  std::atomic<bool> churning{true};
+  // Back-to-back bumps, so epochs often move between a client's
+  // lock-free epoch load and its miss-path read.
+  std::thread bumper([&] {
+    for (int b = 0; b < 2000; ++b) {
+      const AvailabilitySnapshot& next = b % 2 == 0 ? revoked : base;
+      snapshot_at[feed.update(next)] = next.available;
+      std::this_thread::yield();
+    }
+    churning.store(false);
+  });
+
+  constexpr int kClients = 4;
+  struct Seen {
+    std::uint64_t epoch;
+    std::vector<int> stamp;
+  };
+  std::vector<std::vector<Seen>> seen(kClients);
+  std::atomic<int> not_ok{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; churning.load() || i < 200; ++i) {
+        const svc::ServiceReply reply =
+            service.query(stencil_request(100 + (c * 5 + i) % kUniverse));
+        if (reply.status != svc::ServiceStatus::Ok) {
+          ++not_ok;
+          continue;
+        }
+        seen[static_cast<std::size_t>(c)].push_back(
+            Seen{reply.decision->epoch, reply.decision->config});
+      }
+    });
+  }
+  bumper.join();
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(not_ok.load(), 0);
+  std::size_t checked = 0, mismatched = 0;
+  for (const std::vector<Seen>& client : seen) {
+    for (const Seen& s : client) {
+      const auto it = snapshot_at.find(s.epoch);
+      if (it == snapshot_at.end() || s.stamp != it->second) ++mismatched;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(mismatched, 0u)
+      << "of " << checked
+      << " replies, these carry a decision computed from a snapshot of "
+         "another epoch";
+  EXPECT_GE(checked, static_cast<std::size_t>(kClients) * 200);
+  // The churn reached the cache: both epochs' decisions were recomputed.
+  EXPECT_GT(service.metrics().counter("cold_computes").value(),
+            static_cast<std::uint64_t>(kUniverse));
+  EXPECT_GT(service.metrics().counter("cache_hits").value(), 0u);
+}
+
+// A hit answers with the cache entry's own ready future: two hits on one
+// key share one state, and a replaced or invalidated entry gets a new one.
+TEST(ServiceTest, WarmHitsShareOneReadyReplyPerEntry) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil);
+  ASSERT_EQ(service.query(stencil_request(500)).status,
+            svc::ServiceStatus::Ok);
+  const auto first = service.submit(stencil_request(500));
+  const auto second = service.submit(stencil_request(500));
+  EXPECT_TRUE(first.get().cache_hit);
+  EXPECT_EQ(&first.get(), &second.get());
+
+  svc::DecisionCache cache(/*capacity=*/8, /*shards=*/2);
+  const auto decision = [](std::uint64_t epoch) {
+    auto d = std::make_shared<svc::PartitionDecision>();
+    d->key = 42;
+    d->epoch = epoch;
+    return std::shared_ptr<const svc::PartitionDecision>(std::move(d));
+  };
+  const auto d1 = decision(1);
+  cache.insert(d1);
+  EXPECT_FALSE(cache.lookup_reply(7).valid());
+  const auto r1 = cache.lookup_reply(42);
+  const auto r2 = cache.lookup_reply(42);
+  ASSERT_TRUE(r1.valid());
+  EXPECT_EQ(&r1.get(), &r2.get());
+  EXPECT_EQ(r1.get().status, svc::ServiceStatus::Ok);
+  EXPECT_TRUE(r1.get().cache_hit);
+  EXPECT_EQ(r1.get().decision, d1);
+  EXPECT_EQ(cache.lookup(42), d1);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  const auto d2 = decision(1);
+  cache.insert(d2);  // replaces d1 under the same key
+  const auto r3 = cache.lookup_reply(42);
+  EXPECT_NE(&r3.get(), &r1.get());
+  EXPECT_EQ(r3.get().decision, d2);
+  EXPECT_EQ(r1.get().decision, d1);  // earlier hits keep their answer
+
+  EXPECT_EQ(cache.invalidate_before(2), 1u);
+  EXPECT_FALSE(cache.lookup_reply(42).valid());
+  const auto d3 = decision(2);
+  cache.insert(d3);
+  const auto r4 = cache.lookup_reply(42);
+  EXPECT_NE(&r4.get(), &r3.get());
+  EXPECT_EQ(r4.get().decision, d3);
 }
 
 // Direct unit check of the client's quantisation: rates scale to

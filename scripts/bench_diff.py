@@ -12,28 +12,17 @@ move with the host, so off the designated CI machine the diff is
 informational.  With --gate, any `regressed` row beyond the tolerance
 fails the run (exit 1), which is how CI pins the checked-in baseline.
 
-Regression direction is per metric: ns/eval and us/search regress when
-they go up; throughput and speedup regress when they go down.  The
-tolerance (default 10%) absorbs run-to-run jitter; min-of-windows timing
-in the bench keeps genuine changes well above that.
+Regression direction is per metric: ns/eval, us/search and allocation
+counts regress when they go up; throughput and speedup regress when they
+go down.  A zero baseline (allocations per warm service hit) must stay
+zero.  The tolerance (default 10%) absorbs run-to-run jitter;
+min-of-windows timing in the bench keeps genuine changes well above
+that.
 """
 
 import argparse
 import json
 import sys
-
-# (json path, human name, direction) -- direction 'down' means lower is
-# better, 'up' means higher is better.
-METRICS = [
-    (("eval", "reference_ns_per_eval"), "reference ns/eval", "down"),
-    (("eval", "fast_ns_per_eval"), "fast ns/eval", "down"),
-    (("batched", "batched_ns_per_eval"), "batched ns/eval", "down"),
-    (("delta", "delta_ns_per_eval"), "delta ns/eval", "down"),
-    (("general", "searches_per_sec"), "general searches/sec", "up"),
-    (("search", "single_thread_per_sec"), "search evals/sec", "up"),
-    (("exhaustive", "speedup"), "exhaustive speedup", "up"),
-    (("alloc", "allocations_per_eval"), "allocations/eval", "down"),
-]
 
 
 def lookup(doc, path):
@@ -43,6 +32,36 @@ def lookup(doc, path):
             return None
         node = node[key]
     return node if isinstance(node, (int, float)) else None
+
+
+def allocations_per_miss(doc):
+    """Heap allocations per cold service miss (preflight section)."""
+    allocations = lookup(doc, ("preflight", "service_miss_allocations"))
+    misses = lookup(doc, ("preflight", "service_misses"))
+    if allocations is None or not misses:
+        return None
+    return allocations / misses
+
+
+# (json path or function of the document, human name, direction) --
+# direction 'down' means lower is better, 'up' means higher is better.
+METRICS = [
+    (("eval", "reference_ns_per_eval"), "reference ns/eval", "down"),
+    (("eval", "fast_ns_per_eval"), "fast ns/eval", "down"),
+    (("batched", "batched_ns_per_eval"), "batched ns/eval", "down"),
+    (("delta", "delta_ns_per_eval"), "delta ns/eval", "down"),
+    (("general", "searches_per_sec"), "general searches/sec", "up"),
+    (("search", "single_thread_per_sec"), "search evals/sec", "up"),
+    (("exhaustive", "speedup"), "exhaustive speedup", "up"),
+    (("alloc", "allocations_per_eval"), "allocations/eval", "down"),
+    (("preflight", "service_hit_allocations"),
+     "service hit allocations (10k hits)", "down"),
+    (allocations_per_miss, "allocations/service miss", "down"),
+]
+
+
+def value(doc, path):
+    return path(doc) if callable(path) else lookup(doc, path)
 
 
 def classify(old, new, direction, tolerance):
@@ -91,8 +110,8 @@ def main():
     rows = []
     regressions = []
     for path, name, direction in METRICS:
-        old = lookup(old_doc, path)
-        new = lookup(new_doc, path)
+        old = value(old_doc, path)
+        new = value(new_doc, path)
         if new is None:
             # The new artifact dropped a section; that is a bench change,
             # not a perf change -- note it but never gate on it.

@@ -70,6 +70,9 @@ CycleEstimator::CycleEstimator(const Network& network, const CostModelDb& db,
     comm_topology_ = dominant_comm_->topology();
     comm_bw_limited_ = is_bandwidth_limited(comm_topology_);
     has_fit_.resize(static_cast<std::size_t>(network.num_clusters()), 0);
+    // One allocation, not one per doubling: the constructor runs on every
+    // cold request the service serves.
+    fitted_clusters_.reserve(has_fit_.size());
     for (ClusterId c = 0; c < network.num_clusters(); ++c) {
       if (db.has_comm(c, comm_topology_)) {
         has_fit_[static_cast<std::size_t>(c)] = 1;
@@ -86,16 +89,30 @@ CycleEstimator::CycleEstimator(const Network& network, const CostModelDb& db,
 }
 
 CycleEstimate CycleEstimator::estimate(const ProcessorConfig& config) const {
+  return counted_estimate(config, nullptr);
+}
+
+CycleEstimate CycleEstimator::materialize(const ProcessorConfig& config,
+                                          EstimatorScratch& scratch) const {
+  return counted_estimate(config, &scratch);
+}
+
+CycleEstimate CycleEstimator::counted_estimate(
+    const ProcessorConfig& config, EstimatorScratch* scratch) const {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
+  const auto evaluate = [&] {
+    return scratch != nullptr ? materialize_impl(config, *scratch)
+                              : estimate_impl(config);
+  };
   if (!obs::TelemetryRegistry::global_enabled()) {
     // Disabled-telemetry cost: the one relaxed load above.  The
     // `estimator.evaluations` counter is batched per search by the
     // partitioners instead of bumped here per evaluation.
-    return estimate_impl(config);
+    return evaluate();
   }
   obs::Span span(obs::TelemetryRegistry::global(), "estimator.estimate",
                  "core");
-  CycleEstimate out = estimate_impl(config);
+  CycleEstimate out = evaluate();
   if (span.active()) {
     // The paper's Eq. 1 breakdown: T_c = T_comp + T_comm - T_overlap.
     span.attr("processors", JsonValue(config_total(config)));
@@ -105,6 +122,37 @@ CycleEstimate CycleEstimator::estimate(const ProcessorConfig& config) const {
     span.attr("t_c_ms", JsonValue(out.t_c_ms));
   }
   return out;
+}
+
+CycleEstimate CycleEstimator::materialize_impl(
+    const ProcessorConfig& config, EstimatorScratch& scratch) const {
+  bool closed_form = false;
+  const FastEstimate fast = evaluate_groups(config, scratch, &closed_form);
+  if (!closed_form) {
+    // Starvation repair engaged (extreme speed skew, rare): the group
+    // shares do not describe the donor-stealing result, so the reference
+    // path builds the vector.
+    return estimate_impl(config);
+  }
+  // Expand the closed-form shares rank by rank: within a group every rank
+  // has the same fractional part, and the stable largest-remainder sort
+  // keeps rank order among equals, so the group's extras go to its first
+  // ranks -- exactly the vector proportional_partition() returns.
+  std::vector<std::int64_t> per_rank;
+  per_rank.reserve(static_cast<std::size_t>(config_total(config)));
+  for (std::size_t g = 0; g < scratch.group_sizes.size(); ++g) {
+    const GroupShare& share = scratch.shares[g];
+    for (int i = 0; i < scratch.group_sizes[g]; ++i) {
+      per_rank.push_back(share.base + (i < share.extras ? 1 : 0));
+    }
+  }
+  return CycleEstimate{config,
+                       PartitionVector(std::move(per_rank)),
+                       fast.t_comp_ms,
+                       fast.t_comm_ms,
+                       fast.t_overlap_ms,
+                       fast.t_c_ms,
+                       fast.t_elapsed_ms};
 }
 
 CycleEstimate CycleEstimator::estimate_impl(
@@ -152,6 +200,12 @@ CycleEstimate CycleEstimator::estimate_impl(
 FastEstimate CycleEstimator::estimate_into(const ProcessorConfig& config,
                                            EstimatorScratch& scratch) const {
   ++scratch.evaluations;
+  return evaluate_groups(config, scratch, nullptr);
+}
+
+FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
+                                             EstimatorScratch& scratch,
+                                             bool* closed_form) const {
   validate_config(network_, config);
 
   // Active clusters in placement (rank-major) order.  clear() + push_back
@@ -179,8 +233,10 @@ FastEstimate CycleEstimator::estimate_into(const ProcessorConfig& config,
   const std::size_t groups = scratch.group_clusters.size();
   scratch.shares.resize(groups);
   scratch.max_a.resize(groups);
-  if (proportional_group_shares(scratch.group_weights, scratch.group_sizes,
-                                num_pdus_, scratch.shares)) {
+  const bool shares_serve = proportional_group_shares(
+      scratch.group_weights, scratch.group_sizes, num_pdus_, scratch.shares);
+  if (closed_form != nullptr) *closed_form = shares_serve;
+  if (shares_serve) {
     for (std::size_t g = 0; g < groups; ++g) {
       scratch.max_a[g] =
           scratch.shares[g].base + (scratch.shares[g].extras > 0 ? 1 : 0);
@@ -373,9 +429,9 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
   }
 
   // Stage B per lane: closed-form shares (proportional_group_shares
-  // inlined over the SoA buffers, rank tiebreaks as branch-free arithmetic
-  // -- the fraction comparisons are data-dependent and would mistrain the
-  // branch predictor), then Eq. 4 maxima and Eq. 1/2/5 communication over
+  // inlined over the SoA buffers, rank tiebreaks through the rank kernel
+  // -- see dp/rank_kernel.hpp for which of its compares compile to
+  // branches), then Eq. 4 maxima and Eq. 1/2/5 communication over
   // the bound coefficient tables.  A lane the closed form cannot serve
   // (starvation repair) replays through the scalar path, which counts
   // itself.
@@ -435,9 +491,9 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
   // B2: largest-remainder extras -> per-group max A_i and starvation,
   // with the Eq. 4 computation maximum folded in (max_a is in a register
   // the moment it is stored; a separate pass would reload it).  The rank
-  // counts come from the branchless sorting-network kernel (<= 4 groups;
-  // quadratic branch-free pass above) -- the old O(G^2) compare loop here
-  // was the dominant term of the batched per-eval profile.
+  // counts come from the sorting-network kernel (<= 4 groups; the
+  // quadratic |/& pass above) -- the old O(G^2) compare loop here was the
+  // dominant term of the batched per-eval profile.
   std::int64_t* ranks_before = batch.ranks_before.data();
   for (int lane = 0; lane < kLanes; ++lane) {
     const std::size_t base = static_cast<std::size_t>(lane) * k;

@@ -14,9 +14,11 @@
 // Four evaluation paths:
 //
 //   * estimate() -- the reference path: materialises the full Eq. 3
-//     partition vector and scans it rank by rank.  One heap-allocating
-//     call per evaluation; keep for results (the caller gets the
-//     PartitionVector) and as ground truth.
+//     partition vector and scans it rank by rank, allocating on every
+//     call.  It is the oracle the fast paths are tested against, and the
+//     fallback materialize() takes when starvation repair engages; the
+//     searches' winners come from materialize() (the fast path's cost
+//     fields plus the vector expanded from the closed-form shares).
 //   * estimate_into() -- the scalar fast path: Eq. 3 is evaluated in
 //     closed form per *cluster* (a balanced partition hands a homogeneous
 //     cluster only the floor/ceiling of its ideal share, see
@@ -64,7 +66,7 @@ struct CycleEstimate {
 
 /// estimate_into()'s result: the cost breakdown without the materialised
 /// partition vector (searches only compare t_c; the winner is materialised
-/// once, via estimate(), for the returned PartitionResult).
+/// once, via materialize(), for the returned PartitionResult).
 struct FastEstimate {
   double t_comp_ms = 0.0;
   double t_comm_ms = 0.0;
@@ -248,6 +250,18 @@ class CycleEstimator {
   /// for configurations that exceed cluster capacities or select nothing.
   CycleEstimate estimate(const ProcessorConfig& config) const;
 
+  /// A search's winner as a full CycleEstimate, built from the fast path:
+  /// the cost fields by estimate_into's arithmetic, the partition vector
+  /// expanded from the closed-form group shares (group g's first `extras`
+  /// ranks get base + 1).  Bitwise identical to estimate(config) on every
+  /// field -- the property tier asserts this -- at two allocations (the
+  /// config copy and the vector).  Falls back to estimate()'s path when
+  /// starvation repair engages.  Like estimate(), it counts one evaluation
+  /// on evaluations() (not on scratch.evaluations) and emits the
+  /// `estimator.estimate` span when telemetry is on.
+  CycleEstimate materialize(const ProcessorConfig& config,
+                            EstimatorScratch& scratch) const;
+
   /// Allocation-free evaluation of one configuration through `scratch`.
   /// Bitwise identical to estimate() on every cost field.  Thread-safe for
   /// concurrent calls with distinct scratches; bumps scratch.evaluations
@@ -321,7 +335,19 @@ class CycleEstimator {
   const Network& network() const { return network_; }
 
  private:
+  /// estimate() and materialize(): count the evaluation, open the span.
+  /// A null scratch selects the reference path.
+  CycleEstimate counted_estimate(const ProcessorConfig& config,
+                                 EstimatorScratch* scratch) const;
   CycleEstimate estimate_impl(const ProcessorConfig& config) const;
+  CycleEstimate materialize_impl(const ProcessorConfig& config,
+                                 EstimatorScratch& scratch) const;
+  /// estimate_into without the count.  When `closed_form` is non-null it
+  /// receives whether scratch.shares describe the partition (false when
+  /// starvation repair engaged).
+  FastEstimate evaluate_groups(const ProcessorConfig& config,
+                               EstimatorScratch& scratch,
+                               bool* closed_form) const;
   /// Rebuild `batch`'s per-cluster constant tables when it is bound to a
   /// different estimator (allocates); no-op on the steady-state path.
   void ensure_batch_bound(BatchScratch& batch) const;

@@ -142,7 +142,7 @@ PartitionResult general_partition(const CycleEstimator& estimator,
 
   // Fold the climb's fast-path evaluations into the estimator's tally and
   // the per-path counters (partition() above already accounted for its
-  // own; +1 covers the final reference materialisation).  Deltas, not
+  // own; +1 covers the winner's materialisation).  Deltas, not
   // totals: a caller-provided scratch carries counts from prior searches.
   estimator.merge_evaluations(evaluations);
   auto& telemetry = obs::TelemetryRegistry::global();
@@ -155,11 +155,12 @@ PartitionResult general_partition(const CycleEstimator& estimator,
   evals_counter.add(evaluations + 1);
   batch_evals_counter.add(sc.batch_evaluations - batch_evals_before);
   delta_evals_counter.add(sc.delta_evaluations - delta_evals_before);
-  return PartitionResult{
-      best_config, estimator.estimate(best_config),
-      contiguous_placement(net, best_config, estimator.cluster_order()),
-      estimator.cluster_order(),
-      heuristic_start.evaluations + evaluations + 1};
+  CycleEstimate winner = estimator.materialize(best_config, sc);
+  Placement placement =
+      contiguous_placement(net, best_config, estimator.cluster_order());
+  return PartitionResult{std::move(best_config), std::move(winner),
+                         std::move(placement), estimator.cluster_order(),
+                         heuristic_start.evaluations + evaluations + 1};
 }
 
 }  // namespace netpart

@@ -186,14 +186,16 @@ PartitionResult partition(const CycleEstimator& estimator,
   }
   NP_ASSERT(any_selected);
 
-  // Materialise the winner once via the reference path (callers get the
-  // full partition vector); +1 accounts for it in the evaluation tally.
+  // Materialise the winner once (callers get the full partition vector);
+  // +1 accounts for it in the evaluation tally.
   const std::uint64_t fast_evals = sc.evaluations - evals_before;
   estimator.merge_evaluations(fast_evals);
-  PartitionResult result{
-      config, estimator.estimate(config),
-      contiguous_placement(net, config, estimator.cluster_order()),
-      estimator.cluster_order(), fast_evals + 1};
+  CycleEstimate winner = estimator.materialize(config, sc);
+  Placement placement =
+      contiguous_placement(net, config, estimator.cluster_order());
+  PartitionResult result{std::move(config), std::move(winner),
+                         std::move(placement), estimator.cluster_order(),
+                         fast_evals + 1};
   steps_counter.add(search_steps);
   evals_counter.add(result.evaluations);
   estimator_evals_counter.add(result.evaluations);
@@ -432,10 +434,15 @@ PartitionResult exhaustive_partition(const CycleEstimator& estimator,
   steals_counter.add(steals);
   batch_evals_counter.add(total_batch_evals);
 
-  PartitionResult result{
-      best_config, estimator.estimate(best_config),
-      contiguous_placement(net, best_config, estimator.cluster_order()),
-      estimator.cluster_order(), total_evals + 1};
+  // The winner is materialised through the first worker's scratch: the
+  // sweep is over, so no thread still owns it.
+  CycleEstimate winner =
+      estimator.materialize(best_config, workers[0].scratch);
+  Placement placement =
+      contiguous_placement(net, best_config, estimator.cluster_order());
+  PartitionResult result{std::move(best_config), std::move(winner),
+                         std::move(placement), estimator.cluster_order(),
+                         total_evals + 1};
   evals_counter.add(result.evaluations);
   estimator_evals_counter.add(result.evaluations);
   if (span.active()) {

@@ -1,4 +1,4 @@
-// Branchless kernels for the largest-remainder rounding of Eq. 3.
+// Kernels for the largest-remainder rounding of Eq. 3.
 //
 // proportional_partition() realises the ideal (fractional) Eq. 3 shares as
 // integers by handing the leftover PDUs to the ranks with the largest
@@ -13,13 +13,17 @@
 //
 //   * largest_remainder_ranks() -- the hot entry point.  For <= 4 groups
 //     (every paper testbed, and the 4-cluster bench preset) it sorts the
-//     (frac, index) keys through a 5-comparator sorting network of
-//     conditional moves -- no data-dependent branch anywhere, so the
-//     mistrained-predictor cost of the old quadratic compare loop (the
-//     dominant term of the batched per-eval profile) disappears.  Above 4
-//     groups it falls back to the quadratic pass.
-//   * detail::largest_remainder_ranks_general() -- the branch-free O(G^2)
-//     pass, kept as the any-size fallback and as the differential oracle.
+//     (frac, index) keys through a 5-comparator sorting network written as
+//     predicated swaps.  The source has no branch, but the object code
+//     does: in the Release build (GCC 12.2, -O3) the network's fraction
+//     compares inside CycleEstimator::estimate_lanes are `comisd` followed
+//     by `ja`/`jbe` (objdump -d of estimator.cpp.o), so a mistrained
+//     predictor can still cost here.  The network replaced the old
+//     quadratic compare loop, the dominant term of the batched per-eval
+//     profile then.  Above 4 groups it falls back to the quadratic pass.
+//   * detail::largest_remainder_ranks_general() -- the O(G^2) pass in
+//     |/& arithmetic, kept as the any-size fallback and as the
+//     differential oracle.  Its compares do compile to `setcc`/`cmov`.
 //
 // Also here: InvariantDivider, the reciprocal-multiply division used by the
 // batched share stage (see the class comment for the bitwise contract).
@@ -89,7 +93,8 @@ inline void largest_remainder_ranks(const double* frac, const int* sizes,
   // stable sort proportional_partition performs.  Keys are unique (the
   // index breaks every tie), so the network's output order is the stable
   // order even though the network itself is not stable.  Each comparator
-  // is a predicated swap (conditional moves, no branch).
+  // is written as a predicated swap; GCC 12.2 nevertheless compiles the
+  // fraction compare to a conditional branch (see the file comment).
   const auto cswap = [&](int a, int b) {
     const bool sw = (f[a] < f[b]) | ((f[a] == f[b]) & (idx[a] > idx[b]));
     const double fa = sw ? f[b] : f[a];

@@ -195,40 +195,55 @@ void PartitionService::worker_loop() {
   // coefficient tables also amortise across requests.
   EstimatorScratch scratch;
   NP_THREAD_START(this, "svc.service.workers");
-  for (;;) {
-    JobPtr job;
-    {
-      std::unique_lock lock(mutex_, std::defer_lock);
-      lock_adaptive(lock);
-      // Explicit acquire/release: the condition wait below drops and
-      // retakes the real mutex, and the annotations must mirror that or
-      // the detector would see one long critical section that never
-      // happened (and miss the happens-before edges the re-acquisition
-      // creates).
-      NP_LOCK_ACQUIRE(&mutex_, "svc.service.mutex");
-      for (;;) {
-        NP_READ(&stopping_, "svc.service.stopping");
-        NP_READ(&queue_, "svc.service.queue");
-        if (stopping_ || !queue_.empty()) break;
-        NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-        work_ready_.wait(lock);
-        NP_LOCK_ACQUIRE(&mutex_, "svc.service.mutex");
-      }
-      if (queue_.empty()) {
-        NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-        NP_THREAD_END(this, "svc.service.workers");
-        return;  // stopping and fully drained
-      }
-      NP_WRITE(&queue_, "svc.service.queue");
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-    }
-    run_cold(*job, scratch);
+  // The key of this worker's last answered job: its in-flight entry is
+  // erased by the next pop, under the lock the pop takes anyway.
+  std::optional<std::uint64_t> answered;
+  while (JobPtr job = next_job(answered)) {
+    answered.reset();
+    if (run_cold(*job, scratch)) answered = job->key;
   }
+  NP_THREAD_END(this, "svc.service.workers");
 }
 
-void PartitionService::run_cold(Job& job, EstimatorScratch& scratch) {
+PartitionService::JobPtr PartitionService::next_job(
+    std::optional<std::uint64_t> answered) {
+  // Declared before the lock, so destroyed after it is released: freeing
+  // the node (and the last reference to its Job) stays out of the critical
+  // section.
+  decltype(inflight_)::node_type done;
+  std::unique_lock lock(mutex_, std::defer_lock);
+  lock_adaptive(lock);
+  // Explicit acquire/release: the condition wait below drops and retakes
+  // the real mutex, and the annotations must mirror that or the detector
+  // would see one long critical section that never happened (and miss the
+  // happens-before edges the re-acquisition creates).
+  NP_LOCK_ACQUIRE(&mutex_, "svc.service.mutex");
+  for (;;) {
+    NP_READ(&stopping_, "svc.service.stopping");
+    NP_READ(&queue_, "svc.service.queue");
+    if (stopping_ || !queue_.empty()) break;
+    NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
+    work_ready_.wait(lock);
+    NP_LOCK_ACQUIRE(&mutex_, "svc.service.mutex");
+  }
+  // The previous job's deferred erase.  Until now its entry held a ready
+  // future, so a request that reached it was answered without a compute;
+  // an idle worker keeps that one entry while it waits.
+  if (answered) {
+    NP_WRITE(&inflight_, "svc.service.inflight");
+    done = inflight_.extract(*answered);
+  }
+  JobPtr job;
+  if (!queue_.empty()) {  // otherwise stopping and fully drained
+    NP_WRITE(&queue_, "svc.service.queue");
+    job = std::move(queue_.front());
+    queue_.pop_front();
+  }
+  NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
+  return job;
+}
+
+bool PartitionService::run_cold(Job& job, EstimatorScratch& scratch) {
   // Adopt the submitter's request context: the execute span joins that
   // trace as a child even though it runs on a worker thread.
   obs::ContextScope ctx(job.trace);
@@ -256,14 +271,21 @@ void PartitionService::run_cold(Job& job, EstimatorScratch& scratch) {
     span.attr("outcome", JsonValue("failed"));
     reply = ServiceReply{ServiceStatus::Failed, nullptr, false, e.what()};
   }
-  decltype(inflight_)::node_type done;  // freed after the lock is released
-  {
+  const bool ok = reply.status == ServiceStatus::Ok;
+  if (!ok) {
+    // A failure is not cached, so its entry goes before the reply: a retry
+    // sent after the reply must recompute, not coalesce onto the failure.
+    decltype(inflight_)::node_type done;  // freed after the lock is released
     AdaptiveLockGuard lock(mutex_);
     NP_LOCK_SCOPE(&mutex_, "svc.service.mutex");
     NP_WRITE(&inflight_, "svc.service.inflight");
     done = inflight_.extract(job.key);
   }
+  // A success answers first; its entry is erased by the next pop.  The
+  // decision is already in the cache, and a request that finds the entry
+  // in between gets this ready future: still one compute per key.
   job.promise.set_value(std::move(reply));
+  return ok;
 }
 
 PartitionDecision PartitionService::cold_compute(

@@ -33,6 +33,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -116,7 +117,14 @@ class PartitionService {
   /// Each worker owns one EstimatorScratch for its lifetime: after warm-up
   /// a cold compute's search allocates nothing in the estimator.
   void worker_loop();
-  void run_cold(Job& job, EstimatorScratch& scratch);
+  /// One queue-lock round: wait for work, erase the in-flight entry of the
+  /// worker's last answered job (`answered`), pop.  Null once stopping and
+  /// drained.
+  JobPtr next_job(std::optional<std::uint64_t> answered);
+  /// Compute, cache and answer one job.  True when the reply is Ok: its
+  /// in-flight entry is then left for next_job() to erase.  A Failed
+  /// reply's entry is erased before the reply is set.
+  bool run_cold(Job& job, EstimatorScratch& scratch);
   PartitionDecision cold_compute(const PartitionRequest& request,
                                  const AvailabilitySnapshot& snapshot,
                                  EstimatorScratch& scratch) const;

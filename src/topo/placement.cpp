@@ -1,6 +1,5 @@
 #include "topo/placement.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -24,13 +23,20 @@ void validate_config(const Network& net, const ProcessorConfig& config) {
 }
 
 std::vector<ClusterId> clusters_by_speed(const Network& net) {
+  // Insertion sort in place: a cluster moves left only past strictly
+  // slower ones, so ties keep id order -- std::stable_sort's order,
+  // without its temporary buffer.  Every CycleEstimator calls this, and
+  // networks have a handful of clusters.
   std::vector<ClusterId> order(static_cast<std::size_t>(net.num_clusters()));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](ClusterId a, ClusterId b) {
-                     return net.cluster(a).flop_time() <
-                            net.cluster(b).flop_time();
-                   });
+  for (ClusterId c = 0; c < net.num_clusters(); ++c) {
+    const SimTime flop_time = net.cluster(c).flop_time();
+    auto slot = static_cast<std::size_t>(c);
+    for (; slot > 0 && flop_time < net.cluster(order[slot - 1]).flop_time();
+         --slot) {
+      order[slot] = order[slot - 1];
+    }
+    order[slot] = c;
+  }
   return order;
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
 #include "core/estimator.hpp"
+#include "core/general.hpp"
 #include "core/partitioner.hpp"
 #include "net/availability.hpp"
 #include "net/presets.hpp"
@@ -510,6 +512,83 @@ TEST(ObsGoldenTest, ExhaustiveMetersLikeTheHeuristic) {
     EXPECT_TRUE(has_evals);
   }
   EXPECT_TRUE(found_span);
+}
+
+TEST(ObsGoldenTest, SearchesCountTheirWinnerAsOneEvaluation) {
+  // Each search materialises its winner once and counts it as one
+  // evaluation, on the result, on the estimator and on both counters, and
+  // traces it as an estimator.estimate span with the Eq. 6 terms.  The
+  // counts are pinned to what materialising through the reference
+  // estimate() counted: building the winner from the fast path must not
+  // change any search's evaluation tally.
+  const Network net = presets::paper_testbed();
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  const CostModelDb db = calibrate(net, params).db;
+  const AvailabilitySnapshot snap =
+      gather_availability(net, make_managers(net, AvailabilityPolicy{}));
+  const ComputationSpec spec = apps::make_stencil_spec(
+      apps::StencilConfig{.n = 600, .iterations = 10});
+
+  struct Search {
+    const char* name;
+    std::function<PartitionResult(const CycleEstimator&)> run;
+    std::uint64_t evaluations;       ///< result, estimator, estimator counter
+    std::uint64_t cost_model_evals;  ///< partitioner.cost_model_evals
+  };
+  const std::vector<Search> searches = {
+      {"partition",
+       [&](const CycleEstimator& est) { return partition(est, snap); },
+       9, 9},
+      {"general_partition",
+       [&](const CycleEstimator& est) {
+         return general_partition(est, snap);
+       },
+       82, 9},  // the climb's 72, its heuristic start's 9, the winner
+      {"exhaustive_partition",
+       [&](const CycleEstimator& est) {
+         return exhaustive_partition(est, snap, {.threads = 2});
+       },
+       49, 49},  // 7 x 7 configurations, less the empty one, + 1
+  };
+
+  TelemetryRegistry& global = TelemetryRegistry::global();
+  for (const Search& search : searches) {
+    SCOPED_TRACE(search.name);
+    const CycleEstimator est(net, db, spec);
+    const obs::MetricsSnapshot before = global.snapshot();
+    const std::size_t spans_before = global.span_count();
+    global.set_enabled(true);
+    const PartitionResult result = search.run(est);
+    global.set_enabled(false);
+    const obs::MetricsSnapshot delta =
+        obs::snapshot_delta(before, global.snapshot());
+
+    EXPECT_EQ(result.evaluations, search.evaluations);
+    EXPECT_EQ(est.evaluations(), search.evaluations);
+    EXPECT_EQ(delta.counters.at("estimator.evaluations"), search.evaluations);
+    EXPECT_EQ(delta.counters.at("partitioner.cost_model_evals"),
+              search.cost_model_evals);
+
+    // The winner's span: the last estimator.estimate the search recorded.
+    const auto spans = global.spans();
+    const obs::SpanRecord* winner = nullptr;
+    for (std::size_t i = spans_before; i < spans.size(); ++i) {
+      if (spans[i].name == "estimator.estimate") winner = &spans[i];
+    }
+    ASSERT_NE(winner, nullptr);
+    std::set<std::string> keys;
+    for (const auto& [key, value] : winner->attrs) {
+      keys.insert(key);
+      if (key == "t_c_ms") {
+        EXPECT_EQ(value.as_double(), result.estimate.t_c_ms);
+      }
+    }
+    for (const char* key :
+         {"processors", "t_comp_ms", "t_comm_ms", "t_overlap_ms", "t_c_ms"}) {
+      EXPECT_EQ(keys.count(key), 1u) << key;
+    }
+  }
 }
 
 // ----------------------------------------------------------- threading

@@ -18,6 +18,7 @@
 #include "core/partitioner.hpp"
 #include "dp/rank_kernel.hpp"
 #include "exec/executor.hpp"
+#include "net/builder.hpp"
 #include "net/presets.hpp"
 
 namespace netpart {
@@ -226,6 +227,110 @@ TEST_P(RandomNetworkProperties, FastPathBitwiseMatchesReference) {
           << "seed " << GetParam().seed;
     }
   }
+}
+
+/// Whether `config` sends Eq. 3 through starvation repair: the closed-form
+/// shares refuse exactly then.
+bool starves(const Network& net, const CycleEstimator& est,
+             const ProcessorConfig& config, std::int64_t pdus) {
+  std::vector<double> weights;
+  std::vector<int> sizes;
+  for (ClusterId c : est.cluster_order()) {
+    const int p = config[static_cast<std::size_t>(c)];
+    if (p == 0) continue;
+    weights.push_back(1.0 / net.cluster(c).type().flop_time.as_seconds());
+    sizes.push_back(p);
+  }
+  std::vector<GroupShare> shares(weights.size());
+  return !proportional_group_shares(weights, sizes, pdus, shares);
+}
+
+/// materialize() against the reference estimate() over random
+/// configurations of `net`: four stencil specs per configuration, one of
+/// them with num_PDUs just above the rank count (the starvation edge).
+/// Every field must be bitwise equal, and each materialisation must count
+/// exactly one evaluation on the estimator and none on the scratch.
+/// Returns how many checked configurations went through starvation repair.
+int expect_materialize_matches_reference(const Network& net,
+                                         const CostModelDb& db, Rng& rng,
+                                         int trials) {
+  EstimatorScratch scratch;
+  int starved = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    ProcessorConfig config(static_cast<std::size_t>(net.num_clusters()), 0);
+    int total = 0;
+    for (ClusterId c = 0; c < net.num_clusters(); ++c) {
+      config[static_cast<std::size_t>(c)] =
+          static_cast<int>(rng.next_int(0, net.cluster(c).size()));
+      total += config[static_cast<std::size_t>(c)];
+    }
+    if (total == 0) continue;
+    // The stencil needs n >= 3; below that no rank can starve anyway.
+    const int edge = std::max(3, total + static_cast<int>(rng.next_int(0, 2)));
+    for (const auto& [n, overlap] :
+         std::vector<std::pair<int, bool>>{
+             {std::max(300, total), false}, {600 + total, true},
+             {2400, false}, {edge, false}}) {
+      if (n < total) continue;
+      const ComputationSpec spec = apps::make_stencil_spec(
+          apps::StencilConfig{.n = n, .iterations = 10, .overlap = overlap});
+      const CycleEstimator est(net, db, spec);
+      const CycleEstimate want = est.estimate(config);
+      const std::uint64_t evals_before = est.evaluations();
+      const std::uint64_t scratch_before = scratch.evaluations;
+      const CycleEstimate got = est.materialize(config, scratch);
+      EXPECT_EQ(est.evaluations(), evals_before + 1);
+      EXPECT_EQ(scratch.evaluations, scratch_before);
+      EXPECT_EQ(got.config, want.config);
+      EXPECT_EQ(got.partition.values(), want.partition.values())
+          << "n " << n;
+      EXPECT_EQ(got.t_comp_ms, want.t_comp_ms);
+      EXPECT_EQ(got.t_comm_ms, want.t_comm_ms);
+      EXPECT_EQ(got.t_overlap_ms, want.t_overlap_ms);
+      EXPECT_EQ(got.t_c_ms, want.t_c_ms);
+      EXPECT_EQ(got.t_elapsed_ms, want.t_elapsed_ms);
+      if (starves(net, est, config, n)) ++starved;
+    }
+  }
+  return starved;
+}
+
+TEST_P(RandomNetworkProperties, MaterializeBitwiseMatchesReference) {
+  // A search's winner is built by materialize(): the fast path's cost
+  // fields plus a partition vector expanded from the closed-form shares.
+  // It must be estimate()'s result exactly, starvation edge included.
+  Rng rng(GetParam().seed ^ 0x3A7E);
+  const Network net = presets::random_network(rng, GetParam().clusters, 6);
+  const CalibrationResult cal = calibrate(net, one_d_params());
+  Rng config_rng = rng.stream(3);
+  expect_materialize_matches_reference(net, cal.db, config_rng, 40);
+}
+
+TEST(MaterializeFallback, ExtremeSpeedSkewRepairsStarvationBitwise) {
+  // Speeds four orders of magnitude apart: at the starvation edge the slow
+  // clusters' ideal shares round to zero and proportional_partition's
+  // donor-stealing repair decides the vector, so materialize() must take
+  // the reference path -- and still agree bitwise.
+  NetworkBuilder b;
+  b.bandwidth_bps(10e6);
+  b.frame_overhead(SimTime::micros(50));
+  b.router_delay(SimTime::nanos(600), SimTime::micros(100));
+  for (const double flop_us : {0.01, 1.0, 100.0}) {
+    ProcessorType t;
+    t.name = "cpu" + std::to_string(flop_us);
+    t.flop_time = SimTime::micros(flop_us);
+    t.int_time = t.flop_time * 0.5;
+    t.comm_per_byte = SimTime::nanos(800);
+    t.comm_per_message = SimTime::micros(500);
+    b.add_cluster(t.name, t, 4);
+  }
+  const Network net = b.build();
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  const CalibrationResult cal = calibrate(net, params);
+  Rng rng(0x5CE3);
+  EXPECT_GT(expect_materialize_matches_reference(net, cal.db, rng, 60), 0)
+      << "no configuration reached starvation repair";
 }
 
 TEST_P(RandomNetworkProperties, ParallelExhaustiveMatchesSerial) {

@@ -839,6 +839,9 @@ TEST(RaceQuietGateTest, PartitionServiceWorkerPool) {
         }
         for (std::thread& t : clients) t.join();
         bumper.join();
+        // Misses ran: the in-flight erase that rides on the next pop was
+        // under the detector, not only hits.
+        EXPECT_GT(service.metrics().counter("cold_computes").value(), 0u);
       },  // service joins its workers here; all events stay in-schedule
       options);
   EXPECT_TRUE(result.sink.clean()) << result.sink.render_text();

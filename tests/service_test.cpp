@@ -398,6 +398,157 @@ TEST(ServiceTest, FailedDecisionsAreNotCached) {
   EXPECT_TRUE(service.query(stencil_request(42)).cache_hit);
 }
 
+// The retry half of the contract, many times over: every failed reply's
+// in-flight entry is erased before the reply is set, so a retry sent the
+// moment the failure arrives recomputes instead of coalescing onto the
+// failed future.  (A successful reply's erase is deferred to the worker's
+// next pop; a failure's must not be.)
+TEST(ServiceTest, FailedRepliesNeverCoalesceTheirRetry) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+
+  ColdCounter colds;
+  svc::ServiceOptions options;
+  options.workers = 2;
+  // The first compute of every key fails; the retry succeeds.
+  options.cold_override = [&colds](const svc::PartitionRequest& request,
+                                   const AvailabilitySnapshot&) {
+    colds.bump(request.n);
+    if (colds.snapshot().at(request.n) == 1) throw Error("injected fault");
+    svc::PartitionDecision decision;
+    decision.partition = PartitionVector({request.n});
+    return decision;
+  };
+  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
+                                options);
+  constexpr int kKeys = 200;
+  for (int k = 0; k < kKeys; ++k) {
+    const std::int64_t n = 1000 + k;
+    ASSERT_EQ(service.query(stencil_request(n)).status,
+              svc::ServiceStatus::Failed);
+    const svc::ServiceReply retry = service.query(stencil_request(n));
+    ASSERT_EQ(retry.status, svc::ServiceStatus::Ok) << "key " << n;
+    EXPECT_FALSE(retry.cache_hit);
+  }
+  EXPECT_EQ(colds.total(), 2 * kKeys);
+  EXPECT_EQ(service.metrics().counter("coalesced").value(), 0u);
+}
+
+/// cold_override that answers at once, except for key `blocker`, which
+/// holds the worker until release() -- so a test can freeze the service
+/// with a worker busy right after its previous reply.
+class BlockingColdPath {
+ public:
+  explicit BlockingColdPath(std::int64_t blocker) : blocker_(blocker) {}
+
+  svc::ColdPathOverride hook() {
+    return [this](const svc::PartitionRequest& request,
+                  const AvailabilitySnapshot&) {
+      colds_.bump(request.n);
+      if (request.n == blocker_) {
+        entered_.set_value();
+        release_future_.wait();
+      }
+      svc::PartitionDecision decision;
+      decision.partition = PartitionVector({request.n});
+      return decision;
+    };
+  }
+  void wait_entered() { entered_future_.wait(); }
+  void release() { release_.set_value(); }
+  int computes(std::int64_t n) const {
+    const auto counts = colds_.snapshot();
+    const auto it = counts.find(n);
+    return it == counts.end() ? 0 : it->second;
+  }
+
+ private:
+  std::int64_t blocker_;
+  ColdCounter colds_;
+  std::promise<void> entered_;
+  std::shared_future<void> entered_future_ = entered_.get_future().share();
+  std::promise<void> release_;
+  std::shared_future<void> release_future_ = release_.get_future().share();
+};
+
+// A successful job's in-flight entry outlives its reply until the worker's
+// next pop.  A request that reaches the entry in that window -- here with
+// the worker idle after the reply and the cache entry dropped, so the
+// lookup misses -- is answered with the job's own ready reply: the same
+// decision, counted as coalesced, and no second compute.
+TEST(ServiceTest, RequestInTheDeferredEraseWindowGetsTheAnsweredDecision) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+  ColdCounter colds;
+  svc::ServiceOptions options;
+  options.workers = 1;
+  options.cold_override = [&colds](const svc::PartitionRequest& request,
+                                   const AvailabilitySnapshot&) {
+    colds.bump(request.n);
+    svc::PartitionDecision decision;
+    decision.partition = PartitionVector({request.n});
+    return decision;
+  };
+  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
+                                options);
+
+  const svc::ServiceReply answered = service.query(stencil_request(600));
+  ASSERT_EQ(answered.status, svc::ServiceStatus::Ok) << answered.error;
+  EXPECT_EQ(service.cache().invalidate_before(feed.epoch() + 1), 1u);
+
+  const svc::ServiceReply again = service.query(stencil_request(600));
+  ASSERT_EQ(again.status, svc::ServiceStatus::Ok) << again.error;
+  EXPECT_EQ(again.decision.get(), answered.decision.get());
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_EQ(service.metrics().counter("coalesced").value(), 1u);
+  EXPECT_EQ(colds.total(), 1);
+}
+
+// The worker blocked right after a reply: job A answers, then the same
+// worker pops job B, whose cold path blocks.  A request for A sent in
+// that window gets A's decision as a cache hit.  The pop of B erased A's
+// entry, so once the cache has dropped A a request recomputes it (it
+// neither coalesces onto the answered job nor is lost).
+TEST(ServiceTest, NextPopErasesTheAnsweredJobsEntry) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+  constexpr std::int64_t kBlocker = 999;
+  BlockingColdPath cold(kBlocker);
+  svc::ServiceOptions options;
+  options.workers = 1;
+  options.cold_override = cold.hook();
+  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
+                                options);
+
+  // One worker serves in queue order, so once B has started, A has been
+  // answered and B's pop has run.
+  const auto a_reply = service.submit(stencil_request(600));
+  const auto b_reply = service.submit(stencil_request(kBlocker));
+  cold.wait_entered();
+  // EXPECT, not ASSERT, until release(): returning early would leave the
+  // worker blocked and the service's destructor waiting on it.
+  EXPECT_EQ(a_reply.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(a_reply.get().status, svc::ServiceStatus::Ok);
+
+  const svc::ServiceReply in_window = service.query(stencil_request(600));
+  EXPECT_EQ(in_window.status, svc::ServiceStatus::Ok) << in_window.error;
+  EXPECT_TRUE(in_window.cache_hit);
+  EXPECT_EQ(in_window.decision.get(), a_reply.get().decision.get());
+  EXPECT_EQ(cold.computes(600), 1);
+
+  service.cache().invalidate_before(feed.epoch() + 1);
+  const auto recompute = service.submit(stencil_request(600));
+  EXPECT_EQ(recompute.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  cold.release();
+  ASSERT_EQ(recompute.get().status, svc::ServiceStatus::Ok);
+  EXPECT_FALSE(recompute.get().cache_hit);
+  EXPECT_NE(recompute.get().decision.get(), a_reply.get().decision.get());
+  EXPECT_EQ(cold.computes(600), 2);
+  EXPECT_EQ(b_reply.get().status, svc::ServiceStatus::Ok);
+}
+
 // The adaptive executor end-to-end with the service as its repartition
 // client: same network, same spec, service-backed repartitions must keep
 // the run correct and the client must answer from the service (with cache

@@ -131,6 +131,21 @@ TEST_F(PlacementTest, SpeedOrderPutsFasterClustersFirst) {
   EXPECT_EQ(order, (std::vector<ClusterId>{2, 1, 0}));
 }
 
+TEST_F(PlacementTest, SpeedOrderKeepsIdOrderOnTies) {
+  // Equal flop times keep cluster-id order (a stable sort), whatever the
+  // ids' positions.
+  NetworkBuilder b;
+  const std::vector<double> flop_us = {0.3, 0.1, 0.3, 0.1, 0.2, 0.1};
+  for (std::size_t i = 0; i < flop_us.size(); ++i) {
+    ProcessorType t;
+    t.name = "cpu" + std::to_string(i);
+    t.flop_time = SimTime::micros(flop_us[i]);
+    b.add_cluster(t.name, t, 2);
+  }
+  EXPECT_EQ(clusters_by_speed(b.build()),
+            (std::vector<ClusterId>{1, 3, 5, 4, 0, 2}));
+}
+
 TEST_F(PlacementTest, RoundRobinInterleaves) {
   const Placement p = round_robin_placement(net_, {2, 2});
   ASSERT_EQ(p.size(), 4u);

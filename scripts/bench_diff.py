@@ -12,6 +12,10 @@ move with the host, so off the designated CI machine the diff is
 informational.  With --gate, any `regressed` row beyond the tolerance
 fails the run (exit 1), which is how CI pins the checked-in baseline.
 
+A smoke artifact (`meta.smoke: true`, reduced repetitions) is not
+comparable with a full run: such a pair is refused with exit 2, gate or
+not, instead of reporting the smoke run's noise as regressions.
+
 Regression direction is per metric: ns/eval, us/search and allocation
 counts regress when they go up; throughput and speedup regress when they
 go down.  A zero baseline (allocations per warm service hit) must stay
@@ -60,6 +64,11 @@ METRICS = [
 ]
 
 
+def smoke_flag(doc):
+    """The artifact's meta.smoke as JSON spells it (absent reads false)."""
+    return json.dumps(bool(doc.get("meta", {}).get("smoke", False)))
+
+
 def value(doc, path):
     return path(doc) if callable(path) else lookup(doc, path)
 
@@ -105,6 +114,14 @@ def main():
         old_doc = json.load(f)
     with open(args.new) as f:
         new_doc = json.load(f)
+
+    old_smoke = smoke_flag(old_doc)
+    new_smoke = smoke_flag(new_doc)
+    if old_smoke != new_smoke:
+        print(f"refusing to compare a smoke run with a full one: "
+              f"{args.old} has meta.smoke={old_smoke}, "
+              f"{args.new} has meta.smoke={new_smoke}", file=sys.stderr)
+        return 2
 
     tolerance = args.tolerance / 100.0
     rows = []

@@ -25,7 +25,8 @@
 #                               # what this host could test, and the new
 #                               # artifact is diffed against the previous
 #                               # one (scripts/bench_diff.py; warn-only
-#                               # unless NETPART_BENCH_GATE=1)
+#                               # unless NETPART_BENCH_GATE=1; a smoke
+#                               # baseline is refused, not diffed)
 #   scripts/tier1.sh --batch    # Release build, then the batched-engine
 #                               # lockdown: the differential property
 #                               # suite (estimate_batch bitwise ==
@@ -38,7 +39,8 @@
 #                               # image skips that half gracefully), plus
 #                               # the NP-R diagnostic-code cross-check
 #                               # (every code npracer can emit must be
-#                               # documented in DESIGN.md §14)
+#                               # documented in DESIGN.md §14), plus
+#                               # bench_diff.py's unit tests
 #   scripts/tier1.sh --race     # npracer interleaving tier (preset
 #                               # `race`: Release + NETPART_RACE=ON, in
 #                               # build-race/).  Runs the detector suite:
@@ -123,7 +125,12 @@ if [[ "$batch_stage" == 1 ]]; then
   ./build/tests/test_coverage \
     --gtest_filter='SpeedupGateCoverage.*:GateSetCoverage.*'
   echo "== batched perf smoke =="
-  ./build/bench/bench_partition_hotpath --smoke >/dev/null
+  # The bench's default output is the checked-in BENCH_partition.json; a
+  # smoke artifact must never replace the full run there.
+  smoke_json="$(mktemp)"
+  ./build/bench/bench_partition_hotpath --smoke --json-out "$smoke_json" \
+    >/dev/null
+  rm -f "$smoke_json"
   echo "batch tier ok"
   exit 0
 fi
@@ -181,6 +188,8 @@ if [[ "$lint_stage" == 1 ]]; then
   fi
   echo "== NP-R code table cross-check =="
   scripts/check_race_codes.sh
+  echo "== bench_diff unit tests =="
+  python3 scripts/test_bench_diff.py
   echo "lint tier ok (strict -Werror build passed)"
   exit 0
 fi
@@ -223,11 +232,14 @@ if [[ "$bench_stage" == 1 ]]; then
     # Warn-only by default: bench numbers move with the host.  On the
     # designated CI host, export NETPART_BENCH_GATE=1 to make a
     # regression against the checked-in baseline fail the tier.
+    # Exit 2 means the previous artifact was a smoke run, which the diff
+    # refuses to compare; warn-only mode lets the fresh full run replace it.
     if [[ "${NETPART_BENCH_GATE:-0}" == 1 ]]; then
       python3 scripts/bench_diff.py "$prev_bench" BENCH_partition.json \
         --gate
     else
-      python3 scripts/bench_diff.py "$prev_bench" BENCH_partition.json
+      python3 scripts/bench_diff.py "$prev_bench" BENCH_partition.json ||
+        [[ $? == 2 ]]
     fi
     rm -f "$prev_bench"
   fi

@@ -41,7 +41,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/fleet_lint.hpp"
@@ -226,39 +225,12 @@ int run(const Config& args) {
 
 int main(int argc, char** argv) {
   try {
-    static const std::pair<const char*, const char*> kFlags[] = {
-        {"--trace-out", "trace_out"},
-        {"--metrics-out", "metrics_out"},
-        {"--health-out", "health_out"}};
-    std::vector<std::string> tokens;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--check") {
-        tokens.push_back("check=1");
-        continue;
-      }
-      bool rewritten = false;
-      for (const auto& [flag, key] : kFlags) {
-        const std::string prefix = std::string(flag) + "=";
-        if (arg == flag) {
-          if (i + 1 >= argc) {
-            std::fprintf(stderr, "fleetd: %s needs a file argument\n", flag);
-            return 1;
-          }
-          tokens.push_back(std::string(key) + "=" + argv[++i]);
-          rewritten = true;
-          break;
-        }
-        if (arg.rfind(prefix, 0) == 0) {
-          tokens.push_back(std::string(key) + "=" +
-                           arg.substr(prefix.size()));
-          rewritten = true;
-          break;
-        }
-      }
-      if (!rewritten) tokens.push_back(arg);
-    }
-    return netpart::run(netpart::Config::from_args(tokens));
+    return netpart::run(netpart::Config::from_args(
+        argc, argv,
+        {{"--check", "check", false},
+         {"--trace-out", "trace_out"},
+         {"--metrics-out", "metrics_out"},
+         {"--health-out", "health_out"}}));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fleetd: %s\n", e.what());
     return 1;

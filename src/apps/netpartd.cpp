@@ -355,33 +355,11 @@ int run(const Config& args) {
 
 int main(int argc, char** argv) {
   try {
-    // Config speaks key=value; rewrite the conventional long options
-    // --trace-out FILE / --metrics-out FILE (or --flag=FILE) first.
-    std::vector<std::string> tokens;
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--check") {
-        tokens.push_back("check=1");
-        continue;
-      }
-      bool rewritten = false;
-      for (const auto& [flag, key] :
-           {std::pair<std::string, std::string>{"--trace-out", "trace_out"},
-            {"--metrics-out", "metrics_out"}}) {
-        if (arg == flag && i + 1 < argc) {
-          tokens.push_back(key + "=" + argv[++i]);
-          rewritten = true;
-          break;
-        }
-        if (arg.rfind(flag + "=", 0) == 0) {
-          tokens.push_back(key + arg.substr(flag.size()));
-          rewritten = true;
-          break;
-        }
-      }
-      if (!rewritten) tokens.push_back(std::move(arg));
-    }
-    return netpart::run(netpart::Config::from_args(tokens));
+    return netpart::run(netpart::Config::from_args(
+        argc, argv,
+        {{"--check", "check", false},
+         {"--trace-out", "trace_out"},
+         {"--metrics-out", "metrics_out"}}));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "netpartd: %s\n", e.what());
     return 1;

@@ -15,12 +15,12 @@ namespace {
 /// estimators can reuse addresses, so pointers cannot tell two apart.
 std::atomic<std::uint64_t> g_next_binding_id{1};
 
-/// The memoised bytes_per_message lookup shared by the lane engine and the
-/// delta path: the dominant communication phase's callback (a
-/// std::function, the one indirect call the batch cannot hoist) is
-/// deterministic for the estimator's lifetime, so caching by A_i is exact.
-/// Direct-indexed table when num_PDUs is small (one load, no hashing),
-/// direct-mapped hash memo otherwise; both are cleared on rebinding.
+/// The memoised bytes_per_message lookup of the lane kernels (lane_comm):
+/// the dominant communication phase's callback (a std::function, the one
+/// indirect call the batch cannot hoist) is deterministic for the
+/// estimator's lifetime, so caching by A_i is exact.  Direct-indexed table
+/// when num_PDUs is small (one load, no hashing), direct-mapped hash memo
+/// otherwise; both are cleared on rebinding.
 inline std::int64_t memoized_bytes(const CommunicationPhaseSpec& comm,
                                    BatchScratch& batch, std::int64_t a) {
   if (!batch.bytes_cache.empty()) {
@@ -38,6 +38,13 @@ inline std::int64_t memoized_bytes(const CommunicationPhaseSpec& comm,
   batch.memo_key[slot] = a + 1;
   batch.memo_val[slot] = bytes;
   return bytes;
+}
+
+/// Eq. 3's preconditions on the selected rank count, checked by every fast
+/// path (balanced_partition() checks the same on the reference path).
+inline void require_ranks_fit(std::int64_t num_pdus, int total) {
+  NP_REQUIRE(total > 0, "configuration must select at least one processor");
+  NP_REQUIRE(num_pdus >= total, "cannot give every selected processor a PDU");
 }
 
 }  // namespace
@@ -224,11 +231,7 @@ FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
     scratch.group_clusters.push_back(c);
     total_p += p;
   }
-  // Mirror balanced_partition()'s preconditions (validate_config already
-  // guarantees total_p > 0).
-  NP_REQUIRE(num_pdus_ > 0, "num_pdus must be positive");
-  NP_REQUIRE(num_pdus_ >= total_p,
-             "cannot give every selected processor a PDU");
+  require_ranks_fit(num_pdus_, total_p);
 
   const std::size_t groups = scratch.group_clusters.size();
   scratch.shares.resize(groups);
@@ -280,10 +283,14 @@ FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
                                    scratch.group_sizes.data(),
                                    scratch.max_a.data(), groups, total_p);
   }
+  return eq6_estimate(t_comp, t_comm);
+}
 
-  const double t_overlap =
-      phases_overlap_ ? std::min(t_comp, t_comm) : 0.0;
-
+FastEstimate CycleEstimator::eq6_estimate(double t_comp,
+                                          double t_comm) const {
+  // T_overlap: the portion of T_comm hidden behind T_comp when the
+  // implementation overlaps the dominant phases (STEN-2).
+  const double t_overlap = phases_overlap_ ? std::min(t_comp, t_comm) : 0.0;
   FastEstimate out{t_comp, t_comm, t_overlap, 0.0, 0.0};
   out.t_c_ms = t_comp + t_comm - t_overlap;
   out.t_elapsed_ms = out.t_c_ms * spec_.iterations();
@@ -372,6 +379,145 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
   batch.bound_id = binding_id_;
 }
 
+// Stage B kernels: one lane's evaluation once its active groups sit at
+// offset `base` of the bound lane buffers (group_w/p/c, placement order)
+// with their Eq. 3 weight sum.  estimate_lanes runs each kernel across all
+// lanes before starting the next (stage-major); estimate_delta runs them
+// on its spliced lane 0.  Force-inlined, so each lane loop compiles as if
+// the body were written out in place.
+
+[[gnu::always_inline]] inline std::int64_t CycleEstimator::lane_shares(
+    BatchScratch& batch, std::size_t base, int groups, int total,
+    double weight_sum) const {
+  // B1: the closed-form share divisions (proportional_group_shares'
+  // division pass, bitwise).  InvariantDivider turns the per-group
+  // divisions into one reciprocal plus two FMAs per group where the
+  // toolchain has hardware FMA (bitwise by Markstein's correction; plain
+  // division otherwise -- see dp/rank_kernel.hpp).
+  const double* gw = &batch.group_w[base];
+  const int* gp = &batch.group_p[base];
+  std::int64_t* sb = &batch.share_base[base];
+  double* sf = &batch.share_frac[base];
+  const double pdus = static_cast<double>(num_pdus_);
+  const InvariantDivider div(weight_sum);
+  std::int64_t used = 0;
+  for (int g = 0; g < groups; ++g) {
+    const double ideal = div.divide(pdus * gw[g]);
+    const auto whole = static_cast<std::int64_t>(ideal);
+    sb[g] = whole;
+    sf[g] = ideal - static_cast<double>(whole);
+    used += whole * gp[g];
+  }
+  const std::int64_t remainder = num_pdus_ - used;
+  NP_ASSERT(remainder >= 0 && remainder <= total);
+  return remainder;
+}
+
+[[gnu::always_inline]] inline bool CycleEstimator::lane_extras(
+    BatchScratch& batch, std::size_t base, int groups,
+    std::int64_t remainder, double& t_comp) const {
+  // B2: largest-remainder extras -> per-group max A_i and starvation, with
+  // the Eq. 4 computation maximum folded in (max_a is in a register the
+  // moment it is stored; a separate pass would reload it).  The rank
+  // counts come from the sorting-network kernel (<= 4 groups; the
+  // quadratic |/& pass beyond that, see dp/rank_kernel.hpp) -- the old
+  // O(G^2) compare loop here was the dominant term of the batched per-eval
+  // profile.
+  const int* gp = &batch.group_p[base];
+  const ClusterId* gc = &batch.group_c[base];
+  const std::int64_t* sb = &batch.share_base[base];
+  std::int64_t* rb = &batch.ranks_before[base];
+  std::int64_t* max_a = &batch.max_a[base];
+  const double* comp_ms = batch.comp_ms.data();
+  largest_remainder_ranks(&batch.share_frac[base], gp, groups, rb);
+  int starved = 0;
+  t_comp = 0.0;
+  for (int g = 0; g < groups; ++g) {
+    // extras = clamp(remainder - ranks_before, 0, P_g), but only its sign
+    // (an extra exists) and saturation (the group filled up) are
+    // consumed, so two comparisons replace the clamp.
+    const std::int64_t d = remainder - rb[g];
+    starved |= static_cast<int>(sb[g] == 0) & static_cast<int>(d < gp[g]);
+    const std::int64_t a = sb[g] + static_cast<std::int64_t>(d > 0);
+    max_a[g] = a;
+    t_comp = std::max(t_comp, comp_ms[static_cast<std::size_t>(gc[g])] *
+                                  static_cast<double>(a));
+  }
+  return starved != 0;
+}
+
+[[gnu::always_inline]] inline double CycleEstimator::lane_comm(
+    BatchScratch& batch, std::size_t base, int groups, int total) const {
+  // B3: Eq. 2/5 communication -- the worst synchronous cluster, then the
+  // boundary router/coercion penalties -- over the bound coefficient
+  // tables.
+  if (dominant_comm_ == nullptr || total <= 1) return 0.0;
+  const auto k = static_cast<std::size_t>(network_.num_clusters());
+  const Topology topo = comm_topology_;
+  const bool bw_limited = comm_bw_limited_;
+  const int* gp = &batch.group_p[base];
+  const ClusterId* gc = &batch.group_c[base];
+  const std::int64_t* max_a = &batch.max_a[base];
+  double* gb = &batch.group_bytes[base];
+  const char* has_fit = batch.has_fit.data();
+  const Eq1Fit* fit = batch.fit.data();
+  double worst = 0.0;
+  for (int g = 0; g < groups; ++g) {
+    const double bytes =
+        static_cast<double>(memoized_bytes(*dominant_comm_, batch, max_a[g]));
+    gb[g] = bytes;
+    int adj = 0;
+    if (groups > 1) {
+      switch (topo) {
+        case Topology::OneD:
+        case Topology::TwoD:
+          adj = (g > 0 ? 1 : 0) + (g + 1 < groups ? 1 : 0);
+          break;
+        case Topology::Ring:
+          adj = 2;
+          break;
+        case Topology::Tree:
+        case Topology::Broadcast:
+          adj = g == 0 ? groups - 1 : 1;
+          break;
+      }
+    }
+    const double p_param =
+        (bw_limited ? static_cast<double>(total)
+                    : static_cast<double>(gp[g])) +
+        static_cast<double>(adj);
+    const auto c = static_cast<std::size_t>(gc[g]);
+    double cost;
+    if (has_fit[c]) {
+      // db_.comm_ms over the by-value fit: same p <= 1 early-out, same
+      // |Eq. 1| evaluation, without the optional deref or slot checks.
+      cost = p_param <= 1.0 ? 0.0 : std::abs(fit[c].evaluate(bytes, p_param));
+    } else {
+      cost = cluster_cost_ms(gc[g], bytes, p_param);  // proxy (rare)
+    }
+    worst = std::max(worst, cost);
+  }
+  double penalty = 0.0;
+  for (int g = 0; g + 1 < groups; ++g) {
+    const ClusterId ca = gc[g];
+    const ClusterId cb = gc[g + 1];
+    // bytes_per_message(max(a, b)) is the bytes of whichever neighbour has
+    // the larger max A_i -- already computed (and cast) above.
+    const double bytes = max_a[g] >= max_a[g + 1] ? gb[g] : gb[g + 1];
+    const std::size_t slot =
+        static_cast<std::size_t>(ca) * k + static_cast<std::size_t>(cb);
+    const double router =
+        batch.has_router[slot]
+            ? std::max(0.0,
+                       batch.router_i[slot] + batch.router_s[slot] * bytes)
+            : db_.router_ms(ca, cb, bytes);  // throws exactly like scalar
+    const double coerce =
+        std::max(0.0, batch.coerce_i[slot] + batch.coerce_s[slot] * bytes);
+    penalty = std::max(penalty, router + coerce);
+  }
+  return worst + penalty;
+}
+
 void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
                                     FastEstimate* out,
                                     EstimatorScratch& scratch) const {
@@ -380,7 +526,6 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
   const auto k = static_cast<std::size_t>(network_.num_clusters());
   const ClusterId* order = cluster_order_.data();
   const double* inv_s = batch.inv_s.data();
-  const double* comp_ms = batch.comp_ms.data();
   const int* capacity = batch.capacity.data();
 
   // Stage A, gather pass: one loop per lane validates (validate_config's
@@ -419,195 +564,41 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
       // rank-major sum bitwise -- same values, same order.
       for (int i = 0; i < p; ++i) sum += w;
     }
-    NP_REQUIRE(total > 0,
-               "configuration must select at least one processor");
-    NP_REQUIRE(num_pdus_ >= total,
-               "cannot give every selected processor a PDU");
+    require_ranks_fit(num_pdus_, total);
     lane_groups[lane] = groups;
     lane_total[lane] = total;
     weight_sum[lane] = sum;
   }
 
-  // Stage B per lane: closed-form shares (proportional_group_shares
-  // inlined over the SoA buffers, rank tiebreaks through the rank kernel
-  // -- see dp/rank_kernel.hpp for which of its compares compile to
-  // branches), then Eq. 4 maxima and Eq. 1/2/5 communication over
-  // the bound coefficient tables.  A lane the closed form cannot serve
-  // (starvation repair) replays through the scalar path, which counts
-  // itself.
-  const double pdus = static_cast<double>(num_pdus_);
-  const bool has_comm = dominant_comm_ != nullptr;
-  const Topology topo = comm_topology_;
-  const bool bw_limited = comm_bw_limited_;
-  std::int64_t* share_base = batch.share_base.data();
-  double* share_frac = batch.share_frac.data();
-  double* group_bytes = batch.group_bytes.data();
-  const char* has_fit = batch.has_fit.data();
-  const Eq1Fit* fit = batch.fit.data();
-  // Memoised bytes_per_message: the sole std::function call per group the
-  // batch cannot precompute (memoized_bytes above, shared with the delta
-  // path).
-  const auto bytes_for = [&](std::int64_t a) {
-    return memoized_bytes(*dominant_comm_, batch, a);
-  };
-  // Stage B runs stage-major: all lanes advance through each small stage
-  // together, so the eight per-lane dependency chains (share divisions,
-  // rank tiebreaks, the Eq. 4/5 max folds) sit side by side inside the
-  // out-of-order window.  Lane-major Stage B -- one lane's full
-  // ~hundred-instruction chain retiring before the next lane starts --
-  // leaves the window holding a single serial chain and measures ~40%
+  // Stage B runs stage-major through the lane kernels: all lanes advance
+  // through each small stage together, so the per-lane dependency chains
+  // (share divisions, rank tiebreaks, the Eq. 4/5 max folds) sit side by
+  // side inside the out-of-order window.  Lane-major Stage B -- one lane's
+  // full ~hundred-instruction chain retiring before the next lane starts
+  // -- leaves the window holding a single serial chain and measures ~40%
   // slower on the hotpath bench.
   std::int64_t lane_remainder[kLanes];
   double lane_tcomp[kLanes];
   unsigned starved_mask = 0;
-
-  // B1: the closed-form share divisions (proportional_group_shares'
-  // division pass, bitwise).  Division throughput is the floor here; the
-  // independent lanes keep the divider fed, and InvariantDivider turns the
-  // per-group divisions into one reciprocal per lane plus two FMAs per
-  // group where the toolchain has hardware FMA (bitwise by Markstein's
-  // correction; plain division otherwise -- see dp/rank_kernel.hpp).
   for (int lane = 0; lane < kLanes; ++lane) {
-    const std::size_t base = static_cast<std::size_t>(lane) * k;
-    const double* gw = &batch.group_w[base];
-    const int* gp = &batch.group_p[base];
-    std::int64_t* sb = &share_base[base];
-    double* sf = &share_frac[base];
-    const InvariantDivider div(weight_sum[lane]);
-    const int groups = lane_groups[lane];
-    std::int64_t used = 0;
-    for (int g = 0; g < groups; ++g) {
-      const double ideal = div.divide(pdus * gw[g]);
-      const auto whole = static_cast<std::int64_t>(ideal);
-      sb[g] = whole;
-      sf[g] = ideal - static_cast<double>(whole);
-      used += whole * gp[g];
-    }
-    lane_remainder[lane] = num_pdus_ - used;
-    NP_ASSERT(lane_remainder[lane] >= 0 &&
-              lane_remainder[lane] <= lane_total[lane]);
+    lane_remainder[lane] =
+        lane_shares(batch, static_cast<std::size_t>(lane) * k,
+                    lane_groups[lane], lane_total[lane], weight_sum[lane]);
   }
-
-  // B2: largest-remainder extras -> per-group max A_i and starvation,
-  // with the Eq. 4 computation maximum folded in (max_a is in a register
-  // the moment it is stored; a separate pass would reload it).  The rank
-  // counts come from the sorting-network kernel (<= 4 groups; the
-  // quadratic |/& pass above) -- the old O(G^2) compare loop here was the
-  // dominant term of the batched per-eval profile.
-  std::int64_t* ranks_before = batch.ranks_before.data();
   for (int lane = 0; lane < kLanes; ++lane) {
-    const std::size_t base = static_cast<std::size_t>(lane) * k;
-    const int* gp = &batch.group_p[base];
-    const ClusterId* gc = &batch.group_c[base];
-    const std::int64_t* sb = &share_base[base];
-    const double* sf = &share_frac[base];
-    std::int64_t* max_a = &batch.max_a[base];
-    std::int64_t* rb = &ranks_before[base];
-    const std::int64_t remainder = lane_remainder[lane];
-    const int groups = lane_groups[lane];
-    largest_remainder_ranks(sf, gp, groups, rb);
-    int starved = 0;
-    double t_comp = 0.0;
-    for (int g = 0; g < groups; ++g) {
-      // extras = clamp(remainder - ranks_before, 0, P_g), but only its
-      // sign (an extra exists) and saturation (the group filled up) are
-      // consumed, so two comparisons replace the clamp.
-      const std::int64_t d = remainder - rb[g];
-      starved |= static_cast<int>(sb[g] == 0) &
-                 static_cast<int>(d < gp[g]);
-      const std::int64_t a = sb[g] + static_cast<std::int64_t>(d > 0);
-      max_a[g] = a;
-      t_comp = std::max(t_comp, comp_ms[static_cast<std::size_t>(gc[g])] *
-                                    static_cast<double>(a));
-    }
-    lane_tcomp[lane] = t_comp;
+    const bool starved =
+        lane_extras(batch, static_cast<std::size_t>(lane) * k,
+                    lane_groups[lane], lane_remainder[lane], lane_tcomp[lane]);
     starved_mask |= static_cast<unsigned>(starved) << lane;
   }
-
-  // B3: Eq. 2/5 communication (worst synchronous cluster, then boundary
-  // router/coercion penalties), the Eq. 6 combination, and the result
-  // stores.  Starved lanes are skipped -- their shares are invalid.
-  const double iterations = static_cast<double>(spec_.iterations());
+  // Starved lanes skip B3 -- their shares are invalid.
   int scored = 0;
   for (int lane = 0; lane < kLanes; ++lane) {
     if (((starved_mask >> lane) & 1u) != 0) continue;
-    const std::size_t base = static_cast<std::size_t>(lane) * k;
-    const int* gp = &batch.group_p[base];
-    const ClusterId* gc = &batch.group_c[base];
-    const std::int64_t* max_a = &batch.max_a[base];
-    double* gb = &group_bytes[base];
-    const int groups = lane_groups[lane];
-    const int total_p = lane_total[lane];
-    double t_comm = 0.0;
-    if (has_comm && total_p > 1) {
-      double worst = 0.0;
-      for (int g = 0; g < groups; ++g) {
-        const double bytes = static_cast<double>(bytes_for(max_a[g]));
-        gb[g] = bytes;
-        int adj = 0;
-        if (groups > 1) {
-          switch (topo) {
-            case Topology::OneD:
-            case Topology::TwoD:
-              adj = (g > 0 ? 1 : 0) + (g + 1 < groups ? 1 : 0);
-              break;
-            case Topology::Ring:
-              adj = 2;
-              break;
-            case Topology::Tree:
-            case Topology::Broadcast:
-              adj = g == 0 ? groups - 1 : 1;
-              break;
-          }
-        }
-        const double p_param =
-            (bw_limited ? static_cast<double>(total_p)
-                        : static_cast<double>(gp[g])) +
-            static_cast<double>(adj);
-        const auto c = static_cast<std::size_t>(gc[g]);
-        double cost;
-        if (has_fit[c]) {
-          // db_.comm_ms over the by-value fit: same p <= 1 early-out,
-          // same |Eq. 1| evaluation, without the optional deref or slot
-          // checks.
-          cost = p_param <= 1.0
-                     ? 0.0
-                     : std::abs(fit[c].evaluate(bytes, p_param));
-        } else {
-          cost = cluster_cost_ms(gc[g], bytes, p_param);  // proxy (rare)
-        }
-        worst = std::max(worst, cost);
-      }
-      double penalty = 0.0;
-      for (int g = 0; g + 1 < groups; ++g) {
-        const ClusterId ca = gc[g];
-        const ClusterId cb = gc[g + 1];
-        // bytes_for(max(a, b)) is the bytes of whichever neighbour has
-        // the larger max A_i -- already computed (and cast) above.
-        const double bytes =
-            max_a[g] >= max_a[g + 1] ? gb[g] : gb[g + 1];
-        const std::size_t slot =
-            static_cast<std::size_t>(ca) * k + static_cast<std::size_t>(cb);
-        const double router =
-            batch.has_router[slot]
-                ? std::max(0.0, batch.router_i[slot] +
-                                    batch.router_s[slot] * bytes)
-                : db_.router_ms(ca, cb, bytes);  // throws exactly like scalar
-        const double coerce = std::max(
-            0.0, batch.coerce_i[slot] + batch.coerce_s[slot] * bytes);
-        penalty = std::max(penalty, router + coerce);
-      }
-      t_comm = worst + penalty;
-    }
-    const double t_comp = lane_tcomp[lane];
-    const double t_overlap =
-        phases_overlap_ ? std::min(t_comp, t_comm) : 0.0;
-    FastEstimate& fe = out[lane];
-    fe.t_comp_ms = t_comp;
-    fe.t_comm_ms = t_comm;
-    fe.t_overlap_ms = t_overlap;
-    fe.t_c_ms = t_comp + t_comm - t_overlap;
-    fe.t_elapsed_ms = fe.t_c_ms * iterations;
+    const double t_comm =
+        lane_comm(batch, static_cast<std::size_t>(lane) * k,
+                  lane_groups[lane], lane_total[lane]);
+    out[lane] = eq6_estimate(lane_tcomp[lane], t_comm);
     ++scored;
   }
   scratch.evaluations += static_cast<std::uint64_t>(scored);
@@ -641,17 +632,6 @@ void CycleEstimator::estimate_batch(const ProcessorConfig* configs,
 void CycleEstimator::rebuild_delta_cache(DeltaScratch& d,
                                          EstimatorScratch& scratch) const {
   const BatchScratch& batch = scratch.batch;
-  const auto k = static_cast<std::size_t>(network_.num_clusters());
-  // Patched-lane staging: at most every cluster active, +1 slack so the
-  // insertion case never reallocates mid-evaluation.
-  d.lane_w.resize(k + 1);
-  d.lane_p.resize(k + 1);
-  d.lane_c.resize(k + 1);
-  d.lane_base.resize(k + 1);
-  d.lane_frac.resize(k + 1);
-  d.lane_rb.resize(k + 1);
-  d.lane_max_a.resize(k + 1);
-  d.lane_bytes.resize(k + 1);
   d.group_w.clear();
   d.group_p.clear();
   d.group_c.clear();
@@ -703,15 +683,13 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   NP_REQUIRE(moved_p >= 0 && moved_p <= batch.capacity[ci],
              "configuration exceeds cluster capacity");
   const int total = d.total_p + delta;
-  NP_REQUIRE(total > 0, "configuration must select at least one processor");
-  NP_REQUIRE(num_pdus_ >= total,
-             "cannot give every selected processor a PDU");
+  require_ranks_fit(num_pdus_, total);
 
-  // Patched gather: groups strictly before the moved cluster in placement
-  // order are the baseline's, byte for byte; the Eq. 3 weight-sum chain
-  // resumes from the cached partial at the splice point, so the full sum
-  // is the exact double a from-scratch gather of the moved configuration
-  // produces.
+  // Patched gather into the lane engine's lane 0: groups strictly before
+  // the moved cluster in placement order are the baseline's, byte for
+  // byte; the Eq. 3 weight-sum chain resumes from the cached partial at
+  // the splice point, so the full sum is the exact double a from-scratch
+  // gather of the moved configuration produces.
   const int baseline_groups = static_cast<int>(d.group_c.size());
   const int pos = order_pos_[ci];
   int j = 0;
@@ -720,9 +698,9 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
     ++j;
   }
   const bool was_active = j < baseline_groups && d.group_c[j] == cluster;
-  double* lw = d.lane_w.data();
-  int* lp = d.lane_p.data();
-  ClusterId* lc = d.lane_c.data();
+  double* lw = batch.group_w.data();
+  int* lp = batch.group_p.data();
+  ClusterId* lc = batch.group_c.data();
   for (int g = 0; g < j; ++g) {
     lw[g] = d.group_w[static_cast<std::size_t>(g)];
     lp[g] = d.group_p[static_cast<std::size_t>(g)];
@@ -748,38 +726,10 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
     for (int i = 0; i < p; ++i) sum += w;
   }
 
-  // Shares, rank kernel, starvation, Eq. 4 fold: the single-lane mirror of
-  // estimate_lanes' Stage B (same kernels, same bitwise contract).
-  const double pdus = static_cast<double>(num_pdus_);
-  const InvariantDivider div(sum);
-  std::int64_t* lb = d.lane_base.data();
-  double* lf = d.lane_frac.data();
-  std::int64_t used = 0;
-  for (int g = 0; g < groups; ++g) {
-    const double ideal = div.divide(pdus * lw[g]);
-    const auto whole = static_cast<std::int64_t>(ideal);
-    lb[g] = whole;
-    lf[g] = ideal - static_cast<double>(whole);
-    used += whole * lp[g];
-  }
-  const std::int64_t remainder = num_pdus_ - used;
-  NP_ASSERT(remainder >= 0 && remainder <= total);
-
-  largest_remainder_ranks(lf, lp, groups, d.lane_rb.data());
-  const std::int64_t* rb = d.lane_rb.data();
-  std::int64_t* la = d.lane_max_a.data();
-  const double* comp_ms = batch.comp_ms.data();
-  int starved = 0;
+  // Stage B on the spliced lane, through the lane engine's own kernels.
+  const std::int64_t remainder = lane_shares(batch, 0, groups, total, sum);
   double t_comp = 0.0;
-  for (int g = 0; g < groups; ++g) {
-    const std::int64_t dd = remainder - rb[g];
-    starved |= static_cast<int>(lb[g] == 0) & static_cast<int>(dd < lp[g]);
-    const std::int64_t a = lb[g] + static_cast<std::int64_t>(dd > 0);
-    la[g] = a;
-    t_comp = std::max(t_comp, comp_ms[static_cast<std::size_t>(lc[g])] *
-                                  static_cast<double>(a));
-  }
-  if (starved != 0) {
+  if (lane_extras(batch, 0, groups, remainder, t_comp)) {
     // Starvation repair (extreme speed skew, rare): the closed form cannot
     // reproduce the donor-stealing loop; replay the moved configuration
     // through the scalar path, which counts itself.
@@ -789,76 +739,7 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   }
   ++scratch.evaluations;
   ++scratch.delta_evaluations;
-
-  // Eq. 2/5 communication over the bound coefficient tables (the
-  // single-lane mirror of Stage B3).
-  double t_comm = 0.0;
-  if (dominant_comm_ != nullptr && total > 1) {
-    const Topology topo = comm_topology_;
-    const bool bw_limited = comm_bw_limited_;
-    const char* has_fit = batch.has_fit.data();
-    const Eq1Fit* fit = batch.fit.data();
-    double* gb = d.lane_bytes.data();
-    double worst = 0.0;
-    for (int g = 0; g < groups; ++g) {
-      const double bytes =
-          static_cast<double>(memoized_bytes(*dominant_comm_, batch, la[g]));
-      gb[g] = bytes;
-      int adj = 0;
-      if (groups > 1) {
-        switch (topo) {
-          case Topology::OneD:
-          case Topology::TwoD:
-            adj = (g > 0 ? 1 : 0) + (g + 1 < groups ? 1 : 0);
-            break;
-          case Topology::Ring:
-            adj = 2;
-            break;
-          case Topology::Tree:
-          case Topology::Broadcast:
-            adj = g == 0 ? groups - 1 : 1;
-            break;
-        }
-      }
-      const double p_param =
-          (bw_limited ? static_cast<double>(total)
-                      : static_cast<double>(lp[g])) +
-          static_cast<double>(adj);
-      const auto c = static_cast<std::size_t>(lc[g]);
-      double cost;
-      if (has_fit[c]) {
-        cost = p_param <= 1.0
-                   ? 0.0
-                   : std::abs(fit[c].evaluate(bytes, p_param));
-      } else {
-        cost = cluster_cost_ms(lc[g], bytes, p_param);  // proxy (rare)
-      }
-      worst = std::max(worst, cost);
-    }
-    double penalty = 0.0;
-    for (int g = 0; g + 1 < groups; ++g) {
-      const ClusterId ca = lc[g];
-      const ClusterId cb = lc[g + 1];
-      const double bytes = la[g] >= la[g + 1] ? gb[g] : gb[g + 1];
-      const std::size_t slot =
-          static_cast<std::size_t>(ca) * k + static_cast<std::size_t>(cb);
-      const double router =
-          batch.has_router[slot]
-              ? std::max(0.0, batch.router_i[slot] +
-                                  batch.router_s[slot] * bytes)
-              : db_.router_ms(ca, cb, bytes);
-      const double coerce = std::max(
-          0.0, batch.coerce_i[slot] + batch.coerce_s[slot] * bytes);
-      penalty = std::max(penalty, router + coerce);
-    }
-    t_comm = worst + penalty;
-  }
-
-  const double t_overlap = phases_overlap_ ? std::min(t_comp, t_comm) : 0.0;
-  FastEstimate out{t_comp, t_comm, t_overlap, 0.0, 0.0};
-  out.t_c_ms = t_comp + t_comm - t_overlap;
-  out.t_elapsed_ms = out.t_c_ms * spec_.iterations();
-  return out;
+  return eq6_estimate(t_comp, lane_comm(batch, 0, groups, total));
 }
 
 void CycleEstimator::commit_delta(ClusterId cluster, int delta,

@@ -37,7 +37,8 @@
 //     adaptive repartition scorer run on: a configuration one +/-1 move
 //     away from a cached baseline (bind_delta) is scored by reusing the
 //     baseline's validation, active-group gather, and weight-sum prefix,
-//     recomputing only the Eq. 3 shares and the Eq. 4/5 folds.  Bitwise
+//     then running the Eq. 3 shares and the Eq. 4/5 folds through the
+//     same Stage B kernels estimate_batch()'s lanes use.  Bitwise
 //     identical to estimate_into() on the moved configuration.
 #pragma once
 
@@ -169,17 +170,10 @@ struct DeltaScratch {
   /// prefix_w[groups] is the full baseline sum.
   std::vector<double> prefix_w;
 
-  // Patched-lane staging (the moved configuration's groups and shares).
-  // Sized to the cluster count + 1 on first bind; steady-state delta
-  // evaluations allocate nothing.
-  std::vector<double> lane_w;
-  std::vector<int> lane_p;
-  std::vector<ClusterId> lane_c;
-  std::vector<std::int64_t> lane_base;
-  std::vector<double> lane_frac;
-  std::vector<std::int64_t> lane_rb;
-  std::vector<std::int64_t> lane_max_a;
-  std::vector<double> lane_bytes;
+  // The moved configuration's groups are spliced into lane 0 of the
+  // owning EstimatorScratch's BatchScratch and scored there by the lane
+  // engine's Stage B kernels; steady-state delta evaluations allocate
+  // nothing.
 
   /// Staging for the starvation fallback (the rare configuration the
   /// closed form cannot serve replays through estimate_into on this
@@ -356,6 +350,21 @@ class CycleEstimator {
   /// estimate_into.
   void estimate_lanes(const ProcessorConfig* configs, FastEstimate* out,
                       EstimatorScratch& scratch) const;
+  // Stage B kernels over one lane whose `groups` active groups (`total`
+  // ranks) sit at offset `base` of batch's lane buffers; shared by
+  // estimate_lanes and estimate_delta, force-inlined in estimator.cpp.
+  /// B1: Eq. 3 floor shares and fractions; returns the leftover PDUs.
+  std::int64_t lane_shares(BatchScratch& batch, std::size_t base, int groups,
+                           int total, double weight_sum) const;
+  /// B2: largest-remainder extras into max_a, and Eq. 4's T_comp; returns
+  /// true when a rank would starve (the closed form cannot serve the lane).
+  bool lane_extras(BatchScratch& batch, std::size_t base, int groups,
+                   std::int64_t remainder, double& t_comp) const;
+  /// B3: Eq. 1/2/5 T_comm from the lane's max_a.
+  double lane_comm(BatchScratch& batch, std::size_t base, int groups,
+                   int total) const;
+  /// Eq. 6: the fast paths' result from T_comp and T_comm.
+  FastEstimate eq6_estimate(double t_comp, double t_comm) const;
   /// Rebuild `d`'s gather cache (active groups, weight-sum prefixes) from
   /// d.config.  Reads the bound per-cluster tables in scratch.batch.
   void rebuild_delta_cache(DeltaScratch& d, EstimatorScratch& scratch) const;

@@ -4,32 +4,24 @@
 
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace netpart::fleet {
 
 namespace {
 
+/// Ring position of virtual node `v` of `node`.  Domain-tagged so a node id
+/// can never collide with a request key that happens to share its bits.
 /// FNV-1a over short structured inputs is nearly affine: two vnodes of the
 /// same node differ in a handful of output bits, so the raw digests cluster
 /// into per-node lattices instead of interleaving around the ring (measured:
-/// one node of four owned ~90% of the key space).  A SplitMix64-style
-/// finalizer avalanches every input bit across the word and restores the
-/// uniform spread consistent hashing depends on.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-/// Ring position of virtual node `v` of `node`.  Domain-tagged so a node id
-/// can never collide with a request key that happens to share its bits.
+/// one node of four owned ~90% of the key space).  The SplitMix64 finalizer
+/// avalanches every input bit across the word and restores the uniform
+/// spread consistent hashing depends on.
 std::uint64_t vnode_hash(NodeId node, int v) {
   Fnv1a h;
   h.str("fleet.vnode").i32(node).i32(v);
-  return mix64(h.value());
+  return splitmix64_finalize(h.value());
 }
 
 /// Request keys are already FNV-1a outputs, but they share the ring with
@@ -38,7 +30,7 @@ std::uint64_t vnode_hash(NodeId node, int v) {
 std::uint64_t key_hash(std::uint64_t key) {
   Fnv1a h;
   h.str("fleet.key").u64(key);
-  return mix64(h.value());
+  return splitmix64_finalize(h.value());
 }
 
 }  // namespace

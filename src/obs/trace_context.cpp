@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "analysis/race/recorder.hpp"
+#include "util/rng.hpp"
 
 namespace netpart::obs {
 
@@ -25,12 +26,6 @@ namespace {
 
 constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;  // SplitMix64 step
 
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 thread_local std::vector<TraceContext> t_context_stack;
 
 }  // namespace
@@ -38,14 +33,15 @@ thread_local std::vector<TraceContext> t_context_stack;
 void TraceIdGenerator::reset(std::uint64_t seed, std::uint64_t stream) {
   // Avalanche the stream into the base so per-node streams of the same
   // seed land far apart, then let next() walk the Weyl sequence from it.
-  base_ = mix64(seed ^ mix64(stream * kGamma + 1));
+  base_ = splitmix64_finalize(seed ^
+                              splitmix64_finalize(stream * kGamma + 1));
   sequence_.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t TraceIdGenerator::next() {
   const std::uint64_t n =
       sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t id = mix64(base_ + n * kGamma);
+  const std::uint64_t id = splitmix64_finalize(base_ + n * kGamma);
   return id != 0 ? id : 1;  // 0 means "no id"; remap the (2^-64) collision
 }
 

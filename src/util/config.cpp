@@ -7,9 +7,28 @@
 
 namespace netpart {
 
-Config Config::from_args(const std::vector<std::string>& args) {
+Config Config::from_args(const std::vector<std::string>& args,
+                         std::initializer_list<LongOption> options) {
   Config cfg;
-  for (const std::string& arg : args) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    std::string arg = args[i];
+    for (const LongOption& opt : options) {
+      const std::string flag(opt.flag);
+      if (arg == flag) {
+        if (!opt.takes_file) {
+          arg = std::string(opt.key) + "=1";
+        } else if (i + 1 < args.size()) {
+          arg = std::string(opt.key) + "=" + args[++i];
+        } else {
+          throw ConfigError(flag + " needs a file argument");
+        }
+        break;
+      }
+      if (opt.takes_file && starts_with(arg, flag + "=")) {
+        arg = std::string(opt.key) + arg.substr(flag.size());
+        break;
+      }
+    }
     const std::size_t eq = arg.find('=');
     if (eq == std::string::npos) {
       throw ConfigError("expected key=value, got: " + arg);
@@ -20,10 +39,9 @@ Config Config::from_args(const std::vector<std::string>& args) {
   return cfg;
 }
 
-Config Config::from_args(int argc, const char* const* argv) {
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  return from_args(args);
+Config Config::from_args(int argc, const char* const* argv,
+                         std::initializer_list<LongOption> options) {
+  return from_args(std::vector<std::string>(argv + 1, argv + argc), options);
 }
 
 Config Config::from_string(const std::string& text) {

@@ -8,17 +8,11 @@ namespace netpart {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586476925286766559;
-
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 }  // namespace
 
 std::uint64_t Rng::next_u64() {
   state_ += 0x9e3779b97f4a7c15ULL;
-  return mix(state_);
+  return splitmix64_finalize(state_);
 }
 
 double Rng::next_double() {
@@ -64,8 +58,8 @@ double Rng::next_exponential(double mean) {
 Rng Rng::stream(std::uint64_t salt) const {
   // Mixing the current state with a salted constant yields substreams whose
   // sequences are indistinguishable from independent SplitMix64 generators.
-  return Rng(mix(state_ ^ (salt * 0x9e3779b97f4a7c15ULL) ^
-                 0xd1b54a32d192ed03ULL));
+  return Rng(splitmix64_finalize(state_ ^ (salt * 0x9e3779b97f4a7c15ULL) ^
+                                 0xd1b54a32d192ed03ULL));
 }
 
 }  // namespace netpart

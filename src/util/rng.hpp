@@ -15,6 +15,16 @@
 
 namespace netpart {
 
+/// SplitMix64's output finalizer: a bijection that avalanches every input
+/// bit across the word.  Rng applies it to its Weyl-sequence state; trace
+/// ids (obs/trace_context) and fleet ring positions (fleet/hash_ring) use
+/// it to spread structured inputs.
+constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64 generator with derived substreams.
 class Rng {
  public:

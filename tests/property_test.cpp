@@ -306,11 +306,10 @@ TEST_P(RandomNetworkProperties, MaterializeBitwiseMatchesReference) {
   expect_materialize_matches_reference(net, cal.db, config_rng, 40);
 }
 
-TEST(MaterializeFallback, ExtremeSpeedSkewRepairsStarvationBitwise) {
-  // Speeds four orders of magnitude apart: at the starvation edge the slow
-  // clusters' ideal shares round to zero and proportional_partition's
-  // donor-stealing repair decides the vector, so materialize() must take
-  // the reference path -- and still agree bitwise.
+/// Three clusters of four whose speeds are four orders of magnitude apart:
+/// at the starvation edge the slow clusters' ideal shares round to zero and
+/// proportional_partition's donor-stealing repair decides the vector.
+Network speed_skew_network() {
   NetworkBuilder b;
   b.bandwidth_bps(10e6);
   b.frame_overhead(SimTime::micros(50));
@@ -324,7 +323,13 @@ TEST(MaterializeFallback, ExtremeSpeedSkewRepairsStarvationBitwise) {
     t.comm_per_message = SimTime::micros(500);
     b.add_cluster(t.name, t, 4);
   }
-  const Network net = b.build();
+  return b.build();
+}
+
+TEST(MaterializeFallback, ExtremeSpeedSkewRepairsStarvationBitwise) {
+  // At the starvation edge materialize() must take the reference path --
+  // and still agree bitwise.
+  const Network net = speed_skew_network();
   CalibrationParams params;
   params.topologies = {Topology::OneD};
   const CalibrationResult cal = calibrate(net, params);
@@ -654,24 +659,22 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(test_info.param.clusters);
     });
 
-TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
-  // The delta engine's contract: estimate_delta(c, +/-1) returns the
-  // exact FastEstimate estimate_into() computes for the moved
-  // configuration -- bitwise on every cost field -- across randomized
-  // single-move sequences, including moves that empty a cluster and
-  // moves that activate one.
-  Rng rng(GetParam().seed ^ 0xDE17A);
-  const Network net =
-      presets::random_network(rng, GetParam().clusters, 6);
-  CalibrationParams params;
-  params.topologies = {Topology::OneD};
-  const CalibrationResult cal = calibrate(net, params);
-  Rng config_rng = rng.stream(4);
-  for (const auto& [n, overlap] :
-       std::vector<std::pair<int, bool>>{{300, false}, {1200, true}}) {
+/// Walks random +/-1 move sequences on `net` for each (n, overlap) stencil
+/// spec and checks every legal estimate_delta() probe against
+/// estimate_into() on the moved configuration, bitwise on every cost
+/// field, including moves that empty a cluster and moves that activate
+/// one.  Each probe counts one evaluation on the scratch, and one delta
+/// evaluation unless the moved configuration starves (the closed form
+/// refuses it and the probe replays through estimate_into).  Adds the
+/// starved probes to `starved`.
+void walk_delta_moves(const Network& net, const CostModelDb& db,
+                      Rng& config_rng,
+                      const std::vector<std::pair<int, bool>>& stencils,
+                      const std::string& label, int& starved) {
+  for (const auto& [n, overlap] : stencils) {
     const ComputationSpec spec = apps::make_stencil_spec(
         apps::StencilConfig{.n = n, .iterations = 10, .overlap = overlap});
-    CycleEstimator est(net, cal.db, spec);
+    CycleEstimator est(net, db, spec);
     EstimatorScratch scratch;
     DeltaScratch& d = scratch.delta;
     EstimatorScratch ref_scratch;
@@ -701,32 +704,34 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
           if (moved < 0 || moved > net.cluster(c).size()) continue;
           if (total + delta == 0) continue;
           legal.emplace_back(c, delta);
+          const std::uint64_t evals_before = scratch.evaluations;
+          const std::uint64_t delta_before = scratch.delta_evaluations;
           const FastEstimate got =
               est.estimate_delta(c, delta, d, scratch);
           ProcessorConfig moved_config = config;
           moved_config[ci] = moved;
           const FastEstimate want =
               est.estimate_into(moved_config, ref_scratch);
-          ASSERT_EQ(want.t_comp_ms, got.t_comp_ms)
-              << "seed " << GetParam().seed << " move " << move << " c "
-              << c << " delta " << delta;
-          ASSERT_EQ(want.t_comm_ms, got.t_comm_ms)
-              << "seed " << GetParam().seed << " move " << move << " c "
-              << c << " delta " << delta;
-          ASSERT_EQ(want.t_overlap_ms, got.t_overlap_ms)
-              << "seed " << GetParam().seed << " move " << move << " c "
-              << c << " delta " << delta;
-          ASSERT_EQ(want.t_c_ms, got.t_c_ms)
-              << "seed " << GetParam().seed << " move " << move << " c "
-              << c << " delta " << delta;
-          ASSERT_EQ(want.t_elapsed_ms, got.t_elapsed_ms)
-              << "seed " << GetParam().seed << " move " << move << " c "
-              << c << " delta " << delta;
+          const bool starves_here = starves(net, est, moved_config, n);
+          starved += starves_here ? 1 : 0;
+          const auto where = [&] {
+            return label + " n " + std::to_string(n) + " move " +
+                   std::to_string(move) + " c " + std::to_string(c) +
+                   " delta " + std::to_string(delta);
+          };
+          ASSERT_EQ(want.t_comp_ms, got.t_comp_ms) << where();
+          ASSERT_EQ(want.t_comm_ms, got.t_comm_ms) << where();
+          ASSERT_EQ(want.t_overlap_ms, got.t_overlap_ms) << where();
+          ASSERT_EQ(want.t_c_ms, got.t_c_ms) << where();
+          ASSERT_EQ(want.t_elapsed_ms, got.t_elapsed_ms) << where();
+          ASSERT_EQ(scratch.evaluations, evals_before + 1) << where();
+          ASSERT_EQ(scratch.delta_evaluations,
+                    delta_before + (starves_here ? 0 : 1))
+              << where();
         }
       }
       ASSERT_FALSE(legal.empty());
-      // Commit a random legal move (biased towards draining so the walk
-      // visits empty-cluster states) and keep walking.
+      // Commit a random legal move and keep walking.
       const auto& [cc, cd] =
           legal[static_cast<std::size_t>(config_rng.next_int(
               0, static_cast<std::int64_t>(legal.size()) - 1))];
@@ -738,9 +743,43 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
       const FastEstimate rebased_ref =
           est.estimate_into(config, ref_scratch);
       ASSERT_EQ(rebased.t_c_ms, rebased_ref.t_c_ms)
-          << "seed " << GetParam().seed << " move " << move;
+          << label << " move " << move;
     }
   }
+}
+
+TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
+  // The delta engine's contract: estimate_delta(c, +/-1) returns the
+  // exact FastEstimate estimate_into() computes for the moved
+  // configuration -- bitwise on every cost field -- across randomized
+  // single-move sequences.
+  Rng rng(GetParam().seed ^ 0xDE17A);
+  const Network net =
+      presets::random_network(rng, GetParam().clusters, 6);
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  const CalibrationResult cal = calibrate(net, params);
+  Rng config_rng = rng.stream(4);
+  int starved = 0;
+  walk_delta_moves(net, cal.db, config_rng, {{300, false}, {1200, true}},
+                   "seed " + std::to_string(GetParam().seed), starved);
+}
+
+TEST(DeltaEval, ExtremeSpeedSkewStarvedMovesReplayBitwise) {
+  // The speed-skewed network at the starvation edge (num_PDUs at most a
+  // few above the 12 processors): moves whose closed form starves a rank
+  // must replay through estimate_into, bitwise, counted as a plain
+  // evaluation rather than a delta one.
+  const Network net = speed_skew_network();
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  const CalibrationResult cal = calibrate(net, params);
+  Rng config_rng(0xDE5C);
+  int starved = 0;
+  ASSERT_NO_FATAL_FAILURE(walk_delta_moves(
+      net, cal.db, config_rng, {{12, false}, {14, true}, {20, false}},
+      "skew", starved));
+  EXPECT_GT(starved, 0) << "no probed move reached starvation repair";
 }
 
 TEST(DeltaEval, EmptyAndRefillCluster) {

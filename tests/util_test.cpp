@@ -261,6 +261,28 @@ TEST(ConfigTest, ParsesArgsAndTypes) {
   EXPECT_THROW(cfg.get_int_or("loss", 0), ConfigError);
 }
 
+TEST(ConfigTest, RewritesDaemonLongOptions) {
+  const std::initializer_list<LongOption> options = {
+      {"--check", "check", false}, {"--trace-out", "trace_out"}};
+  const Config cfg = Config::from_args(
+      {"n=3", "--check", "--trace-out", "t.json"}, options);
+  EXPECT_EQ(cfg.get_int_or("n", 0), 3);
+  EXPECT_TRUE(cfg.get_bool_or("check", false));
+  EXPECT_EQ(cfg.get_or("trace_out", ""), "t.json");
+  EXPECT_EQ(Config::from_args({"--trace-out=u.json"}, options)
+                .get_or("trace_out", ""),
+            "u.json");
+  // A file option at the end of argv has no file to take.
+  try {
+    Config::from_args({"n=3", "--trace-out"}, options);
+    FAIL() << "dangling --trace-out accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "--trace-out needs a file argument");
+  }
+  // Without the option table the flag is just a malformed token.
+  EXPECT_THROW(Config::from_args({"--trace-out", "t.json"}), ConfigError);
+}
+
 TEST(ConfigTest, ParsesFileFormat) {
   const Config cfg = Config::from_string(
       "# comment\nn = 60\nsizes = 60,300,600\n\nname = stencil # trailing\n");

@@ -4,9 +4,10 @@
 #   scripts/tier1.sh            # Release build in build/
 #   scripts/tier1.sh asan-ubsan # ASan+UBSan build in build-asan/
 #   scripts/tier1.sh --tsan     # TSan build in build-tsan/; runs the
-#                               # service + threaded tests (the tsan test
-#                               # preset filters to them) -- any reported
-#                               # race fails the tier
+#                               # service, decision-cache and threaded
+#                               # tests (the tsan test preset filters to
+#                               # them) -- any reported race fails the
+#                               # tier
 #   scripts/tier1.sh --obs      # Release build, then a telemetry smoke
 #                               # stage: netpartd --trace-out on a small
 #                               # spec, validated by trace_check (the

@@ -23,8 +23,9 @@ DecisionCache::DecisionCache(std::size_t capacity, int shards) {
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    // npracer contract: everything behind a shard -- the LRU list, the
-    // key index, and the counters -- moves only under that shard's mutex.
+    // npracer contract: everything behind a shard -- the eviction list
+    // with its referenced flags, the key index, and the counters -- moves
+    // only under that shard's mutex.
     [[maybe_unused]] Shard& shard = *shards_.back();
     NP_GUARDED_BY(&shard.lru, &shard.mutex, "svc.cache.shard.lru");
     NP_GUARDED_BY(&shard.stats, &shard.mutex, "svc.cache.shard.stats");
@@ -38,19 +39,24 @@ DecisionCache::Shard& DecisionCache::shard_for(std::uint64_t key) const {
   return *shards_[(key ^ (key >> 32)) % shards_.size()];
 }
 
-DecisionCache::Entry* DecisionCache::find_and_touch(Shard& shard,
-                                                    std::uint64_t key) {
+DecisionCache::Entry* DecisionCache::find_and_mark(Shard& shard,
+                                                   std::uint64_t key) {
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     NP_WRITE(&shard.stats, "svc.cache.shard.stats");
     ++shard.stats.misses;
     return nullptr;
   }
-  NP_WRITE(&shard.lru, "svc.cache.shard.lru");
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  Entry& entry = *it->second;
+  // Test before the store: a warm entry is already marked, and its cache
+  // line stays shared between the threads that hit it.
+  if (!entry.referenced) {
+    NP_WRITE(&shard.lru, "svc.cache.shard.lru");
+    entry.referenced = true;
+  }
   NP_WRITE(&shard.stats, "svc.cache.shard.stats");
   ++shard.stats.hits;
-  return &*it->second;
+  return &entry;
 }
 
 std::shared_ptr<const PartitionDecision> DecisionCache::lookup(
@@ -58,7 +64,7 @@ std::shared_ptr<const PartitionDecision> DecisionCache::lookup(
   Shard& shard = shard_for(key);
   AdaptiveLockGuard lock(shard.mutex);
   NP_LOCK_SCOPE(&shard.mutex, "svc.cache.shard.mutex");
-  const Entry* entry = find_and_touch(shard, key);
+  const Entry* entry = find_and_mark(shard, key);
   return entry == nullptr ? nullptr : entry->decision;
 }
 
@@ -67,7 +73,7 @@ std::shared_future<ServiceReply> DecisionCache::lookup_reply(
   Shard& shard = shard_for(key);
   AdaptiveLockGuard lock(shard.mutex);
   NP_LOCK_SCOPE(&shard.mutex, "svc.cache.shard.mutex");
-  Entry* entry = find_and_touch(shard, key);
+  Entry* entry = find_and_mark(shard, key);
   if (entry == nullptr) return {};
   if (!entry->reply.valid()) {
     entry->reply = ready_reply(ServiceReply{
@@ -96,19 +102,27 @@ void DecisionCache::insert(
   NP_LOCK_SCOPE(&shard.mutex, "svc.cache.shard.mutex");
   NP_WRITE(&shard.lru, "svc.cache.shard.lru");
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    it->second->decision = std::move(decision);
-    it->second->reply = {};
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    Entry& entry = *it->second;
+    entry.decision = std::move(decision);
+    entry.reply = {};
+    entry.referenced = true;
     return;
   }
-  shard.lru.push_front(Entry{key, std::move(decision), {}});
-  shard.index[key] = shard.lru.begin();
-  if (shard.index.size() > shard_capacity_) {
+  if (shard.index.size() >= shard_capacity_) {
+    // Second chance, before the push so the new decision is never the
+    // victim.  Each move clears a flag, so the pass ends within one lap.
+    while (shard.lru.back().referenced) {
+      shard.lru.back().referenced = false;
+      shard.lru.splice(shard.lru.begin(), shard.lru,
+                       std::prev(shard.lru.end()));
+    }
     shard.index.erase(shard.lru.back().key);
     evicted.splice(evicted.begin(), shard.lru, std::prev(shard.lru.end()));
     NP_WRITE(&shard.stats, "svc.cache.shard.stats");
     ++shard.stats.evictions;
   }
+  shard.lru.push_front(Entry{key, std::move(decision), {}});
+  shard.index[key] = shard.lru.begin();
 }
 
 std::size_t DecisionCache::invalidate_before(std::uint64_t epoch) {

@@ -1,11 +1,22 @@
-// Sharded LRU cache of partition decisions.
+// Sharded second-chance (CLOCK) cache of partition decisions.
 //
 // The service's hot path is a lookup; a global lock would serialise every
 // worker and client thread on it.  The key space is already well mixed
 // (FNV-1a), so keys map to shards by simple modulo and each shard carries
-// its own mutex, LRU list, and counters.  Capacity is divided evenly
-// across shards (an approximation of global LRU that never takes more
+// its own mutex, eviction list, and counters.  Capacity is divided evenly
+// across shards (an approximation of a global policy that never takes more
 // than one lock per operation).
+//
+// Eviction: second chance, an approximation of LRU.  A hit sets its
+// entry's `referenced` flag, and only when the flag is clear.  An insert
+// into a full shard walks the list from its oldest end, moves referenced
+// entries to the front with the flag cleared, and evicts the first
+// unreferenced one.  A hit must not write list links: if every hit moved
+// its entry to the front (LRU), two clients hitting one hot shard would
+// keep rewriting the same links and list nodes, and the second client
+// would add little to the hit rate.  A hit on a warm entry writes only
+// the shard's mutex and hit counter, and the reference count of the
+// reply it copies.
 //
 // Invalidation: the availability epoch is folded into every key, so stale
 // entries can never be *hit* -- invalidate_before() exists to reclaim
@@ -75,28 +86,33 @@ class DecisionCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;    ///< capacity evictions (LRU tail)
+    /// Capacity evictions: the first unreferenced entry a second-chance
+    /// pass reaches.  Entries the pass only moves are not counted.
+    std::uint64_t evictions = 0;
     std::uint64_t invalidated = 0;  ///< entries purged by epoch bumps
   };
 
   /// `capacity` entries total, spread over `shards` independent shards.
   DecisionCache(std::size_t capacity, int shards);
 
-  /// nullptr on miss; refreshes recency on hit.
+  /// nullptr on miss; marks the entry referenced on hit (its second
+  /// chance at the next eviction pass).
   std::shared_ptr<const PartitionDecision> lookup(std::uint64_t key);
 
   /// lookup() answered as a ready `cache_hit` reply: the entry's own
   /// future, built on its first hit and shared by every later one.  An
-  /// invalid (default) future on miss.  Counts and refreshes as lookup().
+  /// invalid (default) future on miss.  Counts and marks as lookup().
   std::shared_future<ServiceReply> lookup_reply(std::uint64_t key);
 
-  /// Stats-neutral lookup: no hit/miss counting, no recency refresh.  The
+  /// Stats-neutral lookup: no hit/miss counting, no referenced mark.  The
   /// service's double-checked admission uses this to close the race between
   /// a lock-free miss and a concurrent worker completing the same key.
   std::shared_ptr<const PartitionDecision> peek(std::uint64_t key) const;
 
-  /// Insert (or refresh) decision->key.  Evicts the shard's LRU tail when
-  /// the shard is full.
+  /// Insert (or refresh) decision->key.  A new key in a full shard first
+  /// evicts one entry by a second-chance pass, so the new decision is
+  /// never its own victim.  A refresh replaces the decision in place,
+  /// marks it referenced, and evicts nothing.
   void insert(std::shared_ptr<const PartitionDecision> decision);
 
   /// Drop every entry computed under an epoch < `epoch`; returns how many.
@@ -126,18 +142,24 @@ class DecisionCache {
     std::shared_ptr<const PartitionDecision> decision;
     /// Empty until the first lookup_reply(); reset when `decision` is.
     std::shared_future<ServiceReply> reply;
+    /// Second-chance bit: set by a hit or a refresh, cleared when an
+    /// eviction pass moves the entry to the front.
+    bool referenced = false;
   };
   struct Shard {
     mutable std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
+    // Eviction order, oldest at the back: new keys enter at the front, and
+    // an eviction pass moves referenced entries from the back to the
+    // front.  Hits never reorder it.
+    std::list<Entry> lru;
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
     Stats stats;
   };
 
   Shard& shard_for(std::uint64_t key) const;
-  /// Under `shard.mutex`: the entry for `key` moved to the LRU front, or
+  /// Under `shard.mutex`: the entry for `key`, marked referenced, or
   /// nullptr.  Counts the hit or miss.
-  static Entry* find_and_touch(Shard& shard, std::uint64_t key);
+  static Entry* find_and_mark(Shard& shard, std::uint64_t key);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_capacity_;

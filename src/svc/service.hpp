@@ -5,9 +5,11 @@
 // This class puts the `O(K log2 P)` search plus cost-model evaluation
 // behind:
 //
-//   * a sharded LRU decision cache keyed by (network signature,
-//     availability epoch, canonical request) -- repeated queries are
-//     lookups, and an availability change invalidates by construction;
+//   * a sharded decision cache keyed by (network signature, availability
+//     epoch, canonical request) -- repeated queries are lookups, and an
+//     availability change invalidates by construction.  It evicts by
+//     second chance, so a hit only marks its entry and never reorders
+//     the shard's list (concurrent hits would contend on its links);
 //   * a fixed worker pool draining a bounded queue -- cold computations
 //     never run on client threads, and when the queue is full admission
 //     control *sheds* the request with an explicit Overloaded reply

@@ -750,14 +750,20 @@ TEST(RaceQuietGateTest, DecisionCacheShards) {
   options.schedules = 6;
   const ExploreResult result = analysis::race::explore(
       [](std::uint64_t seed) {
-        svc::DecisionCache cache(/*capacity=*/64, /*shards=*/4);
+        // Two entries per shard.  Every other probe draws one of 4 hot
+        // keys (one per shard), the rest walk 64 cold keys, so inserts
+        // overflow every shard -- second-chance passes move and evict --
+        // while other threads hit and mark the hot entries.
+        svc::DecisionCache cache(/*capacity=*/8, /*shards=*/4);
         constexpr int kThreads = 4;
         std::vector<std::thread> threads;
         threads.reserve(kThreads);
         for (int t = 0; t < kThreads; ++t) {
           threads.emplace_back([&cache, seed, t] {
             for (std::uint64_t i = 0; i < 40; ++i) {
-              const std::uint64_t key = (seed + i * 7 + t) % 32;
+              const std::uint64_t key = i % 2 == 0
+                                            ? (seed + t + i / 2) % 4
+                                            : 4 + (seed + i * 7 + t) % 64;
               const std::uint64_t epoch = 1 + i / 20;
               // Half the probes take the ready-reply path, which builds
               // the entry's future under the shard lock on first hit.
@@ -779,7 +785,10 @@ TEST(RaceQuietGateTest, DecisionCacheShards) {
         }
         for (std::thread& t : threads) t.join();
         cache.invalidate_before(2);
-        cache.shard_stats();
+        EXPECT_GT(cache.stats().hits, 0u) << "no probe hit";
+        for (const auto& shard : cache.shard_stats()) {
+          EXPECT_GT(shard.stats.evictions, 0u) << "a shard never evicted";
+        }
       },
       options);
   EXPECT_TRUE(result.sink.clean()) << result.sink.render_text();

@@ -732,6 +732,157 @@ TEST(ServiceTest, WarmHitsShareOneReadyReplyPerEntry) {
   EXPECT_EQ(r4.get().decision, d3);
 }
 
+// Second-chance eviction, pinned on one shard of capacity 3: a hit sets
+// the entry's referenced flag and moves nothing; an insert into the full
+// shard moves referenced entries from the oldest end to the front,
+// clearing their flags, and evicts the first unreferenced one.
+
+std::shared_ptr<const svc::PartitionDecision> cache_decision(
+    std::uint64_t key, std::uint64_t epoch = 1) {
+  auto d = std::make_shared<svc::PartitionDecision>();
+  d->key = key;
+  d->epoch = epoch;
+  return d;
+}
+
+bool resident(const svc::DecisionCache& cache, std::uint64_t key) {
+  return cache.peek(key) != nullptr;
+}
+
+TEST(DecisionCacheTest, FullPassEvictsTheOldestInsert) {
+  svc::DecisionCache cache(/*capacity=*/3, /*shards=*/1);
+  for (std::uint64_t key : {1, 2, 3}) cache.insert(cache_decision(key));
+  // Hit newest first.  LRU would now hold 1 as the most recent and evict
+  // 3; second chance clears all three flags in one pass and evicts the
+  // oldest insert.
+  for (std::uint64_t key : {3, 2, 1}) ASSERT_NE(cache.lookup(key), nullptr);
+  cache.insert(cache_decision(4));
+  EXPECT_FALSE(resident(cache, 1));
+  EXPECT_TRUE(resident(cache, 2));
+  EXPECT_TRUE(resident(cache, 3));
+  EXPECT_TRUE(resident(cache, 4));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(DecisionCacheTest, HitEntrySurvivesExactlyOnePass) {
+  svc::DecisionCache cache(/*capacity=*/3, /*shards=*/1);
+  for (std::uint64_t key : {1, 2, 3}) cache.insert(cache_decision(key));
+  ASSERT_TRUE(cache.lookup_reply(1).valid());
+  cache.insert(cache_decision(4));  // 1 gets its second chance; 2 goes
+  EXPECT_TRUE(resident(cache, 1));
+  EXPECT_FALSE(resident(cache, 2));
+  cache.insert(cache_decision(5));  // 3 goes
+  EXPECT_TRUE(resident(cache, 1));
+  EXPECT_FALSE(resident(cache, 3));
+  cache.insert(cache_decision(6));  // 1 was not hit again: it goes
+  EXPECT_FALSE(resident(cache, 1));
+  EXPECT_TRUE(resident(cache, 4));
+  EXPECT_TRUE(resident(cache, 5));
+  EXPECT_TRUE(resident(cache, 6));
+}
+
+TEST(DecisionCacheTest, NewEntrySurvivesItsOwnInsertIntoAReferencedShard) {
+  svc::DecisionCache cache(/*capacity=*/3, /*shards=*/1);
+  for (std::uint64_t key : {1, 2, 3}) cache.insert(cache_decision(key));
+  for (std::uint64_t key : {1, 2, 3}) ASSERT_NE(cache.lookup(key), nullptr);
+  cache.insert(cache_decision(4));
+  EXPECT_TRUE(resident(cache, 4));
+  EXPECT_FALSE(resident(cache, 1));
+  EXPECT_EQ(cache.size(), 3u);
+
+  // Capacity 1: the only resident entry is referenced, and a pass that
+  // ran after the push would find the new entry the only unreferenced one.
+  svc::DecisionCache single(/*capacity=*/1, /*shards=*/1);
+  single.insert(cache_decision(1));
+  ASSERT_NE(single.lookup(1), nullptr);
+  single.insert(cache_decision(2));
+  EXPECT_TRUE(resident(single, 2));
+  EXPECT_FALSE(resident(single, 1));
+  EXPECT_EQ(single.stats().evictions, 1u);
+}
+
+TEST(DecisionCacheTest, RefreshEvictsNothingAndEarnsASecondChance) {
+  svc::DecisionCache cache(/*capacity=*/3, /*shards=*/1);
+  for (std::uint64_t key : {1, 2, 3}) cache.insert(cache_decision(key));
+  const auto refreshed = cache_decision(1);
+  cache.insert(refreshed);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.peek(1), refreshed);
+  for (std::uint64_t key : {2, 3}) EXPECT_TRUE(resident(cache, key));
+
+  cache.insert(cache_decision(4));  // the refreshed 1 is passed over
+  EXPECT_TRUE(resident(cache, 1));
+  EXPECT_FALSE(resident(cache, 2));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(DecisionCacheTest, EvictionsCountEachVictimOnce) {
+  svc::DecisionCache cache(/*capacity=*/3, /*shards=*/1);
+  for (std::uint64_t key = 1; key <= 10; ++key) {
+    cache.insert(cache_decision(key));
+    // Keep the shard referenced, so most inserts move entries before
+    // they evict; a move is not an eviction.
+    for (std::uint64_t hit = key > 2 ? key - 2 : 1; hit <= key; ++hit) {
+      (void)cache.lookup(hit);
+    }
+  }
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().evictions, 7u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.invalidate_before(2), 3u);
+  EXPECT_EQ(cache.stats().evictions, 7u);
+  EXPECT_EQ(cache.stats().invalidated, 3u);
+}
+
+// Part of the TSan tier: 4 threads hit a hot key set in a small cache
+// while inserting cold keys that overflow every shard, so hits set flags
+// while eviction passes clear them and move entries.
+TEST(DecisionCacheTest, ConcurrentHitsAndOverflowingInsertsKeepKeysAndBounds) {
+  svc::DecisionCache cache(/*capacity=*/16, /*shards=*/4);
+  const std::size_t bound =
+      static_cast<std::size_t>(cache.num_shards()) * cache.shard_capacity();
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kHot = 8;
+  constexpr std::uint64_t kRounds = 4000;
+  std::atomic<std::uint64_t> wrong_keys{0};
+  std::atomic<std::uint64_t> oversize{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        const std::uint64_t hot = (i * 3 + static_cast<std::uint64_t>(t)) %
+                                  kHot;
+        const auto reply = cache.lookup_reply(hot);
+        if (reply.valid()) {
+          if (reply.get().decision->key != hot) ++wrong_keys;
+        } else {
+          cache.insert(cache_decision(hot));
+        }
+        if (const auto d = cache.lookup(hot); d != nullptr && d->key != hot) {
+          ++wrong_keys;
+        }
+        const std::uint64_t cold =
+            kHot + i * kThreads + static_cast<std::uint64_t>(t);
+        cache.insert(cache_decision(cold));
+        if (i % 64 == 0 && cache.size() > bound) ++oversize;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong_keys.load(), 0u);
+  EXPECT_EQ(oversize.load(), 0u);
+  EXPECT_LE(cache.size(), bound);
+  const svc::DecisionCache::Stats stats = cache.stats();
+  EXPECT_GT(stats.hits, 0u);
+  for (const auto& shard : cache.shard_stats()) {
+    EXPECT_LE(shard.size, cache.shard_capacity());
+    EXPECT_GT(shard.stats.evictions, 0u) << "every shard must overflow";
+  }
+}
+
 // Direct unit check of the client's quantisation: rates scale to
 // quantum=1000 on the fastest rank and the returned vector preserves rank
 // count and total.

@@ -10,9 +10,7 @@
 
 #include "bench/common.hpp"
 #include "mmps/system.hpp"
-#include "util/histogram.hpp"
-#include "util/stats.hpp"
-#include "util/string_util.hpp"
+#include "obs/metrics.hpp"
 
 namespace netpart {
 namespace {
@@ -28,8 +26,7 @@ void measure(const char* title, ProcessorRef src, ProcessorRef dst,
   mmps::System mmps(netsim);
 
   constexpr int kMessages = 400;
-  Histogram hist(0.0, 80.0, 16);
-  RunningStats stats;
+  obs::LatencyHistogram latency;
 
   // Chain the messages: each send is issued when the previous delivery
   // completes, so every sample sees an idle channel.
@@ -39,22 +36,22 @@ void measure(const char* title, ProcessorRef src, ProcessorRef dst,
     mmps.send(src, dst, i, std::vector<std::byte>(
                                static_cast<std::size_t>(bytes)));
     mmps.recv(dst, src, i, [&, i, t0](mmps::Message) {
-      const double ms = (engine.now() - t0).as_millis();
-      hist.add(ms);
-      stats.add(ms);
+      latency.record((engine.now() - t0).as_micros());
       send_next(i + 1);
     });
   };
   send_next(0);
   engine.run();
 
+  const obs::QuantileSummary q = latency.quantiles();
   std::printf("%s (%d messages of %lld bytes, loss %.0f%%)\n"
-              "latency mean %.2f ms, min %.2f, max %.2f, "
-              "%llu retransmissions\n%s\n",
+              "latency mean %.2f ms, min %.2f, %llu retransmissions\n"
+              "  p50 %7.2f ms\n  p90 %7.2f ms\n  p99 %7.2f ms\n"
+              "  max %7.2f ms\n\n",
               title, kMessages, static_cast<long long>(bytes), 100 * loss,
-              stats.mean(), stats.min(), stats.max(),
+              latency.mean_us() / 1e3, latency.min_us() / 1e3,
               static_cast<unsigned long long>(netsim.retransmissions()),
-              hist.render().c_str());
+              q.p50 / 1e3, q.p90 / 1e3, q.p99 / 1e3, latency.max_us() / 1e3);
 }
 
 }  // namespace

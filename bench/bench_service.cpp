@@ -26,6 +26,7 @@
 
 #include "bench/common.hpp"
 #include "svc/service.hpp"
+#include "util/stats.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -59,9 +60,9 @@ struct LatencySummary {
 
 LatencySummary summarize(const std::vector<double>& samples) {
   LatencySummary s;
-  s.p50 = bench::sample_quantile(samples, 0.50);
-  s.p95 = bench::sample_quantile(samples, 0.95);
-  s.p99 = bench::sample_quantile(samples, 0.99);
+  s.p50 = percentile(samples, 0.50);
+  s.p95 = percentile(samples, 0.95);
+  s.p99 = percentile(samples, 0.99);
   double total = 0.0;
   for (double v : samples) total += v;
   s.mean = total / static_cast<double>(samples.size());

@@ -164,15 +164,4 @@ JsonValue GateSet::skipped_json() const {
   return out;
 }
 
-double sample_quantile(std::vector<double> samples, double q) {
-  NP_REQUIRE(!samples.empty(), "sample_quantile needs samples");
-  NP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-  std::sort(samples.begin(), samples.end());
-  const double pos = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  if (lo + 1 >= samples.size()) return samples.back();
-  const double frac = pos - static_cast<double>(lo);
-  return samples[lo] + frac * (samples[lo + 1] - samples[lo]);
-}
-
 }  // namespace netpart::bench

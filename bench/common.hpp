@@ -61,11 +61,6 @@ std::string ms(double v);
 /// results produces a byte-identical file.
 void write_bench_json(const std::string& path, const JsonValue& root);
 
-/// Exact percentile of a raw sample set by linear interpolation between
-/// order statistics (q in [0, 1]).  Used for per-request latency tails
-/// where histogram buckets would be too coarse.
-double sample_quantile(std::vector<double> samples, double q);
-
 /// Outcome of the exhaustive sweep's parallel-speedup gate.
 enum class SpeedupGate {
   Pass,              ///< speedup met the per-thread floor

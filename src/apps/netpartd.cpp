@@ -307,9 +307,8 @@ int run(const Config& args) {
       std::to_string(service.cache().size()) + " / " +
           std::to_string(cache.evictions) + " / " +
           std::to_string(cache.invalidated));
-  const QuantileSummary hit = m.latency("hit", 0.0, 200.0, 400).quantiles();
-  const QuantileSummary cold =
-      m.latency("cold", 0.0, 100000.0, 1000).quantiles();
+  const obs::QuantileSummary hit = m.latency("hit").quantiles();
+  const obs::QuantileSummary cold = m.latency("cold").quantiles();
   row("hit p50/p95/p99 us",
       format_double(hit.p50, 1) + " / " + format_double(hit.p95, 1) + " / " +
           format_double(hit.p99, 1));

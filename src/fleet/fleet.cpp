@@ -9,16 +9,6 @@
 
 namespace netpart::fleet {
 
-namespace {
-
-// Per-hop attribution range: cache hits land near 100 us, failover chains
-// accumulate hundreds of ms of RTO; 2 s of headroom keeps both in-bucket.
-constexpr double kHopLoUs = 0.0;
-constexpr double kHopHiUs = 2.0e6;
-constexpr std::size_t kHopBuckets = 1000;
-
-}  // namespace
-
 Network make_fleet_network(int nodes, int processors_per_cluster) {
   NP_REQUIRE(nodes >= 1, "fleet needs at least one node");
   NP_REQUIRE(processors_per_cluster >= 1,
@@ -46,16 +36,11 @@ Fleet::Fleet(sim::NetSim& net, FleetOptions options, ColdPath cold_path)
           obs::TelemetryRegistry::global().counter("fleet.replications")),
       telemetry_(std::make_unique<obs::TelemetryRegistry>(
           /*enabled=*/false)),  // histograms only; no spans at fleet level
-      hop_route_us_(telemetry_->latency("fleet.request.route_us", kHopLoUs,
-                                        kHopHiUs, kHopBuckets)),
-      hop_forward_us_(telemetry_->latency("fleet.request.forward_us",
-                                          kHopLoUs, kHopHiUs, kHopBuckets)),
-      hop_compute_us_(telemetry_->latency("fleet.request.compute_us",
-                                          kHopLoUs, kHopHiUs, kHopBuckets)),
-      hop_reply_us_(telemetry_->latency("fleet.request.reply_us", kHopLoUs,
-                                        kHopHiUs, kHopBuckets)),
-      hop_total_us_(telemetry_->latency("fleet.request.total_us", kHopLoUs,
-                                        kHopHiUs, kHopBuckets)) {
+      hop_route_us_(telemetry_->latency("fleet.request.route_us")),
+      hop_forward_us_(telemetry_->latency("fleet.request.forward_us")),
+      hop_compute_us_(telemetry_->latency("fleet.request.compute_us")),
+      hop_reply_us_(telemetry_->latency("fleet.request.reply_us")),
+      hop_total_us_(telemetry_->latency("fleet.request.total_us")) {
   NP_REQUIRE(options_.replication >= 1, "replication factor must be >= 1");
   NP_REQUIRE(cold_path_ != nullptr, "fleet needs a cold path");
   const int clusters = net_.network().num_clusters();

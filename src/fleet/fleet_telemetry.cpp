@@ -91,7 +91,7 @@ std::vector<NodeHealth> FleetTelemetry::health() const {
     h.requests = n.metrics().requests.value();
     h.forwards = n.metrics().forwards.value();
     h.serves = n.metrics().serves.value();
-    const QuantileSummary q = n.metrics().request_us.quantiles();
+    const obs::QuantileSummary q = n.metrics().request_us.quantiles();
     h.p50_us = q.p50;
     h.p99_us = q.p99;
     if (h.requests > 0) {

@@ -6,16 +6,6 @@
 
 namespace netpart::fleet {
 
-namespace {
-
-// Fleet request latencies span cache hits (~100 us) to failover chains
-// (hundreds of ms of RTO); one wide range keeps every outcome in-bucket.
-constexpr double kLatencyLoUs = 0.0;
-constexpr double kLatencyHiUs = 2.0e6;
-constexpr std::size_t kLatencyBuckets = 1000;
-
-}  // namespace
-
 FleetNode::FleetNode(NodeId id, const std::vector<NodeId>& nodes,
                      SimTime now, const PeerTableOptions& peer_options,
                      const NodeOptions& options)
@@ -30,8 +20,7 @@ FleetNode::FleetNode(NodeId id, const std::vector<NodeId>& nodes,
                telemetry_->counter("fleet.node.hits"),
                telemetry_->counter("fleet.node.misses"),
                telemetry_->counter("fleet.node.serves"),
-               telemetry_->latency("fleet.node.request_us", kLatencyLoUs,
-                                   kLatencyHiUs, kLatencyBuckets)} {
+               telemetry_->latency("fleet.node.request_us")} {
   telemetry_->set_trace_seed(options.trace_seed,
                              static_cast<std::uint64_t>(id));
 }

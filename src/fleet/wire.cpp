@@ -19,6 +19,17 @@ void put_le(std::vector<std::byte>& out, T v) {
   }
 }
 
+/// An element count read from the frame, checked against the bytes left
+/// for elements `width` bytes wide -- before anything is reserved, so a
+/// corrupt count fails as InvalidArgument instead of asking the allocator
+/// for it.
+std::size_t read_count(WireReader& r, std::size_t width) {
+  const std::uint64_t n = r.u64();
+  NP_REQUIRE(n <= r.remaining() / width,
+             "fleet message count exceeds its frame");
+  return static_cast<std::size_t>(n);
+}
+
 }  // namespace
 
 WireWriter& WireWriter::u8(std::uint8_t v) {
@@ -92,7 +103,7 @@ double WireReader::f64() { return std::bit_cast<double>(u64()); }
 
 std::string WireReader::str() {
   const std::uint64_t len = u64();
-  NP_REQUIRE(pos_ + len <= bytes_.size(), "truncated fleet message");
+  NP_REQUIRE(len <= remaining(), "truncated fleet message");
   std::string s(len, '\0');
   std::memcpy(s.data(), bytes_.data() + pos_, len);
   pos_ += len;
@@ -130,16 +141,20 @@ void encode_request_into(WireWriter& w, const svc::PartitionRequest& req) {
 
 svc::PartitionRequest decode_request_from(WireReader& r) {
   svc::PartitionRequest req;
-  req.kind = static_cast<svc::PartitionRequest::Kind>(r.u8());
+  const std::uint8_t kind = r.u8();
+  NP_REQUIRE(kind <= static_cast<std::uint8_t>(
+                         svc::PartitionRequest::Kind::Repartition),
+             "unknown fleet request kind");
+  req.kind = static_cast<svc::PartitionRequest::Kind>(kind);
   req.spec = r.str();
   req.n = r.i64();
   req.iterations = r.i32();
   req.options.search = r.u8() == 0 ? PartitionOptions::Search::Binary
                                    : PartitionOptions::Search::Linear;
   req.options.stop_at_partial_cluster = r.u8() != 0;
-  const std::uint64_t rates = r.u64();
+  const std::size_t rates = read_count(r, sizeof(std::int32_t));
   req.rate_milli.reserve(rates);
-  for (std::uint64_t i = 0; i < rates; ++i) req.rate_milli.push_back(r.i32());
+  for (std::size_t i = 0; i < rates; ++i) req.rate_milli.push_back(r.i32());
   return req;
 }
 
@@ -222,17 +237,17 @@ svc::PartitionDecision decode_decision_from(WireReader& r) {
   d.epoch = r.u64();
   d.t_c_ms = r.f64();
   d.evaluations = r.u64();
-  const std::uint64_t ranks = r.u64();
+  const std::size_t ranks = read_count(r, sizeof(std::int64_t));
   std::vector<std::int64_t> per_rank;
   per_rank.reserve(ranks);
-  for (std::uint64_t i = 0; i < ranks; ++i) per_rank.push_back(r.i64());
+  for (std::size_t i = 0; i < ranks; ++i) per_rank.push_back(r.i64());
   d.partition = PartitionVector(std::move(per_rank));
-  const std::uint64_t clusters = r.u64();
+  const std::size_t clusters = read_count(r, sizeof(std::int32_t));
   d.config.reserve(clusters);
-  for (std::uint64_t i = 0; i < clusters; ++i) d.config.push_back(r.i32());
-  const std::uint64_t placed = r.u64();
+  for (std::size_t i = 0; i < clusters; ++i) d.config.push_back(r.i32());
+  const std::size_t placed = read_count(r, 2 * sizeof(std::int32_t));
   d.placement.reserve(placed);
-  for (std::uint64_t i = 0; i < placed; ++i) {
+  for (std::size_t i = 0; i < placed; ++i) {
     ProcessorRef ref;
     ref.cluster = r.i32();
     ref.index = r.i32();

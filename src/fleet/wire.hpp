@@ -74,6 +74,7 @@ class WireReader {
   std::string str();
 
   bool exhausted() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   const std::vector<std::byte>& bytes_;

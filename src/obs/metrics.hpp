@@ -2,16 +2,16 @@
 //
 // The partitioner, estimator, adaptive executor, MMPS, and the service all
 // meter through this one vocabulary.  Callers resolve a metric once
-// (registry mutex) and then update it lock-free (counters) or under a
-// short per-stripe lock (histograms), never the registry's.
+// (registry mutex) and then update it lock-free: a counter with one relaxed
+// add, a latency histogram with two relaxed adds and, only on a new
+// extreme, a compare-and-swap.
 //
 // Both metric types are striped per thread: kMetricStripes cache-line-
 // aligned stripes, picked by this_thread_id(), so threads that record
-// into one metric do not share a cache line or a lock (up to
-// kMetricStripes threads).  Reads merge the stripes in stripe order; the
-// merged value is the one an unstriped metric would hold -- a counter's
-// sum exactly, a histogram's buckets, count, min and max exactly and its
-// mean up to floating-point reassociation.
+// into one metric do not share a cache line (up to kMetricStripes
+// threads).  Reads merge the stripes; every merged value -- a counter's
+// sum, a histogram's buckets, count, integer nanosecond sum, min and max
+// -- is exactly what one unstriped metric would hold.
 //
 // MetricsSnapshot captures the registry's counter values and histogram
 // counts at a point in time; snapshot_delta() subtracts two snapshots so
@@ -24,12 +24,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
-#include "util/histogram.hpp"
 #include "util/json.hpp"
-#include "util/stats.hpp"
 
 namespace netpart::obs {
 
@@ -68,35 +65,59 @@ class Counter {
   std::array<Stripe, kMetricStripes> stripes_;
 };
 
-/// Latency distribution: a fixed-width histogram (drives the p50/p95/p99
-/// quantile estimates) plus exact running mean/min/max.
+/// The tail summary the latency exports report.
+struct QuantileSummary {
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+};
+
+/// Latency distribution over integer nanoseconds in log-linear buckets: no
+/// range to choose, one layout for every latency from a cache hit to a
+/// failover chain.  Below 32 ns each nanosecond has its own bucket; above,
+/// each power of two splits into 32 equal buckets, so a bucket spans at
+/// most 1/32 of its lower bound.  40 octaves reach 2^45 ns (about 9.8 h);
+/// larger samples share the last bucket, and max stays exact.
+///
+/// record() takes no lock, allocates nothing and divides by nothing.
+/// Count, mean (from the integer sum), min and max are exact; quantiles
+/// interpolate by rank inside their bucket, clamped to [min, max].
 class LatencyHistogram {
  public:
-  /// Range in microseconds; samples outside clamp into the end buckets.
+  static constexpr int kSubBits = 5;
+  static constexpr std::size_t kSub = std::size_t{1} << kSubBits;
+  static constexpr int kOctaves = 40;
+  static constexpr std::size_t kBuckets = kSub + kOctaves * kSub;
+
+  LatencyHistogram();
+  /// The fixed-width histogram's signature, kept for callers built before
+  /// the log-linear layout; the range is ignored.
+  [[deprecated("LatencyHistogram has no range; use the default constructor")]]
   LatencyHistogram(double lo_us, double hi_us, std::size_t buckets);
 
+  /// Negative and NaN samples record as 0.
   void record(double us);
 
-  std::size_t count() const;
+  std::uint64_t count() const;
   double mean_us() const;
   double min_us() const;
   double max_us() const;
-  /// Interpolated from the histogram buckets (empty summary when count==0).
+  /// Empty summary when count() == 0.
   QuantileSummary quantiles() const;
 
  private:
   struct alignas(64) Stripe {
-    Stripe(double lo_us, double hi_us, std::size_t buckets)
-        : histogram(lo_us, hi_us, buckets) {}
-    mutable std::mutex mutex;
-    Histogram histogram;
-    RunningStats stats;
+    std::atomic<std::uint64_t> sum_ns{0};
+    std::atomic<std::uint64_t> min_ns{UINT64_MAX};
+    std::atomic<std::uint64_t> max_ns{0};
+    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
   };
+  struct Merged;
 
-  /// The stripes' running stats merged in stripe order.
-  RunningStats merged_stats() const;
+  Merged merged() const;
 
-  std::array<std::unique_ptr<Stripe>, kMetricStripes> stripes_;
+  std::unique_ptr<Stripe[]> stripes_;
 };
 
 /// Point-in-time view of a registry: counter values plus per-histogram

@@ -62,14 +62,19 @@ Counter& TelemetryRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-LatencyHistogram& TelemetryRegistry::latency(const std::string& name,
-                                             double lo_us, double hi_us,
-                                             std::size_t buckets) {
+LatencyHistogram& TelemetryRegistry::latency(const std::string& name) {
   std::lock_guard lock(metrics_mutex_);
   NP_LOCK_SCOPE(&metrics_mutex_, "obs.telemetry.metrics_mutex");
   NP_WRITE(&counters_, "obs.telemetry.counters");
   auto& slot = latencies_[name];
-  if (!slot) slot = std::make_unique<LatencyHistogram>(lo_us, hi_us, buckets);
+  if (!slot) {
+    slot = std::make_unique<LatencyHistogram>();
+    // Like a counter, a histogram stripe is relaxed atomics: bucket and
+    // sum adds and min/max updates need no ordering, and readers see them
+    // only through their own atomic loads.
+    NP_BENIGN_RACE(slot.get(), "obs.latency",
+                   "relaxed atomic stripes; records need no ordering");
+  }
   return *slot;
 }
 
@@ -82,8 +87,7 @@ MetricsSnapshot TelemetryRegistry::snapshot() const {
     snapshot.counters.emplace(name, c->value());
   }
   for (const auto& [name, h] : latencies_) {
-    snapshot.latency_counts.emplace(name,
-                                    static_cast<std::uint64_t>(h->count()));
+    snapshot.latency_counts.emplace(name, h->count());
   }
   return snapshot;
 }
@@ -101,7 +105,7 @@ JsonValue TelemetryRegistry::to_json() const {
     const QuantileSummary q = h->quantiles();
     latencies.set(name,
                   JsonValue::object()
-                      .set("count", static_cast<std::uint64_t>(h->count()))
+                      .set("count", h->count())
                       .set("mean_us", h->mean_us())
                       .set("min_us", h->min_us())
                       .set("max_us", h->max_us())

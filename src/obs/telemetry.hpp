@@ -103,8 +103,7 @@ class TelemetryRegistry {
   // --- metrics --------------------------------------------------------
   /// Find-or-create.  References stay valid for the registry's lifetime.
   Counter& counter(const std::string& name);
-  LatencyHistogram& latency(const std::string& name, double lo_us,
-                            double hi_us, std::size_t buckets);
+  LatencyHistogram& latency(const std::string& name);
 
   MetricsSnapshot snapshot() const;
 

@@ -38,8 +38,8 @@ PartitionService::PartitionService(const Network& net, const CostModelDb& db,
       failed_(metrics_.counter("failed")),
       cold_computes_(metrics_.counter("cold_computes")),
       epoch_bumps_(metrics_.counter("epoch_bumps")),
-      hit_latency_(metrics_.latency("hit", 0.0, 200.0, 400)),
-      cold_latency_(metrics_.latency("cold", 0.0, 100000.0, 1000)) {
+      hit_latency_(metrics_.latency("hit")),
+      cold_latency_(metrics_.latency("cold")) {
   NP_REQUIRE(options_.workers >= 1, "service needs at least one worker");
   NP_REQUIRE(options_.queue_capacity >= 1,
              "service queue capacity must be positive");

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/histogram.hpp"
 
 namespace netpart {
 
@@ -39,23 +38,6 @@ double RunningStats::ci95_halfwidth() const {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double mean(std::span<const double> xs) {
   RunningStats s;
   for (double x : xs) s.add(x);
@@ -66,35 +48,6 @@ double sample_stddev(std::span<const double> xs) {
   RunningStats s;
   for (double x : xs) s.add(x);
   return s.stddev();
-}
-
-double histogram_quantile(const Histogram& h, double q) {
-  NP_REQUIRE(h.count() > 0, "quantile of empty histogram");
-  NP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
-  const double target = q * static_cast<double>(h.count());
-  const double width =
-      (h.hi() - h.lo()) / static_cast<double>(h.bucket_count());
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-    const auto in_bucket = static_cast<double>(h.bucket(b));
-    if (in_bucket == 0.0) continue;
-    if (cumulative + in_bucket >= target) {
-      const double frac =
-          std::clamp((target - cumulative) / in_bucket, 0.0, 1.0);
-      return h.bucket_lo(b) + width * frac;
-    }
-    cumulative += in_bucket;
-  }
-  return h.hi();  // q == 1 with everything clamped into the last bucket
-}
-
-QuantileSummary summarize_quantiles(const Histogram& h) {
-  return QuantileSummary{
-      .p50 = histogram_quantile(h, 0.50),
-      .p90 = histogram_quantile(h, 0.90),
-      .p95 = histogram_quantile(h, 0.95),
-      .p99 = histogram_quantile(h, 0.99),
-  };
 }
 
 double percentile(std::vector<double> xs, double q) {

@@ -25,9 +25,6 @@ class RunningStats {
   /// approximation; adequate for the >= 5 repetitions the harness uses).
   double ci95_halfwidth() const;
 
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -35,27 +32,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-class Histogram;
-
-/// The tail summary the service metrics report.
-struct QuantileSummary {
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-/// Streaming quantile estimate from a fixed-width Histogram: walk the
-/// cumulative bucket counts to the bucket containing the q-th sample and
-/// interpolate linearly inside it (samples assumed uniform within a
-/// bucket).  The estimate is exact to one bucket width -- pick the
-/// histogram range to match the latencies being recorded.  q in [0, 1];
-/// requires a non-empty histogram.
-double histogram_quantile(const Histogram& h, double q);
-
-/// p50/p90/p95/p99 in one pass.
-QuantileSummary summarize_quantiles(const Histogram& h);
 
 /// Batch helpers over a sample vector.
 double mean(std::span<const double> xs);

@@ -274,6 +274,40 @@ TEST(FleetWireTest, DecisionRoundTripPreservesEverythingServed) {
   EXPECT_EQ(d2.evaluations, 99u);
 }
 
+/// Overwrites the little-endian u64 at `offset` of an encoded frame.
+void poke_u64(std::vector<std::byte>& bytes, std::size_t offset,
+              std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+  }
+}
+
+TEST(FleetWireTest, DecisionCountBeyondTheFrameIsRejected) {
+  svc::PartitionDecision d;
+  d.partition = PartitionVector(std::vector<std::int64_t>{30, 20, 10});
+  d.config = {2, 1};
+  std::vector<std::byte> bytes = fleet::encode_decision(d);
+  // key, epoch, t_c_ms and evaluations, then the rank count.
+  poke_u64(bytes, 32, std::uint64_t{1} << 62);
+  EXPECT_THROW(fleet::decode_decision(bytes), InvalidArgument);
+}
+
+TEST(FleetWireTest, ForwardWithBadKindOrRateCountIsRejected) {
+  fleet::ForwardEnvelope f;
+  f.request = fleet::workload_request(9);
+  f.request.rate_milli = {1000, 2500};
+  const std::vector<std::byte> good = fleet::encode_forward(f);
+  // from, routing key, reply tag and an absent trace context, then the
+  // request's kind byte.
+  std::vector<std::byte> bad_kind = good;
+  bad_kind[24] = std::byte{7};
+  EXPECT_THROW(fleet::decode_forward(bad_kind), InvalidArgument);
+  // The rate count precedes the two i32 rates that end the frame.
+  std::vector<std::byte> bad_count = good;
+  poke_u64(bad_count, good.size() - 16, std::uint64_t{1} << 62);
+  EXPECT_THROW(fleet::decode_forward(bad_count), InvalidArgument);
+}
+
 // ------------------------------------------------------------- fleet node
 
 TEST(FleetNodeTest, AdoptingANewerEpochPurgesCacheAndHeat) {

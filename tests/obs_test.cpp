@@ -5,11 +5,15 @@
 // preset's filter, so its concurrency cases also run under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/stencil.hpp"
@@ -28,6 +32,7 @@
 #include "sim/trace.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace netpart {
 namespace {
@@ -51,11 +56,11 @@ TEST(ObsMetricsTest, SnapshotDeltaKeepsOnlyChanges) {
   TelemetryRegistry reg;
   reg.counter("stable").add(10);
   reg.counter("moving").add(1);
-  reg.latency("lat", 0.0, 100.0, 10).record(5.0);
+  reg.latency("lat").record(5.0);
   const obs::MetricsSnapshot before = reg.snapshot();
   reg.counter("moving").add(2);
   reg.counter("fresh").add(7);
-  reg.latency("lat", 0.0, 100.0, 10).record(6.0);
+  reg.latency("lat").record(6.0);
   const obs::MetricsSnapshot delta =
       obs::snapshot_delta(before, reg.snapshot());
 
@@ -78,10 +83,109 @@ TEST(ObsMetricsTest, SnapshotTextIsNameOrdered) {
 TEST(ObsMetricsTest, MetricsTextCoversCountersAndHistograms) {
   TelemetryRegistry reg;
   reg.counter("requests").add(3);
-  reg.latency("rtt", 0.0, 1000.0, 100).record(10.0);
+  reg.latency("rtt").record(10.0);
   const std::string text = reg.metrics_text();
   EXPECT_NE(text.find("counter requests 3"), std::string::npos);
   EXPECT_NE(text.find("latency rtt"), std::string::npos);
+}
+
+// ------------------------------------------------------------ histogram
+
+// Below 32 ns each nanosecond is its own bucket; above, a bucket spans
+// 1/32 of its lower edge.  Inputs no latency can have clamp instead of
+// converting out of range: zero, negative and NaN record as 0, and +inf
+// and samples past the last octave (2^45 ns) share the top bucket, whose
+// max stays exact.  Every one of them is counted.
+TEST(HistogramTest, BucketsAndClamping) {
+  obs::LatencyHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.min_us(), 0.0);
+  EXPECT_EQ(h.max_us(), 0.0);
+  EXPECT_EQ(h.quantiles().p99, 0.0);
+  for (int ns = 1; ns < 32; ++ns) h.record(ns / 1000.0);
+  EXPECT_EQ(h.count(), 31u);
+  EXPECT_EQ(h.mean_us(), 0.016);
+  EXPECT_EQ(h.min_us(), 0.001);
+  EXPECT_EQ(h.max_us(), 0.031);
+  EXPECT_NEAR(h.quantiles().p50, 0.016, 0.001);
+
+  // Two samples at 2^20 ns, the lower edge of a bucket 2^15 ns wide, hold
+  // ranks 50 and 51 of 100: p50 interpolates to the bucket's middle.
+  obs::LatencyHistogram edge;
+  for (int i = 0; i < 49; ++i) edge.record(500.0);
+  edge.record(1048.576);
+  edge.record(1048.576);
+  for (int i = 0; i < 49; ++i) edge.record(2000.0);
+  EXPECT_DOUBLE_EQ(edge.quantiles().p50, (1048576.0 + 16384.0) / 1000.0);
+
+  obs::LatencyHistogram degenerate;
+  degenerate.record(0.0);
+  degenerate.record(-3.0);
+  degenerate.record(std::numeric_limits<double>::quiet_NaN());
+  degenerate.record(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(degenerate.count(), 4u);
+  EXPECT_EQ(degenerate.min_us(), 0.0);
+  EXPECT_GT(degenerate.max_us(), 1e12);
+  EXPECT_TRUE(std::isfinite(degenerate.mean_us()));
+  EXPECT_TRUE(std::isfinite(degenerate.quantiles().p99));
+
+  obs::LatencyHistogram huge;  // 11.6 and 23.1 days
+  huge.record(1e12);
+  huge.record(2e12);
+  EXPECT_EQ(huge.count(), 2u);
+  EXPECT_EQ(huge.min_us(), 1e12);
+  EXPECT_EQ(huge.max_us(), 2e12);
+  EXPECT_GE(huge.quantiles().p50, 1e12);
+  EXPECT_LE(huge.quantiles().p99, 2e12);
+}
+
+// Quantiles interpolate by rank inside their bucket.  Over uniform samples
+// and over samples spread log-uniformly from 1 ns to 1,000 s, each of
+// p50/p90/p95/p99 stays within 1/32 (relative) or 1 ns of percentile() on
+// the raw samples.
+TEST(HistogramQuantileTest, UniformSamplesInterpolate) {
+  Rng rng(5);
+  std::vector<double> uniform;
+  std::vector<double> spread;
+  for (int i = 0; i < 20000; ++i) {
+    uniform.push_back(100.0 * rng.next_double());
+    spread.push_back(1e-3 * std::pow(10.0, 12.0 * rng.next_double()));
+  }
+  for (const std::vector<double>* samples : {&uniform, &spread}) {
+    obs::LatencyHistogram h;
+    for (double us : *samples) h.record(us);
+    const obs::QuantileSummary q = h.quantiles();
+    const std::pair<double, double> cases[] = {
+        {0.50, q.p50}, {0.90, q.p90}, {0.95, q.p95}, {0.99, q.p99}};
+    for (const auto& [p, got] : cases) {
+      const double want = percentile(*samples, p);
+      EXPECT_NEAR(got, want, std::max(want / 32.0, 1e-3))
+          << "q=" << p << (samples == &uniform ? " uniform" : " spread");
+    }
+  }
+}
+
+TEST(HistogramQuantileTest, SummaryIsMonotone) {
+  obs::LatencyHistogram h;
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) h.record(rng.next_double() * 10.0);
+  const obs::QuantileSummary s = h.quantiles();
+  EXPECT_LE(h.min_us(), s.p50);
+  EXPECT_LE(s.p50, s.p90);
+  EXPECT_LE(s.p90, s.p95);
+  EXPECT_LE(s.p95, s.p99);
+  EXPECT_LE(s.p99, h.max_us());
+  EXPECT_NEAR(s.p50, 5.0, 0.5);
+}
+
+// Interpolation never leaves [min, max]: a spike reads back exactly.
+TEST(HistogramQuantileTest, SingleBucketSpike) {
+  obs::LatencyHistogram h;
+  for (int i = 0; i < 8; ++i) h.record(3.5);
+  const obs::QuantileSummary s = h.quantiles();
+  EXPECT_EQ(s.p50, 3.5);
+  EXPECT_EQ(s.p99, 3.5);
+  EXPECT_EQ(h.mean_us(), 3.5);
 }
 
 // --------------------------------------------------------------- spans
@@ -256,7 +360,7 @@ TEST(ObsTraceContextTest, ContextScopeAdoptsARemoteParent) {
 TEST(ObsMetricsTest, DimensionedMetricsTextLabelsEveryRow) {
   TelemetryRegistry reg;
   reg.counter("requests").add(3);
-  reg.latency("rtt", 0.0, 1000.0, 100).record(10.0);
+  reg.latency("rtt").record(10.0);
   const std::string text = reg.metrics_text("node=2");
   EXPECT_NE(text.find("counter requests{node=2} 3"), std::string::npos);
   EXPECT_NE(text.find("latency rtt{node=2} "), std::string::npos);
@@ -612,16 +716,14 @@ TEST_F(ObsThreadedTest, ConcurrentCountersSumExactly) {
 
 // The striped histogram merges back to exactly what one unstriped
 // histogram would hold: 8 threads (one stripe each) record a known
-// multiset, and bucket-derived quantiles, count, min and max equal a
-// single-threaded util::Histogram reference exactly.  Only the mean may
-// differ, by floating-point reassociation across the stripe merge.
+// multiset, and count, mean, min, max and every quantile equal a
+// single-threaded reference exactly.
 TEST_F(ObsThreadedTest, StripedHistogramMergesToSingleThreadedReference) {
   constexpr int kThreads = 8, kPerThread = 3000;
   const auto sample = [](int t, int i) {
-    // 0..250 us over a 0..200 us range: the top fifth clamps.
     return static_cast<double>((t * 7919 + i * 104729) % 250000) / 1000.0;
   };
-  obs::LatencyHistogram striped(0.0, 200.0, 400);
+  obs::LatencyHistogram striped;
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&striped, &sample, t] {
@@ -630,25 +732,22 @@ TEST_F(ObsThreadedTest, StripedHistogramMergesToSingleThreadedReference) {
   }
   for (std::thread& t : pool) t.join();
 
-  Histogram reference(0.0, 200.0, 400);
-  RunningStats reference_stats;
+  obs::LatencyHistogram reference;
   for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kPerThread; ++i) {
-      reference.add(sample(t, i));
-      reference_stats.add(sample(t, i));
-    }
+    for (int i = 0; i < kPerThread; ++i) reference.record(sample(t, i));
   }
+  EXPECT_EQ(striped.count(),
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(striped.count(), reference.count());
-  EXPECT_EQ(striped.min_us(), reference_stats.min());
-  EXPECT_EQ(striped.max_us(), reference_stats.max());
-  const QuantileSummary got = striped.quantiles();
-  const QuantileSummary want = summarize_quantiles(reference);
+  EXPECT_EQ(striped.mean_us(), reference.mean_us());
+  EXPECT_EQ(striped.min_us(), reference.min_us());
+  EXPECT_EQ(striped.max_us(), reference.max_us());
+  const obs::QuantileSummary got = striped.quantiles();
+  const obs::QuantileSummary want = reference.quantiles();
   EXPECT_EQ(got.p50, want.p50);
   EXPECT_EQ(got.p90, want.p90);
   EXPECT_EQ(got.p95, want.p95);
   EXPECT_EQ(got.p99, want.p99);
-  EXPECT_NEAR(striped.mean_us(), reference_stats.mean(),
-              1e-12 * reference_stats.mean());
 }
 
 TEST_F(ObsThreadedTest, ConcurrentSpansAndMetricsAreSafe) {
@@ -660,7 +759,7 @@ TEST_F(ObsThreadedTest, ConcurrentSpansAndMetricsAreSafe) {
       for (int i = 0; i < kSpans; ++i) {
         Span span(reg, "work");
         span.attr("t", JsonValue(t));
-        reg.latency("lat", 0.0, 100.0, 10).record(1.0);
+        reg.latency("lat").record(1.0);
       }
     });
   }
@@ -671,7 +770,7 @@ TEST_F(ObsThreadedTest, ConcurrentSpansAndMetricsAreSafe) {
   for (const obs::SpanRecord& s : reg.spans()) {
     EXPECT_EQ(s.name, "work");
   }
-  EXPECT_EQ(reg.latency("lat", 0.0, 100.0, 10).count(),
+  EXPECT_EQ(reg.latency("lat").count(),
             static_cast<std::size_t>(kThreads) * kSpans);
 }
 

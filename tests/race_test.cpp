@@ -900,8 +900,7 @@ TEST(RaceQuietGateTest, TelemetryRegistry) {
         for (int t = 0; t < kThreads; ++t) {
           threads.emplace_back([&registry, seed, t] {
             obs::Counter& counter = registry.counter("gate.counter");
-            obs::LatencyHistogram& latency =
-                registry.latency("gate.latency", 0.0, 100.0, 16);
+            obs::LatencyHistogram& latency = registry.latency("gate.latency");
             for (int i = 0; i < 25; ++i) {
               counter.add(1);
               latency.record(static_cast<double>((seed + i + t) % 90));

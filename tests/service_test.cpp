@@ -114,6 +114,24 @@ TEST(ServiceTest, ColdThenHitReturnsSameDecision) {
   EXPECT_EQ(service.cache().stats().hits, 1u);
 }
 
+// The hit histogram has no range for a tail to fall off.  Its fixed-width
+// predecessor spanned 0..200 us, so slow hits at 500 us read as 200 us.
+TEST(ServiceTest, HitTailAboveTheOldFixedRangeIsReported) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil);
+  ASSERT_EQ(service.query(stencil_request(600)).status,
+            svc::ServiceStatus::Ok);
+  ASSERT_TRUE(service.query(stencil_request(600)).cache_hit);
+
+  obs::LatencyHistogram& hits = service.metrics().latency("hit");
+  ASSERT_EQ(hits.count(), 1u);  // the hit above, found by name alone
+  for (int i = 0; i < 99; ++i) hits.record(500.0);
+  EXPECT_EQ(hits.count(), 100u);
+  EXPECT_NEAR(hits.quantiles().p99, 500.0, 500.0 / 32.0);
+  EXPECT_EQ(hits.max_us(), 500.0);
+}
+
 // (1) Coalescing: clients * rounds requests over a tiny key universe, with
 // a deliberately slow cold path to widen the in-flight window.  Every
 // request must succeed and each unique key must be computed exactly once.

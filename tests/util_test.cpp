@@ -9,7 +9,6 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
-#include "util/histogram.hpp"
 #include "util/json.hpp"
 #include "util/least_squares.hpp"
 #include "util/rng.hpp"
@@ -132,22 +131,6 @@ TEST(StatsTest, RunningStatsBasics) {
   EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(StatsTest, MergeMatchesSequential) {
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.next_gaussian(1.0);
-    all.add(v);
-    (i % 2 == 0 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
 }
 
 TEST(StatsTest, Percentile) {
@@ -308,35 +291,6 @@ TEST(StringUtilTest, SplitTrimPad) {
   EXPECT_EQ(to_lower("MiXeD"), "mixed");
 }
 
-// ------------------------------------------------------------- histogram
-
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(3.0);   // bucket 1
-  h.add(9.9);   // bucket 4
-  h.add(-5.0);  // clamps to 0
-  h.add(42.0);  // clamps to 4
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 0u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_THROW(h.bucket(5), InvalidArgument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), InvalidArgument);
-}
-
-TEST(HistogramTest, RenderShowsBars) {
-  Histogram h(0.0, 4.0, 2);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(3.0);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find("##"), std::string::npos);
-  EXPECT_NE(out.find(" 2\n"), std::string::npos);
-}
-
 // ------------------------------------------------------------------ hash
 
 // Published FNV-1a 64-bit vectors: cache keys must be reproducible across
@@ -368,43 +322,6 @@ TEST(Fnv1aTest, DoublesAreCanonicalised) {
   const double nan1 = std::numeric_limits<double>::quiet_NaN();
   const double nan2 = -nan1;
   EXPECT_EQ(Fnv1a().f64(nan1).value(), Fnv1a().f64(nan2).value());
-}
-
-// ------------------------------------------------------- histogram tails
-
-TEST(HistogramQuantileTest, UniformSamplesInterpolate) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);  // one sample per bucket
-  EXPECT_NEAR(histogram_quantile(h, 0.5), 50.0, 1.0);
-  EXPECT_NEAR(histogram_quantile(h, 0.95), 95.0, 1.0);
-  EXPECT_NEAR(histogram_quantile(h, 0.0), 0.0, 1.0);
-  EXPECT_NEAR(histogram_quantile(h, 1.0), 100.0, 1.0);
-}
-
-TEST(HistogramQuantileTest, SummaryIsMonotone) {
-  Histogram h(0.0, 10.0, 50);
-  Rng rng(5);
-  for (int i = 0; i < 1000; ++i) h.add(rng.next_double() * 10.0);
-  const QuantileSummary s = summarize_quantiles(h);
-  EXPECT_LE(s.p50, s.p90);
-  EXPECT_LE(s.p90, s.p95);
-  EXPECT_LE(s.p95, s.p99);
-  EXPECT_NEAR(s.p50, 5.0, 1.0);
-}
-
-TEST(HistogramQuantileTest, SingleBucketSpike) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 8; ++i) h.add(3.5);  // all mass in bucket [3, 4)
-  EXPECT_GE(histogram_quantile(h, 0.5), 3.0);
-  EXPECT_LE(histogram_quantile(h, 0.5), 4.0);
-}
-
-TEST(HistogramQuantileTest, RejectsEmptyAndBadQ) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_THROW(histogram_quantile(h, 0.5), InvalidArgument);
-  h.add(0.5);
-  EXPECT_THROW(histogram_quantile(h, -0.1), InvalidArgument);
-  EXPECT_THROW(histogram_quantile(h, 1.1), InvalidArgument);
 }
 
 // ------------------------------------------------------------------ json

@@ -22,10 +22,7 @@
 //   netpart_cli spec=specs/stencil.spec n=600
 #include <cstdio>
 
-#include "apps/gauss.hpp"
-#include "apps/particles.hpp"
-#include "apps/reduce.hpp"
-#include "apps/stencil.hpp"
+#include "apps/catalog.hpp"
 #include "calib/calibrate.hpp"
 #include "calib/model_io.hpp"
 #include "core/general.hpp"
@@ -45,31 +42,6 @@ Network make_network(const std::string& name) {
   throw ConfigError("unknown network: " + name);
 }
 
-ComputationSpec make_app(const std::string& app, int n, int iterations) {
-  if (app == "stencil") {
-    return apps::make_stencil_spec(
-        apps::StencilConfig{.n = n, .iterations = iterations,
-                            .overlap = false});
-  }
-  if (app == "sten2") {
-    return apps::make_stencil_spec(
-        apps::StencilConfig{.n = n, .iterations = iterations,
-                            .overlap = true});
-  }
-  if (app == "gauss") {
-    return apps::make_gauss_spec(apps::GaussConfig{.n = n});
-  }
-  if (app == "particles") {
-    return apps::make_particle_spec(
-        apps::ParticleConfig{.count = n, .iterations = iterations});
-  }
-  if (app == "reduce") {
-    return apps::make_reduce_spec(
-        apps::ReduceConfig{.count = n, .iterations = iterations});
-  }
-  throw ConfigError("unknown app: " + app);
-}
-
 ComputationSpec make_computation(const Config& args) {
   if (const auto path = args.get("spec")) {
     // Compiler-generated-callback route: annotations from a spec file,
@@ -81,9 +53,10 @@ ComputationSpec make_computation(const Config& args) {
     }
     return tmpl.instantiate(overrides);
   }
-  return make_app(args.get_or("app", "stencil"),
-                  static_cast<int>(args.get_int_or("n", 600)),
-                  static_cast<int>(args.get_int_or("iterations", 10)));
+  return apps::spec_by_name(
+      args.get_or("app", "stencil"),
+      static_cast<int>(args.get_int_or("n", 600)),
+      static_cast<int>(args.get_int_or("iterations", 10)));
 }
 
 int run(const Config& args) {

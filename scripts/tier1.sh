@@ -12,7 +12,9 @@
 #                               # stage: netpartd --trace-out on a small
 #                               # spec, validated by trace_check (the
 #                               # trace must parse and contain the
-#                               # partitioner / service / adaptive spans),
+#                               # partitioner / service / adaptive spans)
+#                               # and its --metrics-out file grepped for
+#                               # the service's {registry=service} rows,
 #                               # plus a small fleetd run whose merged
 #                               # multi-node trace/metrics/health exports
 #                               # are validated by trace_check --fleet and
@@ -268,6 +270,10 @@ if [[ "$obs_stage" == 1 ]]; then
     adaptive.chunk adaptive.repartition
   grep -q "^counter partitioner.calls" "$workdir/metrics.txt" || {
     echo "metrics.txt lacks partitioner counters" >&2; exit 1; }
+  grep -q "^counter requests{registry=service}" "$workdir/metrics.txt" || {
+    echo "metrics.txt lacks the service's counters" >&2; exit 1; }
+  grep -q "^latency cold{registry=service}" "$workdir/metrics.txt" || {
+    echo "metrics.txt lacks the service's latency rows" >&2; exit 1; }
 
   # Fleet half: a small fleetd run exporting the merged multi-node
   # artifacts, validated structurally (--fleet checks per-node pid lanes,

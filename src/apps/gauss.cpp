@@ -1,11 +1,10 @@
 #include "apps/gauss.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
+#include "apps/spmd_sim.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -181,12 +180,9 @@ class GaussRunner {
               const PartitionVector& partition, const GaussConfig& config,
               std::uint64_t seed, const sim::NetSimParams& sim_params)
       : n_(config.n),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(seed ^ 0x9a55)),
-        mmps_(net_),
-        flop_ms_(build_flop_ms(network, placement)) {
+        sim_(network, placement, sim_params, Rng(seed ^ 0x9a55)) {
     partition.validate(config.n);
-    system_ = make_test_system(config.n, seed);
+    const LinearSystem system = make_test_system(config.n, seed);
     const auto mapping = map_rows(partition, config.n, config.mapping);
     ranks_.resize(placement.size());
     for (std::size_t r = 0; r < ranks_.size(); ++r) {
@@ -195,42 +191,28 @@ class GaussRunner {
         OwnedRow owned;
         owned.global = row;
         owned.a.assign(
-            system_.a.begin() + static_cast<std::ptrdiff_t>(row) * n_,
-            system_.a.begin() + static_cast<std::ptrdiff_t>(row + 1) * n_);
-        owned.b = system_.b[static_cast<std::size_t>(row)];
+            system.a.begin() + static_cast<std::ptrdiff_t>(row) * n_,
+            system.a.begin() + static_cast<std::ptrdiff_t>(row + 1) * n_);
+        owned.b = system.b[static_cast<std::size_t>(row)];
         ranks_[r].rows.push_back(std::move(owned));
       }
     }
   }
 
   DistributedGaussResult run() {
-    for (GaussRank& gr : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &gr] { begin_step(gr); });
-    }
-    engine_.run();
+    const SpmdSim::Outcome outcome = sim_.run([this](int r) {
+      begin_step(ranks_[static_cast<std::size_t>(r)]);
+    });
     NP_ASSERT(static_cast<int>(pivots_.size()) == n_);
-    NP_ASSERT(mmps_.unclaimed() == 0);
 
     DistributedGaussResult result;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     result.x = back_substitute();
     return result;
   }
 
  private:
-  static std::vector<double> build_flop_ms(const Network& network,
-                                           const Placement& placement) {
-    std::vector<double> out;
-    out.reserve(placement.size());
-    for (const ProcessorRef& ref : placement) {
-      out.push_back(
-          network.cluster(ref.cluster).type().flop_time.as_millis());
-    }
-    return out;
-  }
-
   int active_rows(const GaussRank& gr) const {
     int count = 0;
     for (const OwnedRow& row : gr.rows) {
@@ -266,19 +248,15 @@ class GaussRunner {
 
   void begin_step(GaussRank& gr) {
     if (gr.step == n_) {
-      finish_ = std::max(finish_, engine_.now());
+      sim_.finish();
       return;
     }
     const int k = gr.step;
-    const ProcessorRef me = placement_[static_cast<std::size_t>(gr.rank)];
 
     // Local pivot selection: one comparison per active row.
     const SimTime select_end =
-        net_.host(me).reserve(engine_.now(),
-                              SimTime::millis(flop_ms_[static_cast<std::size_t>(
-                                                  gr.rank)] *
-                                              active_rows(gr)));
-    engine_.schedule_at(select_end, [this, &gr, k, me] {
+        sim_.charge(gr.rank, sim_.flop_ms(gr.rank) * active_rows(gr));
+    sim_.engine().schedule_at(select_end, [this, &gr, k] {
       const std::vector<double> candidate = make_candidate(gr, k);
       if (gr.rank == 0) {
         gr.best_value = candidate[1];
@@ -290,11 +268,10 @@ class GaussRunner {
           collect_candidates(gr, k);
         }
       } else {
-        mmps_.send(me, placement_[0], k, mmps::encode_array(
-                                             std::span<const double>(
-                                                 candidate)));
+        sim_.send(gr.rank, 0, k,
+                  mmps::encode_array(std::span<const double>(candidate)));
         // Wait for the elected pivot row from the root.
-        mmps_.recv(me, placement_[0], k, [this, &gr, k](mmps::Message msg) {
+        sim_.recv(gr.rank, 0, k, [this, &gr, k](mmps::Message msg) {
           apply_pivot(gr, k, mmps::decode_array<double>(msg.payload));
         });
       }
@@ -302,20 +279,18 @@ class GaussRunner {
   }
 
   void collect_candidates(GaussRank& root, int k) {
-    for (std::size_t r = 1; r < ranks_.size(); ++r) {
-      mmps_.recv(placement_[0], placement_[r], k,
-                 [this, &root, k](mmps::Message msg) {
-                   const std::vector<double> candidate =
-                       mmps::decode_array<double>(msg.payload);
-                   if (candidate[0] >= 0.0 &&
-                       candidate[1] > root.best_value) {
-                     root.best_value = candidate[1];
-                     root.best_payload = candidate;
-                   }
-                   if (--root.candidates_needed == 0) {
-                     elect_and_broadcast(root, k);
-                   }
-                 });
+    for (int r = 1; r < sim_.size(); ++r) {
+      sim_.recv(0, r, k, [this, &root, k](mmps::Message msg) {
+        const std::vector<double> candidate =
+            mmps::decode_array<double>(msg.payload);
+        if (candidate[0] >= 0.0 && candidate[1] > root.best_value) {
+          root.best_value = candidate[1];
+          root.best_payload = candidate;
+        }
+        if (--root.candidates_needed == 0) {
+          elect_and_broadcast(root, k);
+        }
+      });
     }
   }
 
@@ -327,13 +302,12 @@ class GaussRunner {
     record.column = k;
     record.b = root.best_payload[2];
     record.a.assign(root.best_payload.begin() + 3, root.best_payload.end());
-    pivot_globals_.push_back(static_cast<int>(root.best_payload[0]));
     pivots_.push_back(std::move(record));
 
-    for (std::size_t r = 1; r < ranks_.size(); ++r) {
-      mmps_.send(placement_[0], placement_[r], k,
-                 mmps::encode_array(
-                     std::span<const double>(root.best_payload)));
+    for (int r = 1; r < sim_.size(); ++r) {
+      sim_.send(0, r, k,
+                mmps::encode_array(
+                    std::span<const double>(root.best_payload)));
     }
     apply_pivot(root, k, root.best_payload);
   }
@@ -362,13 +336,11 @@ class GaussRunner {
       row.b -= factor * pivot_b;
     }
 
-    const double ms = flop_ms_[static_cast<std::size_t>(gr.rank)] * 2.0 *
+    const double ms = sim_.flop_ms(gr.rank) * 2.0 *
                       static_cast<double>(n_ - k) * updated;
-    const ProcessorRef me = placement_[static_cast<std::size_t>(gr.rank)];
-    const SimTime end = net_.host(me).reserve(engine_.now(),
-                                              SimTime::millis(ms));
+    const SimTime end = sim_.charge(gr.rank, ms);
     ++gr.step;
-    engine_.schedule_at(end, [this, &gr] { begin_step(gr); });
+    sim_.engine().schedule_at(end, [this, &gr] { begin_step(gr); });
   }
 
   std::vector<double> back_substitute() const {
@@ -386,16 +358,9 @@ class GaussRunner {
   }
 
   int n_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::vector<double> flop_ms_;
-  LinearSystem system_;
+  SpmdSim sim_;
   std::vector<GaussRank> ranks_;
-  std::vector<PivotRecord> pivots_;     ///< in elimination order (root)
-  std::vector<int> pivot_globals_;      ///< winning global rows
-  SimTime finish_;
+  std::vector<PivotRecord> pivots_;  ///< in elimination order (root)
 };
 
 }  // namespace

@@ -26,7 +26,9 @@
 //
 // Telemetry (also accepted as --trace-out FILE / --metrics-out FILE):
 //   trace_out   = Chrome trace-event JSON (chrome://tracing, Perfetto)
-//   metrics_out = deterministic name-ordered metrics text
+//   metrics_out = name-ordered metrics text: the global registry's rows
+//                 plain, the service's counters and hit/cold latencies
+//                 labelled {registry=service}
 // Either flag enables the global telemetry registry and appends a traced
 // adaptive-repartitioning stage after the service run, so the trace shows
 // the full pipeline: partitioner search, service request lifecycles, and
@@ -38,16 +40,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <thread>
 #include <vector>
 
 #include "analysis/preflight.hpp"
-#include "apps/gauss.hpp"
-#include "apps/particles.hpp"
-#include "apps/reduce.hpp"
+#include "apps/catalog.hpp"
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
 #include "calib/model_io.hpp"
@@ -61,6 +60,7 @@
 #include "svc/service.hpp"
 #include "topo/placement.hpp"
 #include "util/config.hpp"
+#include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -76,49 +76,9 @@ Network make_network(const std::string& name) {
 }
 
 ComputationSpec resolve_spec(const svc::PartitionRequest& request) {
-  const int n = static_cast<int>(request.n);
-  const int iterations = request.iterations;
-  if (request.spec == "stencil" || request.spec == "sten2") {
-    return apps::make_stencil_spec(
-        apps::StencilConfig{.n = n, .iterations = iterations,
-                            .overlap = request.spec == "sten2"});
-  }
-  if (request.spec == "gauss") {
-    return apps::make_gauss_spec(apps::GaussConfig{.n = n});
-  }
-  if (request.spec == "particles") {
-    return apps::make_particle_spec(
-        apps::ParticleConfig{.count = n, .iterations = iterations});
-  }
-  if (request.spec == "reduce") {
-    return apps::make_reduce_spec(
-        apps::ReduceConfig{.count = n, .iterations = iterations});
-  }
-  throw InvalidArgument("netpartd: unknown spec " + request.spec);
+  return apps::spec_by_name(request.spec, static_cast<int>(request.n),
+                            request.iterations);
 }
-
-/// Zipf(s) sampler over ranks 0..k-1 by inverse CDF (deterministic: only
-/// Rng::next_double is consumed, one draw per sample).
-class ZipfSampler {
- public:
-  ZipfSampler(int k, double s) : cdf_(static_cast<std::size_t>(k)) {
-    double total = 0.0;
-    for (int i = 0; i < k; ++i) {
-      total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-      cdf_[static_cast<std::size_t>(i)] = total;
-    }
-    for (double& c : cdf_) c /= total;
-  }
-
-  int draw(Rng& rng) const {
-    const double u = rng.next_double();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<int>(it - cdf_.begin());
-  }
-
- private:
-  std::vector<double> cdf_;
-};
 
 /// A small adaptive pipeline under a mid-run load step, appended when
 /// telemetry export is on: it puts the adaptive.chunk / repartition /
@@ -342,7 +302,9 @@ int run(const Config& args) {
     if (metrics_out) {
       std::ofstream out(*metrics_out);
       NP_REQUIRE(out.good(), "cannot open metrics_out path");
-      out << obs::TelemetryRegistry::global().metrics_text();
+      out << obs::merged_metrics_text(
+          {{&obs::TelemetryRegistry::global(), ""},
+           {&service.metrics(), "registry=service"}});
       std::printf("metrics -> %s\n", metrics_out->c_str());
     }
   }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "apps/spmd_sim.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -95,6 +95,8 @@ ParticleState run_sequential_particles(const ParticleConfig& config,
 namespace {
 
 struct ParticleRank {
+  ParticleRank(int r, int size) : rank(r), halo(r, size) {}
+
   int rank = 0;
   std::int64_t lo = 0;
   std::int64_t hi = 0;
@@ -104,9 +106,7 @@ struct ParticleRank {
   double ghost_left = 0.0;
   double ghost_right = 0.0;
   int iter = 0;
-  int ghosts_expected = 0;
-  int ghosts_arrived = 0;
-  bool waiting = false;
+  Halo1D halo;
 };
 
 class ParticleRunner {
@@ -116,40 +116,31 @@ class ParticleRunner {
                  const ParticleConfig& config, std::uint64_t seed,
                  const sim::NetSimParams& sim_params)
       : config_(config),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(seed ^ 0xBEEF)),
-        mmps_(net_),
-        flop_ms_(build_flop_ms(network, placement)) {
+        sim_(network, placement, sim_params, Rng(seed ^ 0xBEEF)) {
     partition.validate(config.count);
     const ParticleState init = make_initial_particles(config, seed);
     const auto ranges = partition.block_ranges();
-    ranks_.resize(placement.size());
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      ParticleRank& pr = ranks_[r];
-      pr.rank = static_cast<int>(r);
-      pr.lo = ranges[r].first;
-      pr.hi = ranges[r].second;
+    ranks_.reserve(placement.size());
+    for (int r = 0; r < sim_.size(); ++r) {
+      ParticleRank& pr = ranks_.emplace_back(r, sim_.size());
+      pr.lo = ranges[static_cast<std::size_t>(r)].first;
+      pr.hi = ranges[static_cast<std::size_t>(r)].second;
       pr.pos.assign(init.position.begin() + pr.lo,
                     init.position.begin() + pr.hi);
       pr.vel.assign(init.velocity.begin() + pr.lo,
                     init.velocity.begin() + pr.hi);
       pr.next_pos.resize(pr.pos.size());
-      pr.ghosts_expected =
-          (r > 0 ? 1 : 0) + (r + 1 < ranks_.size() ? 1 : 0);
     }
   }
 
   DistributedParticlesResult run() {
-    for (ParticleRank& pr : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &pr] { start_iteration(pr); });
-    }
-    engine_.run();
-    NP_ASSERT(mmps_.unclaimed() == 0);
+    const SpmdSim::Outcome outcome = sim_.run([this](int r) {
+      start_iteration(ranks_[static_cast<std::size_t>(r)]);
+    });
 
     DistributedParticlesResult result;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     result.state.position.resize(
         static_cast<std::size_t>(config_.count));
     result.state.velocity.resize(
@@ -164,61 +155,36 @@ class ParticleRunner {
   }
 
  private:
-  static std::vector<double> build_flop_ms(const Network& network,
-                                           const Placement& placement) {
-    std::vector<double> out;
-    out.reserve(placement.size());
-    for (const ProcessorRef& ref : placement) {
-      out.push_back(
-          network.cluster(ref.cluster).type().flop_time.as_millis());
-    }
-    return out;
-  }
-
   void start_iteration(ParticleRank& pr) {
     if (pr.iter == config_.iterations) {
-      finish_ = std::max(finish_, engine_.now());
+      sim_.finish();
       return;
     }
-    const ProcessorRef me = placement_[static_cast<std::size_t>(pr.rank)];
 
     // Post ghost receives, then send our boundary positions.
-    const auto install = [this, &pr](bool from_left) {
-      return [this, &pr, from_left](mmps::Message msg) {
+    const auto install = [&pr](double& ghost) {
+      return [&pr, &ghost](mmps::Message msg) {
         const std::vector<double> v = mmps::decode_array<double>(msg.payload);
         NP_ASSERT(v.size() == 1);
-        (from_left ? pr.ghost_left : pr.ghost_right) = v[0];
-        ++pr.ghosts_arrived;
-        if (pr.waiting && pr.ghosts_arrived == pr.ghosts_expected) {
-          pr.waiting = false;
-          integrate(pr);
-        }
+        ghost = v[0];
+        pr.halo.arrived();
       };
     };
     if (pr.rank > 0) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(pr.rank - 1)],
-                 pr.iter, install(/*from_left=*/true));
+      sim_.recv(pr.rank, pr.rank - 1, pr.iter, install(pr.ghost_left));
       const double boundary[] = {pr.pos.front()};
-      mmps_.send(me, placement_[static_cast<std::size_t>(pr.rank - 1)],
-                 pr.iter,
-                 mmps::encode_array(std::span<const double>(boundary)));
+      sim_.send(pr.rank, pr.rank - 1, pr.iter,
+                mmps::encode_array(std::span<const double>(boundary)));
     }
-    if (pr.rank + 1 < static_cast<int>(ranks_.size())) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(pr.rank + 1)],
-                 pr.iter, install(/*from_left=*/false));
+    if (pr.rank + 1 < sim_.size()) {
+      sim_.recv(pr.rank, pr.rank + 1, pr.iter, install(pr.ghost_right));
       const double boundary[] = {pr.pos.back()};
-      mmps_.send(me, placement_[static_cast<std::size_t>(pr.rank + 1)],
-                 pr.iter,
-                 mmps::encode_array(std::span<const double>(boundary)));
+      sim_.send(pr.rank, pr.rank + 1, pr.iter,
+                mmps::encode_array(std::span<const double>(boundary)));
     }
 
-    const SimTime ready = net_.host(me).busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()), [this, &pr] {
-      if (pr.ghosts_arrived < pr.ghosts_expected) {
-        pr.waiting = true;
-        return;
-      }
-      integrate(pr);
+    sim_.after_sends(pr.rank, [this, &pr] {
+      pr.halo.when_complete([this, &pr] { integrate(pr); });
     });
   }
 
@@ -243,24 +209,17 @@ class ParticleRunner {
     }
     pr.pos.swap(pr.next_pos);
 
-    const double ms = flop_ms_[static_cast<std::size_t>(pr.rank)] * 9.0 *
-                      static_cast<double>(count);
-    const ProcessorRef me = placement_[static_cast<std::size_t>(pr.rank)];
-    const SimTime end =
-        net_.host(me).reserve(engine_.now(), SimTime::millis(ms));
+    const double ms =
+        sim_.flop_ms(pr.rank) * 9.0 * static_cast<double>(count);
+    const SimTime end = sim_.charge(pr.rank, ms);
     ++pr.iter;
-    pr.ghosts_arrived = 0;
-    engine_.schedule_at(end, [this, &pr] { start_iteration(pr); });
+    pr.halo.reset();
+    sim_.engine().schedule_at(end, [this, &pr] { start_iteration(pr); });
   }
 
   ParticleConfig config_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::vector<double> flop_ms_;
+  SpmdSim sim_;
   std::vector<ParticleRank> ranks_;
-  SimTime finish_;
 };
 
 }  // namespace

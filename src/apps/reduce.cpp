@@ -1,9 +1,7 @@
 #include "apps/reduce.hpp"
 
-#include <memory>
-
+#include "apps/spmd_sim.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -49,8 +47,9 @@ namespace {
 
 struct ReduceRank {
   int rank = 0;
-  double local = 0.0;     ///< local block sum (computed once per iteration)
-  double combined = 0.0;  ///< local + children partials
+  double local = 0.0;      ///< local block sum (computed once per iteration)
+  std::int64_t count = 0;  ///< owned values
+  double combined = 0.0;   ///< local + children partials
   int children_expected = 0;
   int children_arrived = 0;
   int iter = 0;
@@ -63,10 +62,7 @@ class ReduceRunner {
                const PartitionVector& partition, const ReduceConfig& config,
                std::uint64_t seed, const sim::NetSimParams& sim_params)
       : config_(config),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(seed ^ 0x7EE5)),
-        mmps_(net_),
-        flop_ms_(build_flop_ms(network, placement)) {
+        sim_(network, placement, sim_params, Rng(seed ^ 0x7EE5)) {
     partition.validate(config.count);
     const std::vector<double> input =
         make_reduce_input(config.count, seed);
@@ -81,71 +77,49 @@ class ReduceRunner {
         sum += input[static_cast<std::size_t>(i)];
       }
       rr.local = sum;
+      rr.count = ranges[r].second - ranges[r].first;
       const int left = 2 * rr.rank + 1;
       const int right = 2 * rr.rank + 2;
       rr.children_expected = (left < p ? 1 : 0) + (right < p ? 1 : 0);
     }
-    blocks_ = ranges;
   }
 
   DistributedReduceResult run() {
-    for (ReduceRank& rr : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &rr] { start_iteration(rr); });
-    }
-    engine_.run();
-    NP_ASSERT(mmps_.unclaimed() == 0);
+    const SpmdSim::Outcome outcome = sim_.run([this](int r) {
+      start_iteration(ranks_[static_cast<std::size_t>(r)]);
+    });
     DistributedReduceResult result;
     result.value = root_value_;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     return result;
   }
 
  private:
-  static std::vector<double> build_flop_ms(const Network& network,
-                                           const Placement& placement) {
-    std::vector<double> out;
-    out.reserve(placement.size());
-    for (const ProcessorRef& ref : placement) {
-      out.push_back(
-          network.cluster(ref.cluster).type().flop_time.as_millis());
-    }
-    return out;
-  }
-
   void start_iteration(ReduceRank& rr) {
     if (rr.iter == config_.iterations) {
-      finish_ = std::max(finish_, engine_.now());
+      sim_.finish();
       return;
     }
     // Local block sum: one add per owned value.
-    const std::int64_t count =
-        blocks_[static_cast<std::size_t>(rr.rank)].second -
-        blocks_[static_cast<std::size_t>(rr.rank)].first;
-    const ProcessorRef me = placement_[static_cast<std::size_t>(rr.rank)];
-    const SimTime end = net_.host(me).reserve(
-        engine_.now(),
-        SimTime::millis(flop_ms_[static_cast<std::size_t>(rr.rank)] *
-                        static_cast<double>(count)));
+    const SimTime end = sim_.charge(
+        rr.rank, sim_.flop_ms(rr.rank) * static_cast<double>(rr.count));
     rr.combined = rr.local;
     rr.children_arrived = 0;
     rr.local_done = false;
 
     // Children partials may arrive at any time; post the receives now.
-    const int p = static_cast<int>(ranks_.size());
     for (const int child : {2 * rr.rank + 1, 2 * rr.rank + 2}) {
-      if (child >= p) continue;
-      mmps_.recv(me, placement_[static_cast<std::size_t>(child)], rr.iter,
-                 [this, &rr](mmps::Message msg) {
-                   const auto v = mmps::decode_array<double>(msg.payload);
-                   NP_ASSERT(v.size() == 1);
-                   rr.combined += v[0];
-                   ++rr.children_arrived;
-                   maybe_forward(rr);
-                 });
+      if (child >= sim_.size()) continue;
+      sim_.recv(rr.rank, child, rr.iter, [this, &rr](mmps::Message msg) {
+        const auto v = mmps::decode_array<double>(msg.payload);
+        NP_ASSERT(v.size() == 1);
+        rr.combined += v[0];
+        ++rr.children_arrived;
+        maybe_forward(rr);
+      });
     }
-    engine_.schedule_at(end, [this, &rr] {
+    sim_.engine().schedule_at(end, [this, &rr] {
       rr.local_done = true;
       maybe_forward(rr);
     });
@@ -157,31 +131,21 @@ class ReduceRunner {
     if (!rr.local_done || rr.children_arrived != rr.children_expected) {
       return;
     }
-    const ProcessorRef me = placement_[static_cast<std::size_t>(rr.rank)];
     if (rr.rank == 0) {
       root_value_ = rr.combined;
     } else {
-      const int parent = (rr.rank - 1) / 2;
       const double payload[] = {rr.combined};
-      mmps_.send(me, placement_[static_cast<std::size_t>(parent)], rr.iter,
-                 mmps::encode_array(std::span<const double>(payload)));
+      sim_.send(rr.rank, (rr.rank - 1) / 2, rr.iter,
+                mmps::encode_array(std::span<const double>(payload)));
     }
     ++rr.iter;
-    const SimTime ready = net_.host(me).busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()),
-                        [this, &rr] { start_iteration(rr); });
+    sim_.after_sends(rr.rank, [this, &rr] { start_iteration(rr); });
   }
 
   ReduceConfig config_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::vector<double> flop_ms_;
+  SpmdSim sim_;
   std::vector<ReduceRank> ranks_;
-  std::vector<std::pair<std::int64_t, std::int64_t>> blocks_;
   double root_value_ = 0.0;
-  SimTime finish_;
 };
 
 }  // namespace

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "apps/spmd_sim.hpp"
 #include "apps/stencil.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
 #include "util/error.hpp"
 
 namespace netpart::apps {
@@ -95,15 +95,15 @@ std::vector<double> run_sequential_solver(const SolverConfig& config,
 namespace {
 
 struct SolverRank {
+  SolverRank(int r, int size) : rank(r), halo(r, size) {}
+
   int rank = 0;
   int lo = 0;
   int hi = 0;
   std::vector<float> cur;
   std::vector<float> next;
   int iter = 0;
-  int ghosts_expected = 0;
-  int ghosts_arrived = 0;
-  bool waiting_ghosts = false;
+  Halo1D halo;
   // Norm reduction state.
   double own_residual = 0.0;
   double child_partial[2] = {0.0, 0.0};
@@ -120,27 +120,16 @@ class SolverRunner {
                const sim::NetSimParams& sim_params)
       : n_(config.n),
         iterations_(config.iterations),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(23)),
-        mmps_(net_),
-        flop_ms_([&] {
-          std::vector<double> out;
-          for (const ProcessorRef& ref : placement) {
-            out.push_back(
-                network.cluster(ref.cluster).type().flop_time.as_millis());
-          }
-          return out;
-        }()) {
+        sim_(network, placement, sim_params, Rng(23)) {
     partition.validate(config.n);
     const std::vector<float> init = make_initial_grid(n_);
     const auto ranges = partition.block_ranges();
-    const int p = static_cast<int>(placement.size());
-    ranks_.resize(placement.size());
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      SolverRank& sr = ranks_[r];
-      sr.rank = static_cast<int>(r);
-      sr.lo = static_cast<int>(ranges[r].first);
-      sr.hi = static_cast<int>(ranges[r].second);
+    const int p = sim_.size();
+    ranks_.reserve(placement.size());
+    for (int r = 0; r < p; ++r) {
+      SolverRank& sr = ranks_.emplace_back(r, p);
+      sr.lo = static_cast<int>(ranges[static_cast<std::size_t>(r)].first);
+      sr.hi = static_cast<int>(ranges[static_cast<std::size_t>(r)].second);
       const int rows = sr.hi - sr.lo;
       sr.cur.assign(static_cast<std::size_t>(rows + 2) * n_, 0.0f);
       for (int row = sr.lo; row < sr.hi; ++row) {
@@ -150,8 +139,6 @@ class SolverRunner {
                         static_cast<std::ptrdiff_t>(row - sr.lo + 1) * n_);
       }
       sr.next = sr.cur;
-      sr.ghosts_expected =
-          (r > 0 ? 1 : 0) + (r + 1 < ranks_.size() ? 1 : 0);
       sr.children_expected = (2 * sr.rank + 1 < p ? 1 : 0) +
                              (2 * sr.rank + 2 < p ? 1 : 0);
     }
@@ -159,15 +146,12 @@ class SolverRunner {
   }
 
   DistributedSolverResult run() {
-    for (SolverRank& sr : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &sr] { start_iteration(sr); });
-    }
-    engine_.run();
-    NP_ASSERT(mmps_.unclaimed() == 0);
+    const SpmdSim::Outcome outcome = sim_.run([this](int r) {
+      start_iteration(ranks_[static_cast<std::size_t>(r)]);
+    });
     DistributedSolverResult result;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     result.residuals = residuals_;
     result.grid.assign(static_cast<std::size_t>(n_) * n_, 0.0f);
     for (const SolverRank& sr : ranks_) {
@@ -189,32 +173,31 @@ class SolverRunner {
 
   void start_iteration(SolverRank& sr) {
     if (sr.iter == iterations_) {
-      finish_ = std::max(finish_, engine_.now());
+      sim_.finish();
       return;
     }
-    sr.ghosts_arrived = 0;
+    sr.halo.reset();
     sr.children_arrived = 0;
     sr.child_seen[0] = sr.child_seen[1] = false;
     sr.sweep_done = false;
 
-    const ProcessorRef me = placement_[static_cast<std::size_t>(sr.rank)];
     const int rows = sr.hi - sr.lo;
-    const int p = static_cast<int>(ranks_.size());
+    const int p = sim_.size();
 
     // Norm-phase receives from tree children can arrive any time after
     // the children finish their sweeps; install handlers up front.
     for (int side = 0; side < 2; ++side) {
       const int child = 2 * sr.rank + 1 + side;
       if (child >= p) continue;
-      mmps_.recv(me, placement_[static_cast<std::size_t>(child)],
-                 norm_tag(sr.iter), [this, &sr, side](mmps::Message msg) {
-                   const auto v = mmps::decode_array<double>(msg.payload);
-                   NP_ASSERT(v.size() == 1);
-                   sr.child_partial[side] = v[0];
-                   sr.child_seen[side] = true;
-                   ++sr.children_arrived;
-                   maybe_reduce(sr);
-                 });
+      sim_.recv(sr.rank, child, norm_tag(sr.iter),
+                [this, &sr, side](mmps::Message msg) {
+                  const auto v = mmps::decode_array<double>(msg.payload);
+                  NP_ASSERT(v.size() == 1);
+                  sr.child_partial[side] = v[0];
+                  sr.child_seen[side] = true;
+                  ++sr.children_arrived;
+                  maybe_reduce(sr);
+                });
     }
 
     // Halo exchange (tag parity distinguishes the phases).
@@ -223,36 +206,25 @@ class SolverRunner {
         const std::vector<float> row = mmps::decode_array<float>(msg.payload);
         NP_ASSERT(static_cast<int>(row.size()) == n_);
         std::copy(row.begin(), row.end(), row_ptr(sr.cur, local_row));
-        ++sr.ghosts_arrived;
-        if (sr.waiting_ghosts &&
-            sr.ghosts_arrived == sr.ghosts_expected) {
-          sr.waiting_ghosts = false;
-          do_sweep(sr);
-        }
+        sr.halo.arrived();
       };
     };
     if (sr.rank > 0) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(sr.rank - 1)],
-                 border_tag(sr.iter), install_ghost(0));
+      sim_.recv(sr.rank, sr.rank - 1, border_tag(sr.iter), install_ghost(0));
       const std::span<const float> row(row_ptr(sr.cur, 1), n_);
-      mmps_.send(me, placement_[static_cast<std::size_t>(sr.rank - 1)],
-                 border_tag(sr.iter), mmps::encode_array(row));
+      sim_.send(sr.rank, sr.rank - 1, border_tag(sr.iter),
+                mmps::encode_array(row));
     }
     if (sr.rank + 1 < p) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(sr.rank + 1)],
-                 border_tag(sr.iter), install_ghost(rows + 1));
+      sim_.recv(sr.rank, sr.rank + 1, border_tag(sr.iter),
+                install_ghost(rows + 1));
       const std::span<const float> row(row_ptr(sr.cur, rows), n_);
-      mmps_.send(me, placement_[static_cast<std::size_t>(sr.rank + 1)],
-                 border_tag(sr.iter), mmps::encode_array(row));
+      sim_.send(sr.rank, sr.rank + 1, border_tag(sr.iter),
+                mmps::encode_array(row));
     }
 
-    const SimTime ready = net_.host(me).busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()), [this, &sr] {
-      if (sr.ghosts_arrived < sr.ghosts_expected) {
-        sr.waiting_ghosts = true;
-        return;
-      }
-      do_sweep(sr);
+    sim_.after_sends(sr.rank, [this, &sr] {
+      sr.halo.when_complete([this, &sr] { do_sweep(sr); });
     });
   }
 
@@ -267,12 +239,8 @@ class SolverRunner {
     }
     sr.cur.swap(sr.next);
 
-    const ProcessorRef me = placement_[static_cast<std::size_t>(sr.rank)];
-    const double ms = flop_ms_[static_cast<std::size_t>(sr.rank)] * 6.0 *
-                      n_ * rows;
-    const SimTime end =
-        net_.host(me).reserve(engine_.now(), SimTime::millis(ms));
-    engine_.schedule_at(end, [this, &sr] {
+    const double ms = sim_.flop_ms(sr.rank) * 6.0 * n_ * rows;
+    sim_.engine().schedule_at(sim_.charge(sr.rank, ms), [this, &sr] {
       sr.sweep_done = true;
       maybe_reduce(sr);
     });
@@ -288,20 +256,15 @@ class SolverRunner {
     if (sr.child_seen[0]) combined += sr.child_partial[0];
     if (sr.child_seen[1]) combined += sr.child_partial[1];
 
-    const ProcessorRef me = placement_[static_cast<std::size_t>(sr.rank)];
     if (sr.rank == 0) {
       residuals_.push_back(combined);
     } else {
-      const int parent = (sr.rank - 1) / 2;
       const double payload[] = {combined};
-      mmps_.send(me, placement_[static_cast<std::size_t>(parent)],
-                 norm_tag(sr.iter),
-                 mmps::encode_array(std::span<const double>(payload)));
+      sim_.send(sr.rank, (sr.rank - 1) / 2, norm_tag(sr.iter),
+                mmps::encode_array(std::span<const double>(payload)));
     }
     ++sr.iter;
-    const SimTime ready = net_.host(me).busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()),
-                        [this, &sr] { start_iteration(sr); });
+    sim_.after_sends(sr.rank, [this, &sr] { start_iteration(sr); });
   }
 
   static std::int32_t border_tag(int iter) { return 2 * iter; }
@@ -309,14 +272,9 @@ class SolverRunner {
 
   int n_;
   int iterations_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::vector<double> flop_ms_;
+  SpmdSim sim_;
   std::vector<SolverRank> ranks_;
   std::vector<double> residuals_;
-  SimTime finish_;
 };
 
 }  // namespace

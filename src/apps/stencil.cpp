@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
+#include <functional>
 #include <mutex>
-#include <optional>
 #include <utility>
 
+#include "apps/spmd_sim.hpp"
 #include "exec/threaded.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
-#include "sim/faults.hpp"
 #include "util/error.hpp"
 
 namespace netpart::apps {
@@ -110,15 +108,15 @@ namespace {
 /// row above and below the owned block: local row r maps to global row
 /// lo + r - 1.
 struct RankState {
+  RankState(int r, int size) : rank(r), halo(r, size) {}
+
   int rank = 0;
   int lo = 0;  ///< first owned global row
   int hi = 0;  ///< one past last owned global row
   std::vector<float> cur;   ///< (rows + 2) x n, ghosts at local 0 and rows+1
   std::vector<float> next;
   int iter = 0;
-  int ghosts_expected = 0;
-  int ghosts_arrived = 0;
-  bool waiting = false;
+  Halo1D halo;
 };
 
 class StencilRunner {
@@ -131,22 +129,15 @@ class StencilRunner {
       : n_(config.n),
         iterations_(config.iterations),
         overlap_(config.overlap),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(11)),
-        mmps_(net_),
-        flop_ms_(build_flop_ms(network, placement)) {
-    if (faults != nullptr && !faults->empty()) {
-      injector_.emplace(net_, *faults, fault_origin);
-    }
+        sim_(network, placement, sim_params, Rng(11), faults, fault_origin) {
     partition.validate(config.n);
     const std::vector<float> init = make_initial_grid(n_);
     const auto ranges = partition.block_ranges();
-    ranks_.resize(placement.size());
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      RankState& rs = ranks_[r];
-      rs.rank = static_cast<int>(r);
-      rs.lo = static_cast<int>(ranges[r].first);
-      rs.hi = static_cast<int>(ranges[r].second);
+    ranks_.reserve(placement.size());
+    for (int r = 0; r < sim_.size(); ++r) {
+      RankState& rs = ranks_.emplace_back(r, sim_.size());
+      rs.lo = static_cast<int>(ranges[static_cast<std::size_t>(r)].first);
+      rs.hi = static_cast<int>(ranges[static_cast<std::size_t>(r)].second);
       const int rows = rs.hi - rs.lo;
       rs.cur.assign(static_cast<std::size_t>(rows + 2) * n_, 0.0f);
       rs.next = rs.cur;
@@ -155,28 +146,20 @@ class StencilRunner {
                     rs.cur.begin() +
                         static_cast<std::ptrdiff_t>(row - rs.lo + 1) * n_);
       }
-      rs.ghosts_expected = (r > 0 ? 1 : 0) +
-                           (r + 1 < ranks_.size() ? 1 : 0);
     }
   }
 
   DistributedStencilResult run() {
-    if (injector_.has_value()) {
-      injector_->arm();
-    }
-    for (RankState& rs : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &rs] { start_iteration(rs); });
-    }
-    engine_.run();
-    NP_ASSERT(mmps_.unclaimed() == 0);
+    const SpmdSim::Outcome outcome = sim_.run([this](int r) {
+      start_iteration(ranks_[static_cast<std::size_t>(r)]);
+    });
     for (const RankState& rs : ranks_) {
       NP_ASSERT(rs.iter == iterations_);
     }
 
     DistributedStencilResult result;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     result.grid.assign(static_cast<std::size_t>(n_) * n_, 0.0f);
     for (const RankState& rs : ranks_) {
       for (int row = rs.lo; row < rs.hi; ++row) {
@@ -191,32 +174,18 @@ class StencilRunner {
   }
 
  private:
-  static std::vector<double> build_flop_ms(const Network& network,
-                                           const Placement& placement) {
-    std::vector<double> out;
-    out.reserve(placement.size());
-    for (const ProcessorRef& ref : placement) {
-      out.push_back(network.cluster(ref.cluster).type().flop_time.as_millis());
-    }
-    return out;
-  }
-
   float* row_ptr(std::vector<float>& buf, int local_row) {
     return buf.data() + static_cast<std::ptrdiff_t>(local_row) * n_;
   }
 
   void start_iteration(RankState& rs) {
     if (rs.iter == iterations_) {
-      finish_ = std::max(finish_, engine_.now());
+      sim_.finish();
       return;
     }
     post_recvs(rs);
     send_borders(rs);
-    // Resume once the host finishes initiating the sends.
-    const SimTime ready =
-        net_.host(placement_[static_cast<std::size_t>(rs.rank)])
-            .busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()), [this, &rs] {
+    sim_.after_sends(rs.rank, [this, &rs] {
       if (overlap_) {
         compute_then_wait(rs);
       } else {
@@ -226,79 +195,53 @@ class StencilRunner {
   }
 
   void send_borders(RankState& rs) {
-    const ProcessorRef me = placement_[static_cast<std::size_t>(rs.rank)];
     const int rows = rs.hi - rs.lo;
     if (rs.rank > 0) {
       const std::span<const float> row(row_ptr(rs.cur, 1), n_);
-      mmps_.send(me, placement_[static_cast<std::size_t>(rs.rank - 1)],
-                 rs.iter, mmps::encode_array(row));
+      sim_.send(rs.rank, rs.rank - 1, rs.iter, mmps::encode_array(row));
     }
-    if (rs.rank + 1 < static_cast<int>(ranks_.size())) {
+    if (rs.rank + 1 < sim_.size()) {
       const std::span<const float> row(row_ptr(rs.cur, rows), n_);
-      mmps_.send(me, placement_[static_cast<std::size_t>(rs.rank + 1)],
-                 rs.iter, mmps::encode_array(row));
+      sim_.send(rs.rank, rs.rank + 1, rs.iter, mmps::encode_array(row));
     }
   }
 
   void post_recvs(RankState& rs) {
-    const ProcessorRef me = placement_[static_cast<std::size_t>(rs.rank)];
     const int rows = rs.hi - rs.lo;
     const auto install = [this, &rs](int local_row) {
       return [this, &rs, local_row](mmps::Message msg) {
         const std::vector<float> row = mmps::decode_array<float>(msg.payload);
         NP_ASSERT(static_cast<int>(row.size()) == n_);
         std::copy(row.begin(), row.end(), row_ptr(rs.cur, local_row));
-        ++rs.ghosts_arrived;
-        if (rs.waiting && rs.ghosts_arrived == rs.ghosts_expected) {
-          rs.waiting = false;
-          compute_border_rows(rs);
-        }
+        rs.halo.arrived();
       };
     };
     if (rs.rank > 0) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(rs.rank - 1)],
-                 rs.iter, install(0));
+      sim_.recv(rs.rank, rs.rank - 1, rs.iter, install(0));
     }
-    if (rs.rank + 1 < static_cast<int>(ranks_.size())) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(rs.rank + 1)],
-                 rs.iter, install(rows + 1));
+    if (rs.rank + 1 < sim_.size()) {
+      sim_.recv(rs.rank, rs.rank + 1, rs.iter, install(rows + 1));
     }
   }
 
   /// STEN-1: block for ghosts, then compute the whole owned block.
   void wait_then_compute(RankState& rs) {
-    if (rs.ghosts_arrived < rs.ghosts_expected) {
-      rs.waiting = true;
-      return;
-    }
-    compute_rows(rs, rs.lo, rs.hi, [this, &rs] { finish_iteration(rs); });
-  }
-
-  /// STEN-2: compute rows that need no ghosts while borders are in flight,
-  /// then the two border rows once the ghosts arrive.
-  void compute_then_wait(RankState& rs) {
-    const int interior_lo = rs.lo + 1;
-    const int interior_hi = rs.hi - 1;
-    compute_rows(rs, interior_lo, interior_hi, [this, &rs] {
-      if (rs.ghosts_arrived < rs.ghosts_expected) {
-        rs.waiting = true;
-        return;
-      }
-      compute_border_rows(rs);
+    rs.halo.when_complete([this, &rs] {
+      compute_rows(rs, rs.lo, rs.hi, [this, &rs] { finish_iteration(rs); });
     });
   }
 
-  void compute_border_rows(RankState& rs) {
-    if (overlap_) {
-      // The interior is done; finish the first and last owned rows.
-      compute_rows(rs, rs.lo, std::min(rs.lo + 1, rs.hi),
-                   [this, &rs] {
-                     compute_rows(rs, std::max(rs.hi - 1, rs.lo + 1), rs.hi,
-                                  [this, &rs] { finish_iteration(rs); });
-                   });
-    } else {
-      compute_rows(rs, rs.lo, rs.hi, [this, &rs] { finish_iteration(rs); });
-    }
+  /// STEN-2: compute rows that need no ghosts while borders are in flight,
+  /// then the first and last owned rows once the ghosts arrive.
+  void compute_then_wait(RankState& rs) {
+    compute_rows(rs, rs.lo + 1, rs.hi - 1, [this, &rs] {
+      rs.halo.when_complete([this, &rs] {
+        compute_rows(rs, rs.lo, std::min(rs.lo + 1, rs.hi), [this, &rs] {
+          compute_rows(rs, std::max(rs.hi - 1, rs.lo + 1), rs.hi,
+                       [this, &rs] { finish_iteration(rs); });
+        });
+      });
+    });
   }
 
   /// Relax owned global rows [glo, ghi) into `next`, charging host time at
@@ -322,12 +265,8 @@ class StencilRunner {
         out[j] = 0.25f * (above[j] + below[j] + here[j - 1] + here[j + 1]);
       }
     }
-    const double ms =
-        flop_ms_[static_cast<std::size_t>(rs.rank)] * 5.0 * n_ * updated;
-    const SimTime end =
-        net_.host(placement_[static_cast<std::size_t>(rs.rank)])
-            .reserve(engine_.now(), SimTime::millis(ms));
-    engine_.schedule_at(end, std::move(done));
+    const double ms = sim_.flop_ms(rs.rank) * 5.0 * n_ * updated;
+    sim_.engine().schedule_at(sim_.charge(rs.rank, ms), std::move(done));
   }
 
   void finish_iteration(RankState& rs) {
@@ -341,21 +280,15 @@ class StencilRunner {
     }
     rs.cur.swap(rs.next);
     ++rs.iter;
-    rs.ghosts_arrived = 0;
+    rs.halo.reset();
     start_iteration(rs);
   }
 
   int n_;
   int iterations_;
   bool overlap_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::optional<sim::FaultInjector> injector_;
-  std::vector<double> flop_ms_;
+  SpmdSim sim_;
   std::vector<RankState> ranks_;
-  SimTime finish_;
 };
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "fleet/driver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "util/error.hpp"
@@ -42,15 +41,7 @@ WorkloadResult run_workload(Fleet& fleet, const WorkloadOptions& options) {
              "workload needs at least one distinct key");
   sim::Engine& engine = fleet.net().engine();
 
-  // Zipf CDF over the key universe (inverse-CDF draws below).
-  std::vector<double> cdf(static_cast<std::size_t>(options.distinct_keys));
-  double total = 0.0;
-  for (int i = 0; i < options.distinct_keys; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), options.zipf_s);
-    cdf[static_cast<std::size_t>(i)] = total;
-  }
-  for (double& c : cdf) c /= total;
-
+  const ZipfSampler zipf(options.distinct_keys, options.zipf_s);
   Rng rng = Rng(options.seed).stream(/*salt=*/0x667765656c74);  // "fleet"
   WorkloadResult result;
   int completed = 0;
@@ -77,11 +68,9 @@ WorkloadResult run_workload(Fleet& fleet, const WorkloadOptions& options) {
         ++completed;
         return;
       }
-      const double u = rng.next_double();
-      const int idx = static_cast<int>(
-          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      const svc::PartitionRequest request = workload_request(zipf.draw(rng));
       ++result.submitted;
-      fleet.submit(workload_request(idx), entry, [&](const FleetReply& r) {
+      fleet.submit(request, entry, [&](const FleetReply& r) {
         ++completed;
         if (r.ok) {
           ++result.ok;

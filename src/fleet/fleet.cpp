@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "net/builder.hpp"
@@ -8,6 +9,25 @@
 #include "util/error.hpp"
 
 namespace netpart::fleet {
+
+namespace {
+
+/// Decode a frame received at `node`.  One that fails to decode is counted
+/// in the node's `fleet.bad_frames` and dropped; the counter is created on
+/// first use, so a clean run's metrics carry no such row.
+template <typename Decode>
+auto decode_or_count(FleetNode& node, Decode decode,
+                     const std::vector<std::byte>& bytes)
+    -> std::optional<decltype(decode(bytes))> {
+  try {
+    return decode(bytes);
+  } catch (const InvalidArgument&) {
+    node.telemetry().counter("fleet.bad_frames").add();
+    return std::nullopt;
+  }
+}
+
+}  // namespace
 
 Network make_fleet_network(int nodes, int processors_per_cluster) {
   NP_REQUIRE(nodes >= 1, "fleet needs at least one node");
@@ -50,16 +70,15 @@ Fleet::Fleet(sim::NetSim& net, FleetOptions options, ColdPath cold_path)
   // registries are the recording surface either way.
   options_.tracing =
       options_.tracing || obs::TelemetryRegistry::global_enabled();
-  options_.node.tracing = options_.tracing;
-  options_.node.trace_seed = options_.trace_seed;
   std::vector<NodeId> ids;
   ids.reserve(clusters);
   for (int c = 0; c < clusters; ++c) ids.push_back(c);
   const SimTime now = net_.engine().now();
   nodes_.reserve(clusters);
   for (NodeId id : ids) {
-    nodes_.push_back(std::make_unique<FleetNode>(id, ids, now, options_.peer,
-                                                 options_.node));
+    nodes_.push_back(std::make_unique<FleetNode>(
+        id, ids, now, options_.peer, options_.node, options_.tracing,
+        options_.trace_seed));
   }
 }
 
@@ -168,33 +187,41 @@ void Fleet::observe_announce(NodeId at, const EpochAnnounce& announce) {
 void Fleet::arm_heartbeat(NodeId n) {
   mmps_.recv_any(host_of(n), kHeartbeatTag, [this, n](mmps::Message msg) {
     arm_heartbeat(n);
-    observe_announce(n, decode_announce(msg.payload));
+    if (const auto announce =
+            decode_or_count(node(n), decode_announce, msg.payload)) {
+      observe_announce(n, *announce);
+    }
   });
 }
 
 void Fleet::arm_gossip(NodeId n) {
   mmps_.recv_any(host_of(n), kGossipTag, [this, n](mmps::Message msg) {
     arm_gossip(n);
-    observe_announce(n, decode_announce(msg.payload));
+    if (const auto announce =
+            decode_or_count(node(n), decode_announce, msg.payload)) {
+      observe_announce(n, *announce);
+    }
   });
 }
 
 void Fleet::arm_replicate(NodeId n) {
   mmps_.recv_any(host_of(n), kReplicateTag, [this, n](mmps::Message msg) {
     arm_replicate(n);
-    ReplicateEnvelope envelope = decode_replicate(msg.payload);
+    std::optional<ReplicateEnvelope> envelope =
+        decode_or_count(node(n), decode_replicate, msg.payload);
+    if (!envelope) return;
     // A push computed under an older epoch than this node's is already
     // stale; dropping it here is the same rule invalidate_before applies.
-    const bool accepted = envelope.decision.epoch >= node(n).epoch();
+    const bool accepted = envelope->decision.epoch >= node(n).epoch();
     // Materialise the carried context as a point span on the replica's
     // lane: the owner minted this identity when it pushed, so the merged
     // trace shows serve -> replicate edges across nodes.
     const SimTime now = net_.engine().now();
-    record_node_span(n, "fleet.replicate", envelope.trace, now, now,
+    record_node_span(n, "fleet.replicate", envelope->trace, now, now,
                      {{"accepted", JsonValue(accepted)}});
     if (!accepted) return;
     node(n).cache().insert(std::make_shared<svc::PartitionDecision>(
-        std::move(envelope.decision)));
+        std::move(envelope->decision)));
     ++stats_.replica_inserts;
   });
 }
@@ -202,33 +229,34 @@ void Fleet::arm_replicate(NodeId n) {
 void Fleet::arm_forward(NodeId n) {
   mmps_.recv_any(host_of(n), kForwardTag, [this, n](mmps::Message msg) {
     arm_forward(n);
-    const ForwardEnvelope envelope = decode_forward(msg.payload);
-    WireWriter reply;
+    const std::optional<ForwardEnvelope> envelope =
+        decode_or_count(node(n), decode_forward, msg.payload);
+    if (!envelope) return;
     try {
       const SimTime received = net_.engine().now();
       const Served served =
-          serve_at(n, envelope.request, envelope.routing_key,
-                   /*owner_side=*/true, envelope.trace);
+          serve_at(n, envelope->request, envelope->routing_key,
+                   /*owner_side=*/true, envelope->trace);
       // Receive and ready stamps ride the reply so the relay can split
       // forward-wire, owner-compute, and reply-wire time (sim clocks are
       // globally consistent, so the stamps need no skew correction).
-      reply.u8(1)
-          .u8(served.hit ? 1 : 0)
-          .f64(received.as_micros())
-          .f64(served.ready_at.as_micros());
-      encode_decision_into(reply, *served.decision);
+      ForwardReply reply;
+      reply.ok = true;
+      reply.hit = served.hit;
+      reply.received_us = received.as_micros();
+      reply.ready_us = served.ready_at.as_micros();
+      reply.decision = served.decision;
       net_.engine().schedule_at(
           served.ready_at,
-          [this, n, from = envelope.from, tag = envelope.reply_tag,
-           bytes = reply.take()]() mutable {
+          [this, n, from = envelope->from, tag = envelope->reply_tag,
+           bytes = encode_forward_reply(reply)]() mutable {
             mmps_.send(host_of(n), host_of(from), tag, std::move(bytes));
           });
     } catch (const Error&) {
       // Cold path rejected the request: report failure immediately so the
       // relay does not burn its RTO on a non-crash.
-      reply.u8(0).u8(0);
-      mmps_.send(host_of(n), host_of(envelope.from), envelope.reply_tag,
-                 reply.take());
+      mmps_.send(host_of(n), host_of(envelope->from), envelope->reply_tag,
+                 encode_forward_reply(ForwardReply{}));
     }
   });
 }
@@ -385,54 +413,60 @@ void Fleet::forward_to(const AttemptPtr& a, NodeId target) {
   mmps_.recv_with_timeout(
       host_of(a->entry), host_of(target), reply_tag, options_.forward_timeout,
       [this, a, target, fwd_ctx, sent](mmps::Message msg) {
-        WireReader r(msg.payload);
-        const bool ok = r.u8() != 0;
-        const bool hit = r.u8() != 0;
+        std::optional<ForwardReply> reply =
+            decode_or_count(node(a->entry), decode_forward_reply, msg.payload);
+        if (!reply) {
+          fail_over(a, target, fwd_ctx, sent, "bad_reply");
+          return;
+        }
         const SimTime now = net_.engine().now();
         record_node_span(a->entry, "fleet.forward", fwd_ctx, sent, now,
                          {{"target", JsonValue(static_cast<double>(target))},
-                          {"ok", JsonValue(ok)}});
-        if (!ok) {
+                          {"ok", JsonValue(reply->ok)}});
+        if (!reply->ok) {
           finish(a, /*ok=*/false, /*hit=*/false, target, nullptr);
           return;
         }
         // Owner-side stamps (sim clock, globally consistent) split the
         // round trip into its hops.
-        const double received_us = r.f64();
-        const double ready_us = r.f64();
         hop_route_us_.record((sent - a->started).as_micros());
-        hop_forward_us_.record(received_us - sent.as_micros());
-        hop_compute_us_.record(ready_us - received_us);
-        hop_reply_us_.record(now.as_micros() - ready_us);
-        finish(a, /*ok=*/true, hit, target,
-               std::make_shared<svc::PartitionDecision>(
-                   decode_decision_from(r)));
+        hop_forward_us_.record(reply->received_us - sent.as_micros());
+        hop_compute_us_.record(reply->ready_us - reply->received_us);
+        hop_reply_us_.record(now.as_micros() - reply->ready_us);
+        finish(a, /*ok=*/true, reply->hit, target,
+               std::move(reply->decision));
       },
       [this, a, target, fwd_ctx, sent] {
-        // RTO expired: treat the silent owner as failed for this request
-        // and reroute to the next replica.  The peer table catches up via
-        // its own silence thresholds / the token ring's dead reports.
-        ++stats_.failovers;
-        ++a->failovers;
-        ctr_failovers_.add();
-        const SimTime now = net_.engine().now();
-        record_node_span(a->entry, "fleet.forward", fwd_ctx, sent, now,
-                         {{"target", JsonValue(static_cast<double>(target))},
-                          {"ok", JsonValue(false)},
-                          {"outcome", JsonValue("timeout")}});
-        FleetNode& entry_node = node(a->entry);
-        if (entry_node.telemetry().enabled()) {
-          obs::InstantRecord rec;
-          rec.name = "fleet.failover";
-          rec.category = "fleet";
-          rec.sim_clock = true;
-          rec.ts_us = now.as_micros();
-          rec.attrs = {{"entry", JsonValue(static_cast<double>(a->entry))},
-                       {"target", JsonValue(static_cast<double>(target))}};
-          entry_node.telemetry().record_instant(std::move(rec));
-        }
-        try_next(a);
+        fail_over(a, target, fwd_ctx, sent, "timeout");
       });
+}
+
+void Fleet::fail_over(const AttemptPtr& a, NodeId target,
+                      const obs::TraceContext& fwd_ctx, SimTime sent,
+                      const char* outcome) {
+  // Treat the owner as failed for this request and reroute to the next
+  // replica.  The peer table catches up via its own silence thresholds /
+  // the token ring's dead reports.
+  ++stats_.failovers;
+  ++a->failovers;
+  ctr_failovers_.add();
+  const SimTime now = net_.engine().now();
+  record_node_span(a->entry, "fleet.forward", fwd_ctx, sent, now,
+                   {{"target", JsonValue(static_cast<double>(target))},
+                    {"ok", JsonValue(false)},
+                    {"outcome", JsonValue(outcome)}});
+  FleetNode& entry_node = node(a->entry);
+  if (entry_node.telemetry().enabled()) {
+    obs::InstantRecord rec;
+    rec.name = "fleet.failover";
+    rec.category = "fleet";
+    rec.sim_clock = true;
+    rec.ts_us = now.as_micros();
+    rec.attrs = {{"entry", JsonValue(static_cast<double>(a->entry))},
+                 {"target", JsonValue(static_cast<double>(target))}};
+    entry_node.telemetry().record_instant(std::move(rec));
+  }
+  try_next(a);
 }
 
 void Fleet::finish(const AttemptPtr& a, bool ok, bool hit, NodeId served_by,

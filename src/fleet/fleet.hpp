@@ -223,6 +223,11 @@ class Fleet {
   /// Advance `a` to its next target: serve locally, forward, or fail.
   void try_next(const AttemptPtr& a);
   void forward_to(const AttemptPtr& a, NodeId target);
+  /// The forward of `a` to `target` failed (RTO expired, or its reply
+  /// did not decode): count a failover and try the next replica.
+  void fail_over(const AttemptPtr& a, NodeId target,
+                 const obs::TraceContext& fwd_ctx, SimTime sent,
+                 const char* outcome);
   void finish(const AttemptPtr& a, bool ok, bool hit, NodeId served_by,
               std::shared_ptr<const svc::PartitionDecision> decision);
 

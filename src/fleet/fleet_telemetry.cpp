@@ -1,28 +1,8 @@
 #include "fleet/fleet_telemetry.hpp"
 
-#include <algorithm>
-#include <sstream>
-
 #include "util/string_util.hpp"
 
 namespace netpart::fleet {
-
-namespace {
-
-/// Split into lines (no trailing empties), for the lexicographic merge.
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    if (end > begin) lines.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return lines;
-}
-
-}  // namespace
 
 void FleetTelemetry::sync_loss_counters() {
   const std::uint64_t dropped = fleet_.net().messages_dropped();
@@ -55,23 +35,12 @@ std::vector<obs::TraceLane> FleetTelemetry::lanes() const {
 
 std::string FleetTelemetry::merged_metrics_text() {
   sync_loss_counters();
-  std::vector<std::string> lines =
-      split_lines(fleet_.telemetry().metrics_text());
+  std::vector<obs::LabelledRegistry> sources{{&fleet_.telemetry(), ""}};
   for (NodeId id : fleet_.node_ids()) {
-    const std::string dim = "node=" + std::to_string(id);
-    const std::vector<std::string> node_lines =
-        split_lines(fleet_.node(id).telemetry().metrics_text(dim));
-    lines.insert(lines.end(), node_lines.begin(), node_lines.end());
+    sources.push_back(
+        {&fleet_.node(id).telemetry(), "node=" + std::to_string(id)});
   }
-  // One global lexicographic order: same metric's per-node rows group
-  // together regardless of which registry produced them.
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const std::string& line : lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
+  return obs::merged_metrics_text(sources);
 }
 
 JsonValue FleetTelemetry::merged_chrome_trace() {

@@ -8,25 +8,26 @@ namespace netpart::fleet {
 
 FleetNode::FleetNode(NodeId id, const std::vector<NodeId>& nodes,
                      SimTime now, const PeerTableOptions& peer_options,
-                     const NodeOptions& options)
+                     const NodeOptions& options, bool tracing,
+                     std::uint64_t trace_seed)
     : id_(id),
       options_(options),
+      tracing_(tracing),
       peers_(nodes, id, now, peer_options),
       cache_(options.cache_capacity, options.cache_shards),
       telemetry_(std::make_unique<obs::TelemetryRegistry>(
-          /*enabled=*/options.tracing)),
+          /*enabled=*/tracing)),
       metrics_{telemetry_->counter("fleet.node.requests"),
                telemetry_->counter("fleet.node.forwards"),
                telemetry_->counter("fleet.node.hits"),
                telemetry_->counter("fleet.node.misses"),
                telemetry_->counter("fleet.node.serves"),
                telemetry_->latency("fleet.node.request_us")} {
-  telemetry_->set_trace_seed(options.trace_seed,
-                             static_cast<std::uint64_t>(id));
+  telemetry_->set_trace_seed(trace_seed, static_cast<std::uint64_t>(id));
 }
 
 obs::TraceContext FleetNode::new_root() {
-  if (!options_.tracing) return obs::TraceContext{};
+  if (!tracing_) return obs::TraceContext{};
   obs::TraceContext ctx;
   ctx.trace_id = telemetry_->next_trace_id();
   ctx.span_id = telemetry_->next_trace_id();
@@ -35,7 +36,7 @@ obs::TraceContext FleetNode::new_root() {
 }
 
 obs::TraceContext FleetNode::child_of(const obs::TraceContext& parent) {
-  if (!options_.tracing) return obs::TraceContext{};
+  if (!tracing_) return obs::TraceContext{};
   if (!parent.valid()) return new_root();
   obs::TraceContext ctx;
   ctx.trace_id = parent.trace_id;

@@ -22,8 +22,8 @@
 // Telemetry: each node owns a private TelemetryRegistry -- real fleets do
 // not share a metrics process, and the merged export (fleet_telemetry.hpp)
 // needs per-node lanes.  Counters are always on; span recording and trace
-// id draws follow NodeOptions::tracing.  The node's span-id stream is
-// seeded from (trace_seed, node id), so one fleet seed yields one
+// id draws follow the constructor's `tracing`.  The node's span-id stream
+// is seeded from (trace_seed, node id), so one fleet seed yields one
 // deterministic fleet-wide id assignment.
 #pragma once
 
@@ -47,19 +47,17 @@ struct NodeOptions {
   int hot_threshold = 3;
   /// Virtual nodes per node on this node's HashRing.
   int vnodes = 16;
-  /// Record spans (and draw trace ids) into the node's registry; counters
-  /// stay on either way.  The Fleet ctor also turns this on when the
-  /// process-wide obs registry has tracing enabled.
-  bool tracing = false;
-  /// Seed of the node's deterministic span-id stream (stream = node id).
-  std::uint64_t trace_seed = 1;
 };
 
 class FleetNode {
  public:
+  /// `tracing` records spans (and draws trace ids) into the node's
+  /// registry; counters stay on either way.  `trace_seed` seeds the node's
+  /// deterministic span-id stream (stream = node id).
   FleetNode(NodeId id, const std::vector<NodeId>& nodes, SimTime now,
             const PeerTableOptions& peer_options,
-            const NodeOptions& options);
+            const NodeOptions& options, bool tracing = false,
+            std::uint64_t trace_seed = 1);
 
   NodeId id() const { return id_; }
   svc::DecisionCache& cache() { return cache_; }
@@ -95,15 +93,11 @@ class FleetNode {
   /// the failover audit checks replicas against).  Sorted by cache key.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> hot_entries() const;
 
-  const std::unordered_map<std::uint64_t, HotStat>& hit_counts() const {
-    return hits_;
-  }
-
   /// This node's private telemetry (merged across the fleet by
-  /// FleetTelemetry).  Span recording follows NodeOptions::tracing.
+  /// FleetTelemetry).  Span recording follows the constructor's `tracing`.
   obs::TelemetryRegistry& telemetry() { return *telemetry_; }
   const obs::TelemetryRegistry& telemetry() const { return *telemetry_; }
-  bool tracing() const { return options_.tracing; }
+  bool tracing() const { return tracing_; }
 
   /// New root context for a request entering the fleet at this node.
   /// Invalid when tracing is off: the untraced path draws no ids, so
@@ -127,6 +121,7 @@ class FleetNode {
  private:
   NodeId id_;
   NodeOptions options_;
+  bool tracing_;
   PeerTable peers_;
   svc::DecisionCache cache_;
   std::uint64_t epoch_ = 1;

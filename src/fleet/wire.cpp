@@ -123,6 +123,7 @@ EpochAnnounce decode_announce(const std::vector<std::byte>& bytes) {
   EpochAnnounce a;
   a.from = r.i32();
   a.epoch = r.u64();
+  NP_REQUIRE(r.exhausted(), "trailing bytes in fleet announce");
   return a;
 }
 
@@ -216,6 +217,34 @@ ReplicateEnvelope decode_replicate(const std::vector<std::byte>& bytes) {
   e.decision = decode_decision_from(r);
   NP_REQUIRE(r.exhausted(), "trailing bytes in fleet replicate");
   return e;
+}
+
+std::vector<std::byte> encode_forward_reply(const ForwardReply& reply) {
+  WireWriter w;
+  if (!reply.ok) {
+    w.u8(0).u8(0);
+    return w.take();
+  }
+  NP_REQUIRE(reply.decision != nullptr,
+             "a successful forward reply carries a decision");
+  w.u8(1).u8(reply.hit ? 1 : 0).f64(reply.received_us).f64(reply.ready_us);
+  encode_decision_into(w, *reply.decision);
+  return w.take();
+}
+
+ForwardReply decode_forward_reply(const std::vector<std::byte>& bytes) {
+  WireReader r(bytes);
+  ForwardReply reply;
+  reply.ok = r.u8() != 0;
+  reply.hit = r.u8() != 0;
+  if (reply.ok) {
+    reply.received_us = r.f64();
+    reply.ready_us = r.f64();
+    reply.decision =
+        std::make_shared<svc::PartitionDecision>(decode_decision_from(r));
+  }
+  NP_REQUIRE(r.exhausted(), "trailing bytes in fleet forward reply");
+  return reply;
 }
 
 void encode_decision_into(WireWriter& w, const svc::PartitionDecision& d) {

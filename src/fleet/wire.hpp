@@ -14,9 +14,10 @@
 //   Replicate   {ctx, decision}             -- a hot decision pushed to
 //                                              replicas
 //
-// Forward replies reuse the Replicate decision encoding plus a status
-// byte.  Decisions travel with partition/config/placement so a replica's
-// copy is served verbatim after a failover, not recomputed.
+// A forward's reply is a status byte, then on success a hit byte, the
+// owner's receive and ready stamps, and the decision in the Replicate
+// encoding.  Decisions travel with partition/config/placement so a
+// replica's copy is served verbatim after a failover, not recomputed.
 //
 // Trace context (DESIGN.md §13) rides Forward and Replicate as a
 // length-prefixed field: u64 length (0 = no context, 24 = present)
@@ -29,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -123,6 +125,20 @@ struct ReplicateEnvelope {
 
 std::vector<std::byte> encode_replicate(const ReplicateEnvelope& envelope);
 ReplicateEnvelope decode_replicate(const std::vector<std::byte>& bytes);
+
+/// The owner's answer to a forward.  A failure carries nothing else; a
+/// success carries whether the owner's cache hit, its receive and ready
+/// stamps (sim-clock us, globally consistent) and the decision (non-null).
+struct ForwardReply {
+  bool ok = false;
+  bool hit = false;
+  double received_us = 0.0;
+  double ready_us = 0.0;
+  std::shared_ptr<const svc::PartitionDecision> decision;
+};
+
+std::vector<std::byte> encode_forward_reply(const ForwardReply& reply);
+ForwardReply decode_forward_reply(const std::vector<std::byte>& bytes);
 
 /// A full decision (replication push, or the payload of a forward reply).
 std::vector<std::byte> encode_decision(const svc::PartitionDecision& d);

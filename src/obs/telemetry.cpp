@@ -1,5 +1,7 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
+
 #include "analysis/race/annotations.hpp"
 #include "util/csv.hpp"
 #include "util/string_util.hpp"
@@ -251,6 +253,27 @@ double TelemetryRegistry::wall_now_us() const {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - wall_origin_)
       .count();
+}
+
+std::string merged_metrics_text(const std::vector<LabelledRegistry>& sources) {
+  std::vector<std::string> lines;
+  for (const LabelledRegistry& source : sources) {
+    const std::string text = source.registry->metrics_text(source.dimension);
+    std::size_t begin = 0;
+    while (begin < text.size()) {
+      std::size_t end = text.find('\n', begin);
+      if (end == std::string::npos) end = text.size();
+      if (end > begin) lines.push_back(text.substr(begin, end - begin));
+      begin = end + 1;
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) {
+    out += line;
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace netpart::obs

@@ -167,4 +167,17 @@ class TelemetryRegistry {
   std::chrono::steady_clock::time_point wall_origin_;
 };
 
+/// A registry and the `{dimension}` label its rows carry in a merged
+/// dump; an empty dimension renders plain rows.
+struct LabelledRegistry {
+  const TelemetryRegistry* registry = nullptr;
+  std::string dimension;
+};
+
+/// One metrics dump over several registries (a fleet's nodes, a daemon's
+/// global and service registries): every row carries its registry's label,
+/// and all rows sort together, so one metric's rows group regardless of
+/// which registry produced them.  Deterministic for deterministic inputs.
+std::string merged_metrics_text(const std::vector<LabelledRegistry>& sources);
+
 }  // namespace netpart::obs

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -60,6 +61,23 @@ Rng Rng::stream(std::uint64_t salt) const {
   // sequences are indistinguishable from independent SplitMix64 generators.
   return Rng(splitmix64_finalize(state_ ^ (salt * 0x9e3779b97f4a7c15ULL) ^
                                  0xd1b54a32d192ed03ULL));
+}
+
+ZipfSampler::ZipfSampler(int k, double s) {
+  NP_REQUIRE(k >= 1, "zipf needs at least one rank");
+  cdf_.reserve(static_cast<std::size_t>(k));
+  double total = 0.0;
+  for (int i = 0; i < k; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf_.push_back(total);
+  }
+  for (double& c : cdf_) c /= total;
+}
+
+int ZipfSampler::draw(Rng& rng) const {
+  const double u = rng.next_double();
+  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  return static_cast<int>(it - cdf_.begin());
 }
 
 }  // namespace netpart

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace netpart {
 
@@ -53,6 +54,19 @@ class Rng {
 
  private:
   std::uint64_t state_;
+};
+
+/// Zipf(s) over ranks 0..k-1, rank 0 the most likely, drawn by inverse CDF:
+/// each draw consumes exactly one Rng::next_double(), so a seeded Rng
+/// yields one reproducible rank sequence.  s = 0 is uniform.
+class ZipfSampler {
+ public:
+  ZipfSampler(int k, double s);
+
+  int draw(Rng& rng) const;
+
+ private:
+  std::vector<double> cdf_;
 };
 
 }  // namespace netpart

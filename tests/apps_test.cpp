@@ -3,13 +3,21 @@
 // describe the paper's published values.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
+#include <utility>
 
 #include "apps/gauss.hpp"
 #include "apps/particles.hpp"
+#include "apps/reduce.hpp"
+#include "apps/solver.hpp"
 #include "apps/stencil.hpp"
 #include "core/decompose.hpp"
 #include "net/presets.hpp"
+#include "sim/faults.hpp"
+#include "util/hash.hpp"
 
 namespace netpart {
 namespace {
@@ -217,6 +225,158 @@ TEST_F(AppsFixture, ParticleSpecIsLatencyBound) {
   const ComputationSpec spec = apps::make_particle_spec(cfg);
   EXPECT_EQ(spec.dominant_communication().bytes_per_message(1000), 8);
   EXPECT_EQ(spec.num_pdus(), 10000);
+}
+
+// ---------------------------------------------------------------- goldens
+//
+// Every distributed app pinned bitwise: the simulated elapsed time in ns,
+// the delivered message count, and an FNV-1a hash over the bit patterns of
+// the result data.  A rewrite of a runner that moves one simulated
+// nanosecond, one message or one result bit fails here.
+
+std::uint64_t bits_hash(Fnv1a h, const std::vector<float>& values) {
+  for (float v : values) h.u32(std::bit_cast<std::uint32_t>(v));
+  return h.value();
+}
+
+std::uint64_t bits_hash(Fnv1a h, const std::vector<double>& values) {
+  for (double v : values) h.u64(std::bit_cast<std::uint64_t>(v));
+  return h.value();
+}
+
+struct Golden {
+  std::int64_t elapsed_ns = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t hash = 0;
+};
+
+void expect_golden(SimTime elapsed, std::uint64_t messages,
+                   std::uint64_t hash, const Golden& golden) {
+  EXPECT_EQ(elapsed.as_nanos(), golden.elapsed_ns);
+  EXPECT_EQ(messages, golden.messages);
+  EXPECT_EQ(hash, golden.hash);
+}
+
+class AppsGolden : public AppsFixture {
+ protected:
+  Placement placement(const ProcessorConfig& config) const {
+    return contiguous_placement(net_, config, order_);
+  }
+  PartitionVector partition(const ProcessorConfig& config,
+                            std::int64_t pdus) const {
+    return balanced_partition(net_, config, order_, pdus);
+  }
+
+  apps::DistributedStencilResult stencil(const apps::StencilConfig& cfg,
+                                         const ProcessorConfig& config,
+                                         const sim::FaultPlan* faults,
+                                         SimTime fault_origin) const {
+    return apps::run_distributed_stencil(net_, placement(config),
+                                         partition(config, cfg.n), cfg, {},
+                                         faults, fault_origin);
+  }
+};
+
+TEST_F(AppsGolden, Sten1) {
+  const apps::StencilConfig cfg{.n = 48, .iterations = 6, .overlap = false};
+  const auto run = stencil(cfg, {3, 2}, nullptr, SimTime::zero());
+  expect_golden(run.elapsed, run.messages, bits_hash({}, run.grid),
+                {34416320, 48, 470187462302498137u});
+}
+
+TEST_F(AppsGolden, Sten2SingleRowRanks) {
+  const apps::StencilConfig cfg{.n = 13, .iterations = 5, .overlap = true};
+  const auto run = stencil(cfg, {6, 6}, nullptr, SimTime::zero());
+  expect_golden(run.elapsed, run.messages, bits_hash({}, run.grid),
+                {64248200, 110, 6260728774598155197u});
+}
+
+TEST_F(AppsGolden, StencilUnderFaultPlan) {
+  // Performance faults only (slowdowns, a flap, a degradation), with the
+  // run sitting 10 ms into the plan's clock.
+  sim::ChaosOptions options;
+  options.crashes = 0;
+  options.revocations = 0;
+  options.slowdowns = 2;
+  options.flaps = 1;
+  options.degrades = 1;
+  options.horizon = SimTime::millis(80);
+  options.max_flap = SimTime::millis(60);
+  const sim::FaultPlan plan = sim::ChaosRng(3).make_plan(net_, options);
+  ASSERT_FALSE(plan.empty());
+  const apps::StencilConfig cfg{.n = 96, .iterations = 5, .overlap = true};
+  const auto run = stencil(cfg, {4, 3}, &plan, SimTime::millis(10));
+  expect_golden(run.elapsed, run.messages, bits_hash({}, run.grid),
+                {56157721, 60, 7263085892868741413u});
+}
+
+TEST_F(AppsGolden, GaussBlockAndCyclic) {
+  const ProcessorConfig config{3, 2};
+  const std::pair<apps::RowMapping, Golden> cases[] = {
+      {apps::RowMapping::Block, {370877600, 320, 2465618095479914320u}},
+      {apps::RowMapping::Cyclic, {370763320, 320, 2465618095479914320u}},
+  };
+  for (const auto& [mapping, golden] : cases) {
+    const apps::GaussConfig cfg{.n = 40, .mapping = mapping};
+    const auto run = apps::run_distributed_gauss(
+        net_, placement(config), partition(config, cfg.n), cfg, 7);
+    expect_golden(run.elapsed, run.messages, bits_hash({}, run.x), golden);
+  }
+}
+
+sim::NetSimParams lossy_network() {
+  sim::NetSimParams lossy;
+  lossy.loss_rate = 0.2;
+  lossy.rto = SimTime::millis(5);
+  return lossy;
+}
+
+TEST_F(AppsGolden, ParticlesCleanAndLossy) {
+  const apps::ParticleConfig cfg{.count = 500, .iterations = 20};
+  const std::tuple<ProcessorConfig, sim::NetSimParams, Golden> cases[] = {
+      {{4, 2}, {}, {90682120, 200, 9434764986069533830u}},
+      {{3, 3}, lossy_network(), {186969480, 200, 9434764986069533830u}},
+  };
+  for (const auto& [config, params, golden] : cases) {
+    const auto run = apps::run_distributed_particles(
+        net_, placement(config), partition(config, cfg.count), cfg, 5,
+        params);
+    expect_golden(run.elapsed, run.messages,
+                  bits_hash(Fnv1a().u64(bits_hash({}, run.state.position)),
+                            run.state.velocity),
+                  golden);
+  }
+}
+
+TEST_F(AppsGolden, ReduceTwoTrees) {
+  const apps::ReduceConfig cfg{.count = 6000, .iterations = 4};
+  const std::pair<ProcessorConfig, Golden> cases[] = {
+      {{5, 0}, {9419200, 16, 15534629730457190284u}},
+      {{6, 6}, {27192800, 44, 12804815150362830920u}},
+  };
+  for (const auto& [config, golden] : cases) {
+    const auto run = apps::run_distributed_reduce(
+        net_, placement(config), partition(config, cfg.count), cfg);
+    expect_golden(run.elapsed, run.messages,
+                  bits_hash({}, std::vector<double>{run.value}), golden);
+  }
+}
+
+TEST_F(AppsGolden, SolverCleanAndLossy) {
+  const apps::SolverConfig cfg{.n = 30, .iterations = 8};
+  const ProcessorConfig config{3, 2};
+  const std::pair<sim::NetSimParams, Golden> cases[] = {
+      {{}, {56189120, 96, 2222072592075534160u}},
+      {lossy_network(), {115036480, 96, 2222072592075534160u}},
+  };
+  for (const auto& [params, golden] : cases) {
+    const auto run = apps::run_distributed_solver(
+        net_, placement(config), partition(config, cfg.n), cfg, params);
+    expect_golden(run.elapsed, run.messages,
+                  bits_hash(Fnv1a().u64(bits_hash({}, run.grid)),
+                            run.residuals),
+                  golden);
+  }
 }
 
 }  // namespace

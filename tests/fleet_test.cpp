@@ -235,6 +235,9 @@ TEST(FleetWireTest, AnnounceAndForwardRoundTrip) {
       fleet::encode_announce(a));
   EXPECT_EQ(a2.from, 3);
   EXPECT_EQ(a2.epoch, 41u);
+  std::vector<std::byte> padded = fleet::encode_announce(a);
+  padded.push_back(std::byte{0});
+  EXPECT_THROW(fleet::decode_announce(padded), InvalidArgument);
 
   fleet::ForwardEnvelope f;
   f.from = 2;
@@ -306,6 +309,49 @@ TEST(FleetWireTest, ForwardWithBadKindOrRateCountIsRejected) {
   std::vector<std::byte> bad_count = good;
   poke_u64(bad_count, good.size() - 16, std::uint64_t{1} << 62);
   EXPECT_THROW(fleet::decode_forward(bad_count), InvalidArgument);
+}
+
+TEST(FleetWireTest, ForwardReplyRoundTripsAndTruncationIsRejected) {
+  fleet::ForwardReply reply;
+  reply.ok = true;
+  reply.hit = true;
+  reply.received_us = 1250.5;
+  reply.ready_us = 1330.5;
+  svc::PartitionDecision d;
+  d.key = 0xfeedface;
+  d.partition = PartitionVector(std::vector<std::int64_t>{30, 20, 10});
+  d.config = {2, 1};
+  d.placement = {{0, 0}, {0, 1}, {1, 0}};
+  reply.decision = std::make_shared<const svc::PartitionDecision>(d);
+  const std::vector<std::byte> bytes = fleet::encode_forward_reply(reply);
+
+  // The layout relays on the wire: status, hit, the two stamps, then the
+  // decision in its replication encoding.
+  fleet::WireWriter layout;
+  layout.u8(1).u8(1).f64(1250.5).f64(1330.5);
+  fleet::encode_decision_into(layout, d);
+  EXPECT_EQ(bytes, layout.take());
+
+  const fleet::ForwardReply back = fleet::decode_forward_reply(bytes);
+  EXPECT_TRUE(back.ok);
+  EXPECT_TRUE(back.hit);
+  EXPECT_EQ(back.received_us, 1250.5);
+  EXPECT_EQ(back.ready_us, 1330.5);
+  ASSERT_NE(back.decision, nullptr);
+  EXPECT_EQ(back.decision->partition.to_string(), d.partition.to_string());
+  EXPECT_EQ(back.decision->placement, d.placement);
+
+  const std::vector<std::byte> failure =
+      fleet::encode_forward_reply(fleet::ForwardReply{});
+  EXPECT_EQ(failure.size(), 2u);
+  EXPECT_FALSE(fleet::decode_forward_reply(failure).ok);
+
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<std::byte> truncated(
+        bytes.begin(), bytes.begin() + static_cast<long>(cut));
+    EXPECT_THROW(fleet::decode_forward_reply(truncated), InvalidArgument)
+        << "cut at " << cut;
+  }
 }
 
 // ------------------------------------------------------------- fleet node
@@ -572,6 +618,33 @@ TEST(FleetTest, WorkloadIsDeterministicForAGivenSeed) {
   const auto a = run(42), b = run(42), c = run(43);
   EXPECT_EQ(a, b) << "same seed, same simulated history";
   EXPECT_NE(std::get<2>(a), std::get<2>(c)) << "seeds must matter";
+}
+
+TEST(FleetTest, MalformedControlFramesAreCountedAndDropped) {
+  FleetBed bed(3);
+  // Mid-workload, a host that runs no fleet node sends node 1 a one-byte
+  // frame on each of the four control tags.
+  const std::int32_t tags[] = {fleet::kHeartbeatTag, fleet::kGossipTag,
+                               fleet::kForwardTag, fleet::kReplicateTag};
+  bed.engine.schedule_after(SimTime::millis(20), [&] {
+    for (const std::int32_t tag : tags) {
+      bed.fl.mmps().send(ProcessorRef{0, 1}, ProcessorRef{1, 0}, tag,
+                         std::vector<std::byte>{std::byte{1}});
+    }
+  });
+  fleet::WorkloadOptions w;
+  w.requests = 120;
+  const fleet::WorkloadResult r = fleet::run_workload(bed.fl, w);
+  EXPECT_EQ(r.ok + r.failed, r.submitted);
+  EXPECT_EQ(r.ok, r.submitted) << "a dropped frame fails no request";
+
+  const std::string metrics =
+      fleet::FleetTelemetry(bed.fl).merged_metrics_text();
+  EXPECT_NE(metrics.find("counter fleet.bad_frames{node=1} 4\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(metrics.find("fleet.bad_frames{node=0}"), std::string::npos)
+      << "the counter exists only where a bad frame landed";
 }
 
 // ------------------------------------------------- distributed tracing

@@ -371,6 +371,26 @@ TEST(ObsMetricsTest, DimensionedMetricsTextLabelsEveryRow) {
             std::string::npos);
 }
 
+TEST(ObsMetricsTest, MergedMetricsTextLabelsAndSortsAcrossRegistries) {
+  TelemetryRegistry global;
+  global.counter("requests").add(1);
+  global.counter("mmps.sends").add(2);
+  TelemetryRegistry service;
+  service.counter("requests").add(3);
+  service.latency("cold").record(10.0);
+  const std::string text = obs::merged_metrics_text(
+      {{&global, ""}, {&service, "registry=service"}});
+  // One lexicographic order over both registries: a metric's rows group
+  // together, and each row carries its registry's label (plain for "").
+  EXPECT_EQ(text.substr(0, text.find("latency")),
+            "counter mmps.sends 2\n"
+            "counter requests 1\n"
+            "counter requests{registry=service} 3\n");
+  EXPECT_EQ(text.find("latency cold{registry=service} count 1 "),
+            text.rfind('\n', text.size() - 2) + 1)
+      << text;
+}
+
 TEST(ObsChromeTraceTest, RoundTripsThroughJsonParser) {
   TelemetryRegistry reg;
   {

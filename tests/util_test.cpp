@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/config.hpp"
 #include "util/csv.hpp"
@@ -119,6 +120,27 @@ TEST(RngTest, ExponentialMean) {
   }
   EXPECT_NEAR(stats.mean(), 0.5, 0.05);
   EXPECT_THROW(rng.next_exponential(0.0), InvalidArgument);
+}
+
+TEST(ZipfSamplerTest, InverseCdfOneDrawPerSample) {
+  const ZipfSampler zipf(4, 1.0);
+  Rng rng(23);
+  Rng reference(23);
+  // Weights 1, 1/2, 1/3, 1/4 over 25/12: the CDF is 12/25, 18/25, 22/25, 1.
+  const double cdf[] = {12.0 / 25, 18.0 / 25, 22.0 / 25};
+  std::vector<int> counts(4, 0);
+  for (int i = 0; i < 4000; ++i) {
+    const int rank = zipf.draw(rng);
+    const double u = reference.next_double();
+    int expected = 0;
+    while (expected < 3 && u > cdf[expected]) ++expected;
+    ASSERT_EQ(rank, expected) << "draw " << i;
+    ++counts[static_cast<std::size_t>(rank)];
+  }
+  EXPECT_GT(counts[0], counts[1]);
+  EXPECT_GT(counts[1], counts[3]);
+  EXPECT_EQ(ZipfSampler(1, 1.1).draw(rng), 0);
+  EXPECT_THROW(ZipfSampler(0, 1.0), InvalidArgument);
 }
 
 // ----------------------------------------------------------------- stats

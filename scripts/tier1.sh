@@ -14,12 +14,15 @@
 #                               # trace must parse and contain the
 #                               # partitioner / service / adaptive spans)
 #                               # and its --metrics-out file grepped for
-#                               # the service's {registry=service} rows,
-#                               # plus a small fleetd run whose merged
+#                               # the service's {registry=service} rows
+#                               # (its one churn wave must read
+#                               # epoch_bumps 1), plus a small fleetd
+#                               # run whose merged
 #                               # multi-node trace/metrics/health exports
 #                               # are validated by trace_check --fleet and
-#                               # grepped for per-hop attribution and
-#                               # {node=N} dimension rows
+#                               # grepped for per-hop attribution,
+#                               # {node=N} dimension rows and the
+#                               # process-wide fleet.forwards counter
 #   scripts/tier1.sh --bench    # Release build + tests, then the full
 #                               # partition hot-path bench, emitting
 #                               # BENCH_partition.json in the repo root;
@@ -274,6 +277,10 @@ if [[ "$obs_stage" == 1 ]]; then
     echo "metrics.txt lacks the service's counters" >&2; exit 1; }
   grep -q "^latency cold{registry=service}" "$workdir/metrics.txt" || {
     echo "metrics.txt lacks the service's latency rows" >&2; exit 1; }
+  # churn=1 is one wave, applied before client 0's 10th request: the
+  # service observes exactly one epoch bump.
+  grep -q "^counter epoch_bumps{registry=service} 1$" "$workdir/metrics.txt" || {
+    echo "metrics.txt lacks the churn wave's epoch bump" >&2; exit 1; }
 
   # Fleet half: a small fleetd run exporting the merged multi-node
   # artifacts, validated structurally (--fleet checks per-node pid lanes,
@@ -291,6 +298,8 @@ if [[ "$obs_stage" == 1 ]]; then
     echo "fleet metrics lack per-hop attribution histograms" >&2; exit 1; }
   grep -q "{node=0}" "$workdir/fleet_metrics.txt" || {
     echo "fleet metrics lack per-node dimension rows" >&2; exit 1; }
+  grep -q "^counter fleet.forwards " "$workdir/fleet_metrics.txt" || {
+    echo "fleet metrics lack the process-wide fleet counters" >&2; exit 1; }
   grep -q "^node 0 alive=1" "$workdir/fleet_health.txt" || {
     echo "fleet health summary missing" >&2; exit 1; }
   echo "obs smoke stage ok"

@@ -27,6 +27,13 @@
 //   NP_THREAD_END(token, "name")     child, last statement
 //   NP_THREAD_JOIN(token, "name")    parent, after join()
 //
+// Placement of the atomic edges: NP_ATOMIC_RELEASE goes before the store
+// it describes, NP_ATOMIC_ACQUIRE after the load.  The recorder orders
+// events as they are recorded, so an acquire recorded before its load can
+// land ahead of the release that load observed; the recording then holds
+// no acquire after that release, and the reads it published show up as
+// races (NP-R002).
+//
 // Cost discipline: the macros compile to NOTHING unless the build sets
 // NETPART_RACE_RUNTIME (the `race` CMake preset; see tier1.sh --race).
 // The shipped release/strict/bench builds therefore carry zero overhead --

@@ -32,7 +32,8 @@
 //   trace_out   = merged multi-lane Chrome trace (one pid per node);
 //                 setting it turns fleet span tracing on
 //   metrics_out = merged name-ordered metrics text ({node=N} dimension
-//                 on per-node rows, fleet.request.* per-hop histograms)
+//                 on per-node rows, fleet.request.* per-hop histograms,
+//                 the process-wide fleet.* counters as plain rows)
 //   health_out  = per-node health/SLO summary (p50/p99 latency, forward
 //                 ratio, warm fraction, dead peers)
 //
@@ -208,7 +209,12 @@ int run(const Config& args) {
   if (metrics_out) {
     std::ofstream out(*metrics_out);
     NP_REQUIRE(out.good(), "cannot open metrics_out path");
-    out << telemetry.merged_metrics_text();
+    // The fleet's process-wide counters (fleet.forwards, fleet.failovers,
+    // fleet.gossip_rounds, fleet.replications) live on the global
+    // registry: its rows join the dump plain, as netpartd's do.
+    std::vector<obs::LabelledRegistry> sources = telemetry.metric_sources();
+    sources.push_back({&obs::TelemetryRegistry::global(), ""});
+    out << obs::merged_metrics_text(sources);
     std::printf("metrics -> %s\n", metrics_out->c_str());
   }
   if (health_out) {

@@ -19,7 +19,8 @@
 //   requests = requests per client                     (default 200)
 //   universe = distinct problem sizes                  (default 24)
 //   zipf     = skew exponent, 0 = uniform              (default 1.1)
-//   churn    = availability updates spread over the run (default 4)
+//   churn    = availability updates, spread evenly over client 0's
+//              requests                                 (default 4)
 //   seed     = workload seed                           (default 1)
 //   model_in = saved cost model (skips calibration)
 //   json_out = metrics JSON path,  csv_out = metrics CSV path
@@ -196,16 +197,36 @@ int run(const Config& args) {
               static_cast<int>(options.cache_capacity), options.cache_shards,
               churn_waves);
 
-  std::atomic<int> clients_done{0};
   std::atomic<std::uint64_t> ok{0}, overloaded{0}, failed{0};
   const auto t0 = std::chrono::steady_clock::now();
+
+  // Availability churn, counted in requests: client 0 applies wave w
+  // before its request (w + 1) * requests / (churn + 1), revoking a
+  // growing slice of the largest cluster on even waves and restoring on
+  // odd ones -- every wave bumps the feed's epoch and invalidates.
+  const AvailabilitySnapshot base = feed.read().first;
+  const auto churn_wave = [&](int wave) {
+    AvailabilitySnapshot next = base;
+    if (wave % 2 == 0) {
+      auto widest =
+          std::max_element(next.available.begin(), next.available.end());
+      *widest = std::max(1, *widest - 1 - wave / 2);
+    }
+    feed.update(std::move(next));
+  };
 
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     pool.emplace_back([&, c] {
       Rng rng = Rng(seed).stream(static_cast<std::uint64_t>(c) + 1);
+      int wave = 0;
       for (int r = 0; r < per_client; ++r) {
+        while (c == 0 && wave < churn_waves &&
+               r == static_cast<int>(static_cast<std::int64_t>(wave + 1) *
+                                     per_client / (churn_waves + 1))) {
+          churn_wave(wave++);
+        }
         const svc::PartitionRequest& request =
             mix[static_cast<std::size_t>(sampler.draw(rng))];
         const svc::ServiceReply reply = service.query(request);
@@ -215,30 +236,9 @@ int run(const Config& args) {
           case svc::ServiceStatus::Failed: ++failed; break;
         }
       }
-      ++clients_done;
     });
   }
-
-  // Availability churn: revoke a growing slice of the largest cluster,
-  // then restore -- every wave bumps the feed's epoch and invalidates.
-  std::thread churner([&] {
-    const auto base = feed.read().first;
-    int wave = 0;
-    while (clients_done.load() < clients && wave < churn_waves) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      AvailabilitySnapshot next = base;
-      if (wave % 2 == 0) {
-        auto widest = std::max_element(next.available.begin(),
-                                       next.available.end());
-        *widest = std::max(1, *widest - 1 - wave / 2);
-      }
-      feed.update(std::move(next));
-      ++wave;
-    }
-  });
-
   for (std::thread& t : pool) t.join();
-  churner.join();
   const double elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

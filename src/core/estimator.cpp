@@ -47,6 +47,18 @@ inline void require_ranks_fit(std::int64_t num_pdus, int total) {
   NP_REQUIRE(num_pdus >= total, "cannot give every selected processor a PDU");
 }
 
+/// Size the lane buffers Stages A, B1 and B2 write to `n` entries: K per
+/// lane, so lane 0 alone needs K and a bound batch kLanes * K.
+void size_lane_buffers(BatchScratch& batch, std::size_t n) {
+  batch.group_w.resize(n);
+  batch.group_p.resize(n);
+  batch.group_c.resize(n);
+  batch.share_base.resize(n);
+  batch.share_frac.resize(n);
+  batch.ranks_before.resize(n);
+  batch.max_a.resize(n);
+}
+
 }  // namespace
 
 CycleEstimator::CycleEstimator(const Network& network, const CostModelDb& db,
@@ -72,25 +84,36 @@ CycleEstimator::CycleEstimator(const Network& network, const CostModelDb& db,
              "estimator: ops per PDU must be finite and non-negative");
   NP_REQUIRE(spec.iterations() >= 1,
              "estimator: spec iterations must be >= 1");
+  // One allocation per table, not one per doubling: the constructor runs
+  // on every cold request the service serves.
+  const auto k = static_cast<std::size_t>(network.num_clusters());
+  clusters_.resize(k);
+  for (ClusterId c = 0; c < network.num_clusters(); ++c) {
+    const ProcessorType& type = network.cluster(c).type();
+    ClusterConst& cc = clusters_[static_cast<std::size_t>(c)];
+    cc.inv_s = 1.0 / type.flop_time.as_seconds();
+    cc.comp_ms = (dominant_comp_->op_kind == OpKind::FloatingPoint
+                      ? type.flop_time
+                      : type.int_time)
+                     .as_millis() *
+                 ops_per_pdu_;
+    cc.capacity = network.cluster(c).size();
+  }
+  for (std::size_t i = 0; i < cluster_order_.size(); ++i) {
+    clusters_[static_cast<std::size_t>(cluster_order_[i])].order_pos =
+        static_cast<int>(i);
+  }
   if (!spec.communication_phases().empty()) {
     dominant_comm_ = &spec.dominant_communication();
     comm_topology_ = dominant_comm_->topology();
     comm_bw_limited_ = is_bandwidth_limited(comm_topology_);
-    has_fit_.resize(static_cast<std::size_t>(network.num_clusters()), 0);
-    // One allocation, not one per doubling: the constructor runs on every
-    // cold request the service serves.
-    fitted_clusters_.reserve(has_fit_.size());
+    fitted_clusters_.reserve(k);
     for (ClusterId c = 0; c < network.num_clusters(); ++c) {
       if (db.has_comm(c, comm_topology_)) {
-        has_fit_[static_cast<std::size_t>(c)] = 1;
+        clusters_[static_cast<std::size_t>(c)].has_fit = true;
         fitted_clusters_.push_back(c);
       }
     }
-  }
-  order_pos_.resize(static_cast<std::size_t>(network.num_clusters()), 0);
-  for (std::size_t i = 0; i < cluster_order_.size(); ++i) {
-    order_pos_[static_cast<std::size_t>(cluster_order_[i])] =
-        static_cast<int>(i);
   }
   binding_id_ = g_next_binding_id.fetch_add(1, std::memory_order_relaxed);
 }
@@ -133,24 +156,28 @@ CycleEstimate CycleEstimator::counted_estimate(
 
 CycleEstimate CycleEstimator::materialize_impl(
     const ProcessorConfig& config, EstimatorScratch& scratch) const {
-  bool closed_form = false;
-  const FastEstimate fast = evaluate_groups(config, scratch, &closed_form);
-  if (!closed_form) {
-    // Starvation repair engaged (extreme speed skew, rare): the group
+  std::int64_t remainder = 0;
+  const FastEstimate fast = evaluate_groups(config, scratch, &remainder);
+  if (remainder < 0) {
+    // Starvation repair engaged (extreme speed skew, rare): the lane's
     // shares do not describe the donor-stealing result, so the reference
     // path builds the vector.
     return estimate_impl(config);
   }
-  // Expand the closed-form shares rank by rank: within a group every rank
-  // has the same fractional part, and the stable largest-remainder sort
-  // keeps rank order among equals, so the group's extras go to its first
-  // ranks -- exactly the vector proportional_partition() returns.
+  // Expand lane 0's shares rank by rank: within a group every rank has the
+  // same fractional part, and the stable largest-remainder sort keeps rank
+  // order among equals, so the group's extras go to its first ranks --
+  // exactly the vector proportional_partition() returns.
+  const BatchScratch& lane = scratch.batch;
+  const auto total = static_cast<std::size_t>(config_total(config));
   std::vector<std::int64_t> per_rank;
-  per_rank.reserve(static_cast<std::size_t>(config_total(config)));
-  for (std::size_t g = 0; g < scratch.group_sizes.size(); ++g) {
-    const GroupShare& share = scratch.shares[g];
-    for (int i = 0; i < scratch.group_sizes[g]; ++i) {
-      per_rank.push_back(share.base + (i < share.extras ? 1 : 0));
+  per_rank.reserve(total);
+  for (std::size_t g = 0; per_rank.size() < total; ++g) {
+    const int p = lane.group_p[g];
+    const std::int64_t extras = std::clamp<std::int64_t>(
+        remainder - lane.ranks_before[g], 0, p);
+    for (int i = 0; i < p; ++i) {
+      per_rank.push_back(lane.share_base[g] + (i < extras ? 1 : 0));
     }
   }
   return CycleEstimate{config,
@@ -212,76 +239,69 @@ FastEstimate CycleEstimator::estimate_into(const ProcessorConfig& config,
 
 FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
                                              EstimatorScratch& scratch,
-                                             bool* closed_form) const {
+                                             std::int64_t* remainder) const {
   validate_config(network_, config);
 
-  // Active clusters in placement (rank-major) order.  clear() + push_back
-  // on retained capacity: no allocation once the buffers have grown to the
-  // network's cluster count.
-  scratch.group_weights.clear();
-  scratch.group_sizes.clear();
-  scratch.group_clusters.clear();
-  int total_p = 0;
+  // Active clusters in placement (rank-major) order, gathered into lane 0.
+  // Lane 0 needs K entries; a scratch no batch has bound grows them here,
+  // once.  No coefficient table is bound: T_comm below reads the cost
+  // model directly.
+  BatchScratch& lane = scratch.batch;
+  const auto k = static_cast<std::size_t>(network_.num_clusters());
+  if (lane.max_a.size() < k) size_lane_buffers(lane, k);
+  double* gw = lane.group_w.data();
+  int* gp = lane.group_p.data();
+  ClusterId* gc = lane.group_c.data();
+  int groups = 0;
+  int total = 0;
+  double sum = 0.0;
   for (ClusterId c : cluster_order_) {
     const int p = config[static_cast<std::size_t>(c)];
     if (p == 0) continue;
-    const double s = network_.cluster(c).type().flop_time.as_seconds();
-    scratch.group_weights.push_back(1.0 / s);
-    scratch.group_sizes.push_back(p);
-    scratch.group_clusters.push_back(c);
-    total_p += p;
+    const double w = clusters_[static_cast<std::size_t>(c)].inv_s;
+    gw[groups] = w;
+    gp[groups] = p;
+    gc[groups] = c;
+    ++groups;
+    total += p;
+    // Eq. 3 weight sum: rank-major repeated adds, proportional_partition's
+    // order.
+    for (int i = 0; i < p; ++i) sum += w;
   }
-  require_ranks_fit(num_pdus_, total_p);
+  require_ranks_fit(num_pdus_, total);
 
-  const std::size_t groups = scratch.group_clusters.size();
-  scratch.shares.resize(groups);
-  scratch.max_a.resize(groups);
-  const bool shares_serve = proportional_group_shares(
-      scratch.group_weights, scratch.group_sizes, num_pdus_, scratch.shares);
-  if (closed_form != nullptr) *closed_form = shares_serve;
-  if (shares_serve) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      scratch.max_a[g] =
-          scratch.shares[g].base + (scratch.shares[g].extras > 0 ? 1 : 0);
-    }
-  } else {
+  // Eqs. 3 and 4 through the lane kernels: the share divisions, then the
+  // largest-remainder extras with the T_comp maximum.
+  const std::int64_t leftover = lane_shares(lane, 0, groups, total, sum);
+  double t_comp = 0.0;
+  const bool starved = lane_extras(lane, 0, groups, leftover, t_comp);
+  if (remainder != nullptr) *remainder = starved ? -1 : leftover;
+  std::int64_t* max_a = lane.max_a.data();
+  if (starved) {
     // Starvation repair engaged (extreme speed skew): the closed form
     // cannot reproduce the donor-stealing loop, so materialise the real
     // Eq. 3 vector once and take the per-cluster maxima from it.  Rare and
     // allocating -- correctness over speed on this branch.
     const PartitionVector partition =
         balanced_partition(network_, config, cluster_order_, num_pdus_);
+    t_comp = 0.0;
     int rank = 0;
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::int64_t max_a = 0;
-      for (int i = 0; i < scratch.group_sizes[g]; ++i, ++rank) {
-        max_a = std::max(max_a, partition.at(rank));
+    for (int g = 0; g < groups; ++g) {
+      std::int64_t a = 0;
+      for (int i = 0; i < gp[g]; ++i, ++rank) {
+        a = std::max(a, partition.at(rank));
       }
-      scratch.max_a[g] = max_a;
+      max_a[g] = a;
+      t_comp = std::max(
+          t_comp, clusters_[static_cast<std::size_t>(gc[g])].comp_ms *
+                      static_cast<double>(a));
     }
   }
 
-  // Eq. 4 per cluster: within a homogeneous cluster the max over ranks of
-  // s_ms * ops * A is the value at the cluster's max A (multiplication by
-  // a non-negative constant is monotone, so this is the exact same double
-  // the rank scan produces).
-  double t_comp = 0.0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const ProcessorType& type =
-        network_.cluster(scratch.group_clusters[g]).type();
-    const double s_ms = (dominant_comp_->op_kind == OpKind::FloatingPoint
-                             ? type.flop_time
-                             : type.int_time)
-                            .as_millis();
-    t_comp = std::max(t_comp, s_ms * ops_per_pdu_ *
-                                  static_cast<double>(scratch.max_a[g]));
-  }
-
   double t_comm = 0.0;
-  if (dominant_comm_ != nullptr && total_p > 1) {
-    t_comm = comm_cost_from_groups(scratch.group_clusters.data(),
-                                   scratch.group_sizes.data(),
-                                   scratch.max_a.data(), groups, total_p);
+  if (dominant_comm_ != nullptr && total > 1) {
+    t_comm = comm_cost_from_groups(gc, gp, max_a,
+                                   static_cast<std::size_t>(groups), total);
   }
   return eq6_estimate(t_comp, t_comm);
 }
@@ -301,27 +321,6 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
   if (batch.bound_id == binding_id_) return;
   const auto k = static_cast<std::size_t>(network_.num_clusters());
 
-  batch.inv_s.resize(k);
-  batch.comp_ms.resize(k);
-  batch.capacity.resize(k);
-  for (ClusterId c = 0; c < network_.num_clusters(); ++c) {
-    const auto ci = static_cast<std::size_t>(c);
-    const ProcessorType& type = network_.cluster(c).type();
-    // The exact doubles estimate_into computes per evaluation: the Eq. 3
-    // weight always uses the flop rate, T_comp the dominant op kind's.
-    // estimate_into evaluates s_ms * ops_per_pdu * A left to right, so the
-    // s_ms * ops_per_pdu prefix is a loop-invariant product the binding
-    // can fold without changing a bit of the final T_comp.
-    batch.inv_s[ci] = 1.0 / type.flop_time.as_seconds();
-    batch.comp_ms[ci] = (dominant_comp_->op_kind == OpKind::FloatingPoint
-                             ? type.flop_time
-                             : type.int_time)
-                            .as_millis() *
-                        ops_per_pdu_;
-    batch.capacity[ci] = network_.cluster(c).size();
-  }
-
-  batch.has_fit.assign(k, 0);
   batch.fit.assign(k, Eq1Fit{});
   batch.router_i.assign(k * k, 0.0);
   batch.router_s.assign(k * k, 0.0);
@@ -331,8 +330,7 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
   if (dominant_comm_ != nullptr) {
     for (ClusterId c = 0; c < network_.num_clusters(); ++c) {
       const auto ci = static_cast<std::size_t>(c);
-      if (has_fit_[ci]) {
-        batch.has_fit[ci] = 1;
+      if (clusters_[ci].has_fit) {
         batch.fit[ci] = db_.comm_fit(c, comm_topology_);
       }
     }
@@ -357,14 +355,8 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
   }
 
   constexpr auto lanes = static_cast<std::size_t>(BatchScratch::kLanes);
-  batch.group_w.resize(lanes * k);
-  batch.group_p.resize(lanes * k);
-  batch.group_c.resize(lanes * k);
-  batch.share_base.resize(lanes * k);
-  batch.share_frac.resize(lanes * k);
-  batch.ranks_before.resize(lanes * k);
+  size_lane_buffers(batch, lanes * k);
   batch.group_bytes.resize(lanes * k);
-  batch.max_a.resize(lanes * k);
   // A different estimator means a different spec: the bytes caches keyed
   // by the old spec's callback are poison, not a warm start.
   if (dominant_comm_ != nullptr && num_pdus_ <= BatchScratch::kBytesDirectMax) {
@@ -380,29 +372,28 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
 }
 
 // Stage B kernels: one lane's evaluation once its active groups sit at
-// offset `base` of the bound lane buffers (group_w/p/c, placement order)
-// with their Eq. 3 weight sum.  estimate_lanes runs each kernel across all
+// offset `base` of the lane buffers (group_w/p/c, placement order) with
+// their Eq. 3 weight sum.  estimate_lanes runs each kernel across all
 // lanes before starting the next (stage-major); estimate_delta runs them
-// on its spliced lane 0.  Force-inlined, so each lane loop compiles as if
-// the body were written out in place.
+// on its spliced lane 0, and estimate_into B1 and B2 on its gathered lane
+// 0.  Force-inlined, so each lane loop compiles as if the body were
+// written out in place.
 
 [[gnu::always_inline]] inline std::int64_t CycleEstimator::lane_shares(
     BatchScratch& batch, std::size_t base, int groups, int total,
     double weight_sum) const {
-  // B1: the closed-form share divisions (proportional_group_shares'
-  // division pass, bitwise).  InvariantDivider turns the per-group
-  // divisions into one reciprocal plus two FMAs per group where the
-  // toolchain has hardware FMA (bitwise by Markstein's correction; plain
-  // division otherwise -- see dp/rank_kernel.hpp).
+  // B1: the closed-form share divisions.  Every rank of a group computes
+  // the identical ideal share num_pdus * w / weight_sum that
+  // proportional_partition() computes per rank, so floor and fractional
+  // part collapse to one value per group.
   const double* gw = &batch.group_w[base];
   const int* gp = &batch.group_p[base];
   std::int64_t* sb = &batch.share_base[base];
   double* sf = &batch.share_frac[base];
   const double pdus = static_cast<double>(num_pdus_);
-  const InvariantDivider div(weight_sum);
   std::int64_t used = 0;
   for (int g = 0; g < groups; ++g) {
-    const double ideal = div.divide(pdus * gw[g]);
+    const double ideal = pdus * gw[g] / weight_sum;
     const auto whole = static_cast<std::int64_t>(ideal);
     sb[g] = whole;
     sf[g] = ideal - static_cast<double>(whole);
@@ -428,7 +419,7 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
   const std::int64_t* sb = &batch.share_base[base];
   std::int64_t* rb = &batch.ranks_before[base];
   std::int64_t* max_a = &batch.max_a[base];
-  const double* comp_ms = batch.comp_ms.data();
+  const ClusterConst* cc = clusters_.data();
   largest_remainder_ranks(&batch.share_frac[base], gp, groups, rb);
   int starved = 0;
   t_comp = 0.0;
@@ -440,7 +431,7 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
     starved |= static_cast<int>(sb[g] == 0) & static_cast<int>(d < gp[g]);
     const std::int64_t a = sb[g] + static_cast<std::int64_t>(d > 0);
     max_a[g] = a;
-    t_comp = std::max(t_comp, comp_ms[static_cast<std::size_t>(gc[g])] *
+    t_comp = std::max(t_comp, cc[static_cast<std::size_t>(gc[g])].comp_ms *
                                   static_cast<double>(a));
   }
   return starved != 0;
@@ -459,7 +450,7 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
   const ClusterId* gc = &batch.group_c[base];
   const std::int64_t* max_a = &batch.max_a[base];
   double* gb = &batch.group_bytes[base];
-  const char* has_fit = batch.has_fit.data();
+  const ClusterConst* cc = clusters_.data();
   const Eq1Fit* fit = batch.fit.data();
   double worst = 0.0;
   for (int g = 0; g < groups; ++g) {
@@ -488,7 +479,7 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
         static_cast<double>(adj);
     const auto c = static_cast<std::size_t>(gc[g]);
     double cost;
-    if (has_fit[c]) {
+    if (cc[c].has_fit) {
       // db_.comm_ms over the by-value fit: same p <= 1 early-out, same
       // |Eq. 1| evaluation, without the optional deref or slot checks.
       cost = p_param <= 1.0 ? 0.0 : std::abs(fit[c].evaluate(bytes, p_param));
@@ -525,8 +516,7 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
   constexpr int kLanes = BatchScratch::kLanes;
   const auto k = static_cast<std::size_t>(network_.num_clusters());
   const ClusterId* order = cluster_order_.data();
-  const double* inv_s = batch.inv_s.data();
-  const int* capacity = batch.capacity.data();
+  const ClusterConst* cc = clusters_.data();
 
   // Stage A, gather pass: one loop per lane validates (validate_config's
   // checks and messages) and collects the active groups in placement
@@ -549,12 +539,12 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
     for (std::size_t oi = 0; oi < k; ++oi) {
       const auto c = static_cast<std::size_t>(order[oi]);
       const int p = cfg[c];
-      NP_REQUIRE(p >= 0 && p <= capacity[c],
+      NP_REQUIRE(p >= 0 && p <= cc[c].capacity,
                  "configuration exceeds cluster capacity");
       // Branch-free compaction: always store, advance only on p > 0 (an
       // idle cluster's slot is overwritten by the next active one).  p == 0
       // is data-dependent -- a skip branch here mispredicts constantly.
-      const double w = inv_s[c];
+      const double w = cc[c].inv_s;
       gw[groups] = w;
       gp[groups] = p;
       gc[groups] = order[oi];
@@ -629,9 +619,7 @@ void CycleEstimator::estimate_batch(const ProcessorConfig* configs,
   }
 }
 
-void CycleEstimator::rebuild_delta_cache(DeltaScratch& d,
-                                         EstimatorScratch& scratch) const {
-  const BatchScratch& batch = scratch.batch;
+void CycleEstimator::rebuild_delta_cache(DeltaScratch& d) const {
   d.group_w.clear();
   d.group_p.clear();
   d.group_c.clear();
@@ -641,7 +629,7 @@ void CycleEstimator::rebuild_delta_cache(DeltaScratch& d,
   for (ClusterId c : cluster_order_) {
     const int p = d.config[static_cast<std::size_t>(c)];
     if (p == 0) continue;
-    const double w = batch.inv_s[static_cast<std::size_t>(c)];
+    const double w = clusters_[static_cast<std::size_t>(c)].inv_s;
     d.prefix_w.push_back(sum);
     d.group_w.push_back(w);
     d.group_p.push_back(p);
@@ -658,13 +646,11 @@ void CycleEstimator::rebuild_delta_cache(DeltaScratch& d,
 FastEstimate CycleEstimator::bind_delta(const ProcessorConfig& config,
                                         DeltaScratch& d,
                                         EstimatorScratch& scratch) const {
-  // estimate_into validates and counts the baseline evaluation; the bound
-  // batch tables supply the per-cluster constants the cache keeps.
+  // estimate_into validates and counts the baseline evaluation.
   const FastEstimate out = estimate_into(config, scratch);
-  ensure_batch_bound(scratch.batch);
   d.config = config;
   d.bound_id = binding_id_;
-  rebuild_delta_cache(d, scratch);
+  rebuild_delta_cache(d);
   return out;
 }
 
@@ -680,7 +666,7 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   const auto ci = static_cast<std::size_t>(cluster);
   NP_REQUIRE(ci < k, "cluster id out of range");
   const int moved_p = d.config[ci] + delta;
-  NP_REQUIRE(moved_p >= 0 && moved_p <= batch.capacity[ci],
+  NP_REQUIRE(moved_p >= 0 && moved_p <= clusters_[ci].capacity,
              "configuration exceeds cluster capacity");
   const int total = d.total_p + delta;
   require_ranks_fit(num_pdus_, total);
@@ -691,10 +677,10 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   // the splice point, so the full sum is the exact double a from-scratch
   // gather of the moved configuration produces.
   const int baseline_groups = static_cast<int>(d.group_c.size());
-  const int pos = order_pos_[ci];
+  const int pos = clusters_[ci].order_pos;
   int j = 0;
   while (j < baseline_groups &&
-         order_pos_[static_cast<std::size_t>(d.group_c[j])] < pos) {
+         clusters_[static_cast<std::size_t>(d.group_c[j])].order_pos < pos) {
     ++j;
   }
   const bool was_active = j < baseline_groups && d.group_c[j] == cluster;
@@ -709,7 +695,7 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   int groups = j;
   double sum = d.prefix_w[static_cast<std::size_t>(j)];
   if (moved_p > 0) {
-    const double w = batch.inv_s[ci];
+    const double w = clusters_[ci].inv_s;
     lw[groups] = w;
     lp[groups] = moved_p;
     lc[groups] = cluster;
@@ -744,23 +730,22 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
 
 void CycleEstimator::commit_delta(ClusterId cluster, int delta,
                                   DeltaScratch& d,
-                                  EstimatorScratch& scratch) const {
+                                  EstimatorScratch& /*scratch*/) const {
   NP_REQUIRE(d.bound_id == binding_id_,
              "delta scratch is not bound to this estimator "
              "(call bind_delta first)");
-  ensure_batch_bound(scratch.batch);
   const auto ci = static_cast<std::size_t>(cluster);
   NP_REQUIRE(ci < d.config.size(), "cluster id out of range");
   const int moved_p = d.config[ci] + delta;
-  NP_REQUIRE(moved_p >= 0 && moved_p <= scratch.batch.capacity[ci],
+  NP_REQUIRE(moved_p >= 0 && moved_p <= clusters_[ci].capacity,
              "configuration exceeds cluster capacity");
   d.config[ci] = moved_p;
-  rebuild_delta_cache(d, scratch);
+  rebuild_delta_cache(d);
 }
 
 double CycleEstimator::cluster_cost_ms(ClusterId c, double bytes,
                                        double p_param) const {
-  if (has_fit_[static_cast<std::size_t>(c)]) {
+  if (clusters_[static_cast<std::size_t>(c)].has_fit) {
     return db_.comm_ms(c, comm_topology_, bytes, p_param);
   }
   // A singleton cluster has no intra-cluster benchmark (nothing to

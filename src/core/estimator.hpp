@@ -11,19 +11,23 @@
 // using only the program callbacks and the offline-calibrated cost model --
 // no network activity happens at estimation time.
 //
-// Four evaluation paths:
+// Four evaluation paths over one closed form of Eqs. 3 and 4:
 //
 //   * estimate() -- the reference path: materialises the full Eq. 3
 //     partition vector and scans it rank by rank, allocating on every
 //     call.  It is the oracle the fast paths are tested against, and the
 //     fallback materialize() takes when starvation repair engages; the
 //     searches' winners come from materialize() (the fast path's cost
-//     fields plus the vector expanded from the closed-form shares).
-//   * estimate_into() -- the scalar fast path: Eq. 3 is evaluated in
-//     closed form per *cluster* (a balanced partition hands a homogeneous
-//     cluster only the floor/ceiling of its ideal share, see
-//     proportional_group_shares), so no per-rank vector exists and a
-//     steady-state evaluation allocates nothing.  Results are bitwise
+//     fields plus the vector expanded from lane 0's shares).
+//   * estimate_into() -- the scalar fast path: the active clusters are
+//     gathered into lane 0 of the scratch's BatchScratch and scored by the
+//     lane engine's share kernels (B1, the Eq. 3 divisions; B2, the
+//     largest-remainder extras and the Eq. 4 maximum).  A balanced
+//     partition hands a homogeneous cluster only the floor or ceiling of
+//     its ideal share, so no per-rank vector exists and a steady-state
+//     evaluation allocates nothing.  T_comm stays comm_cost_from_groups,
+//     which reads the cost model directly: a cold request's new estimator
+//     is scored without binding any table to the scratch.  Bitwise
 //     identical to estimate() -- the property tier asserts this.
 //   * estimate_batch() -- the batched engine the searches hammer: up to
 //     BatchScratch::kLanes candidate configurations advance through each
@@ -40,6 +44,11 @@
 //     then running the Eq. 3 shares and the Eq. 4/5 folds through the
 //     same Stage B kernels estimate_batch()'s lanes use.  Bitwise
 //     identical to estimate_into() on the moved configuration.
+//
+// estimate_into() borrows lane 0, so it runs only between lane groups.
+// Every caller does: the starved-lane replay and the batch remainder run
+// after the lanes are scored, the delta path's starved fallback after its
+// own lane-0 kernels, and ClusterObjective between whole batches.
 #pragma once
 
 #include <atomic>
@@ -80,10 +89,12 @@ struct FastEstimate {
 /// batch advances up to kLanes candidate configurations through every
 /// evaluation stage together; per-stage buffers are lane-interleaved so the
 /// per-config dependent chains become independent per-lane chains.  The
-/// per-cluster constant tables (weights, op times, fitted coefficients) are
-/// bound to one estimator on first use and rebuilt only when a different
-/// estimator borrows the scratch -- steady-state batches with a fixed
-/// estimator perform zero heap allocations.
+/// per-cluster constants (weights, op times, capacities) live in the
+/// estimator; only the Eq. 1/2/5 coefficient tables are bound here, to one
+/// estimator on first use, and rebuilt only when a different estimator
+/// borrows the scratch -- steady-state batches with a fixed estimator
+/// perform zero heap allocations.  estimate_into() uses lane 0 of the lane
+/// buffers without binding.
 struct BatchScratch {
   /// Lane width: candidate configurations evaluated per SoA pass.  The
   /// per-lane dependent chains (Eq. 3 weight sum, share divisions) are
@@ -96,19 +107,16 @@ struct BatchScratch {
   /// hotpath bench while growing the scratch footprint.
   static constexpr int kLanes = 16;
 
-  /// Identity of the estimator the constant tables below were built for
+  /// Identity of the estimator the coefficient tables below were built for
   /// (CycleEstimator::binding_id(); 0 = unbound).  Address comparison is
   /// not enough: a stack-constructed estimator can reuse the address of a
   /// dead one (the svc workers do exactly that, one estimator per cold
   /// request).
   std::uint64_t bound_id = 0;
 
-  // Per-cluster constants, resolved once per binding (indexed by ClusterId).
-  std::vector<double> inv_s;       ///< Eq. 3 weight 1/S_i (flop seconds)
-  std::vector<double> comp_ms;     ///< Eq. 4 prefix s_ms * ops_per_pdu
-  std::vector<int> capacity;       ///< cluster sizes (validation)
-  std::vector<char> has_fit;       ///< dominant-topology comm fit present
-  std::vector<Eq1Fit> fit;         ///< by-value Eq. 1 fits (where has_fit)
+  // Eq. 1/2/5 coefficients, resolved once per binding (fits indexed by
+  // ClusterId, router/coercion by ordered pair).
+  std::vector<Eq1Fit> fit;         ///< by-value Eq. 1 fits (where fitted)
   std::vector<double> router_i, router_s;  ///< per ordered pair, K*K
   std::vector<double> coerce_i, coerce_s;  ///< zero when no coercion fit
   std::vector<char> has_router;
@@ -206,17 +214,11 @@ struct EstimatorScratch {
   /// fold the delta into the `estimator.delta_evals` telemetry counter.
   std::uint64_t delta_evaluations = 0;
 
-  // Internal buffers (estimator + partitioner use; sizes are per-network).
-  std::vector<double> group_weights;     ///< 1/S_i per active cluster
-  std::vector<int> group_sizes;          ///< P_i per active cluster
-  std::vector<ClusterId> group_clusters; ///< active cluster ids, rank order
-  std::vector<GroupShare> shares;        ///< closed-form Eq. 3 shares
-  std::vector<std::int64_t> max_a;       ///< per active cluster max A_i
-  std::vector<double> objective_cache;   ///< ClusterObjective memo (NaN=empty)
+  std::vector<double> objective_cache;  ///< ClusterObjective memo (NaN=empty)
 
-  /// Lane-parallel engine state (see BatchScratch).  Embedded here so every
-  /// existing scratch owner -- svc workers above all -- reuses warm batch
-  /// buffers without new plumbing.
+  /// Lane-parallel engine state (see BatchScratch); estimate_into() runs on
+  /// its lane 0.  Embedded here so every existing scratch owner -- svc
+  /// workers above all -- reuses warm lane buffers without new plumbing.
   BatchScratch batch;
 
   /// Delta-evaluation baseline cache (see DeltaScratch).  Embedded so the
@@ -246,8 +248,9 @@ class CycleEstimator {
 
   /// A search's winner as a full CycleEstimate, built from the fast path:
   /// the cost fields by estimate_into's arithmetic, the partition vector
-  /// expanded from the closed-form group shares (group g's first `extras`
-  /// ranks get base + 1).  Bitwise identical to estimate(config) on every
+  /// expanded from lane 0's shares (group g's first
+  /// clamp(remainder - ranks_before[g], 0, P_g) ranks get
+  /// share_base[g] + 1).  Bitwise identical to estimate(config) on every
   /// field -- the property tier asserts this -- at two allocations (the
   /// config copy and the vector).  Falls back to estimate()'s path when
   /// starvation repair engages.  Like estimate(), it counts one evaluation
@@ -299,7 +302,8 @@ class CycleEstimator {
   /// Apply a move to `d`'s cached baseline: the baseline becomes the moved
   /// configuration and the gather cache is refreshed.  No evaluation is
   /// performed (the caller already holds the move's estimate from
-  /// estimate_delta).
+  /// estimate_delta), so `scratch` is not read; it keeps the delta calls'
+  /// shared signature.
   void commit_delta(ClusterId cluster, int delta, DeltaScratch& d,
                     EstimatorScratch& scratch) const;
 
@@ -336,14 +340,16 @@ class CycleEstimator {
   CycleEstimate estimate_impl(const ProcessorConfig& config) const;
   CycleEstimate materialize_impl(const ProcessorConfig& config,
                                  EstimatorScratch& scratch) const;
-  /// estimate_into without the count.  When `closed_form` is non-null it
-  /// receives whether scratch.shares describe the partition (false when
-  /// starvation repair engaged).
+  /// estimate_into without the count, on lane 0 of scratch.batch.  When
+  /// `remainder` is non-null it receives the leftover PDUs B2 handed out,
+  /// or -1 when starvation repair engaged (lane 0's shares then do not
+  /// describe the partition).
   FastEstimate evaluate_groups(const ProcessorConfig& config,
                                EstimatorScratch& scratch,
-                               bool* closed_form) const;
-  /// Rebuild `batch`'s per-cluster constant tables when it is bound to a
-  /// different estimator (allocates); no-op on the steady-state path.
+                               std::int64_t* remainder) const;
+  /// Rebuild `batch`'s coefficient tables and size its lane buffers when it
+  /// is bound to a different estimator (allocates); no-op on the
+  /// steady-state path.
   void ensure_batch_bound(BatchScratch& batch) const;
   /// One full lane group (BatchScratch::kLanes configurations) through the
   /// SoA stages; lanes the closed form cannot serve divert to
@@ -366,8 +372,8 @@ class CycleEstimator {
   /// Eq. 6: the fast paths' result from T_comp and T_comm.
   FastEstimate eq6_estimate(double t_comp, double t_comm) const;
   /// Rebuild `d`'s gather cache (active groups, weight-sum prefixes) from
-  /// d.config.  Reads the bound per-cluster tables in scratch.batch.
-  void rebuild_delta_cache(DeltaScratch& d, EstimatorScratch& scratch) const;
+  /// d.config.
+  void rebuild_delta_cache(DeltaScratch& d) const;
   double comm_cost_ms(const ProcessorConfig& config,
                       const PartitionVector& partition) const;
   /// Shared Eq. 1/2/5 evaluation once the per-cluster max A_i are known.
@@ -380,11 +386,25 @@ class CycleEstimator {
   /// against the constructor-memoized fitted-cluster list.
   double cluster_cost_ms(ClusterId c, double bytes, double p_param) const;
 
+  /// Per-cluster constants every fast path reads, resolved once by the
+  /// constructor.  The doubles are the ones the reference path computes
+  /// per rank: the Eq. 3 weight always uses the flop rate, T_comp the
+  /// dominant op kind's, and estimate() evaluates s_ms * ops_per_pdu * A
+  /// left to right, so folding the s_ms * ops_per_pdu prefix changes no
+  /// bit of T_comp.
+  struct ClusterConst {
+    double inv_s = 0.0;    ///< Eq. 3 weight 1/S_i (flop seconds)
+    double comp_ms = 0.0;  ///< Eq. 4 prefix s_ms * ops_per_pdu
+    int capacity = 0;      ///< cluster size (validation)
+    int order_pos = 0;     ///< index in cluster_order_
+    bool has_fit = false;  ///< dominant-topology comm fit present
+  };
+
   const Network& network_;
   const CostModelDb& db_;
   const ComputationSpec& spec_;
   std::vector<ClusterId> cluster_order_;
-  std::vector<int> order_pos_;  ///< cluster id -> index in cluster_order_
+  std::vector<ClusterConst> clusters_;  ///< indexed by ClusterId
 
   // Constructor-resolved invariants of the spec and cost model: the hot
   // path must not re-run phase-dominance scans, callback invocations with
@@ -397,7 +417,6 @@ class CycleEstimator {
   bool comm_bw_limited_ = false;
   bool phases_overlap_ = false;
   std::vector<ClusterId> fitted_clusters_;  ///< has_comm(c, topo), id order
-  std::vector<char> has_fit_;               ///< per cluster, dominant topo
   std::uint64_t binding_id_ = 0;            ///< process-unique, never 0
 
   mutable std::atomic<std::uint64_t> evaluations_{0};

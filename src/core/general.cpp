@@ -14,56 +14,57 @@ namespace {
 /// Hill-climb from `config` with +/-1 moves until a local minimum; returns
 /// the local minimum's objective value and mutates `config` in place.
 /// Every candidate is one move away from the current configuration, so
-/// each is scored through estimate_delta against the bound baseline --
-/// validation, gather, and the weight-sum prefix are reused instead of
-/// recomputed 2K times per round.  Probing order (cluster ascending, +1
-/// before -1) and the strict improvement bar match the original batched
-/// climb, so move sequences -- and evaluation counts -- are unchanged.
-/// The caller reads scratch.evaluations for budget accounting.
+/// each round is one best_neighbour_move scan against the bound baseline
+/// -- validation, gather, and the weight-sum prefix are reused instead of
+/// recomputed 2K times per round.  Each probe counts one evaluation
+/// toward `budget`, checked between rounds.
 double hill_climb(const CycleEstimator& estimator,
                   const AvailabilitySnapshot& snapshot,
                   ProcessorConfig& config, std::uint64_t budget,
                   std::uint64_t* evaluations, EstimatorScratch& scratch) {
-  DeltaScratch& d = scratch.delta;
   ++*evaluations;
-  double current = estimator.bind_delta(config, d, scratch).t_c_ms;
-  int total = config_total(config);
-  bool improved = true;
-  while (improved && *evaluations < budget) {
-    improved = false;
-    int best_cluster = -1;
-    int best_delta = 0;
-    double best_value = current;
-    for (std::size_t c = 0; c < config.size(); ++c) {
-      for (const int delta : {+1, -1}) {
-        const int moved = config[c] + delta;
-        if (moved < 0 || moved > snapshot.available[c]) continue;
-        if (total + delta == 0) continue;
-        const double value =
-            estimator
-                .estimate_delta(static_cast<ClusterId>(c), delta, d, scratch)
-                .t_c_ms;
-        ++*evaluations;
-        if (value < best_value - 1e-12) {
-          best_value = value;
-          best_cluster = static_cast<int>(c);
-          best_delta = delta;
-        }
-      }
-    }
-    if (best_cluster >= 0) {
-      estimator.commit_delta(static_cast<ClusterId>(best_cluster),
-                             best_delta, d, scratch);
-      config[static_cast<std::size_t>(best_cluster)] += best_delta;
-      total += best_delta;
-      current = best_value;
-      improved = true;
-    }
+  double current =
+      estimator.bind_delta(config, scratch.delta, scratch).t_c_ms;
+  while (*evaluations < budget) {
+    const NeighbourMove move =
+        best_neighbour_move(estimator, snapshot, current, scratch);
+    *evaluations += move.probes;
+    if (move.cluster < 0) break;
+    estimator.commit_delta(move.cluster, move.delta, scratch.delta, scratch);
+    config[static_cast<std::size_t>(move.cluster)] += move.delta;
+    current = move.t_c_ms;
   }
   return current;
 }
 
 }  // namespace
+
+NeighbourMove best_neighbour_move(const CycleEstimator& estimator,
+                                  const AvailabilitySnapshot& snapshot,
+                                  double baseline_t_c_ms,
+                                  EstimatorScratch& scratch) {
+  DeltaScratch& d = scratch.delta;
+  NeighbourMove best;
+  best.t_c_ms = baseline_t_c_ms;
+  for (std::size_t c = 0; c < d.config.size(); ++c) {
+    for (const int delta : {+1, -1}) {
+      const int moved = d.config[c] + delta;
+      if (moved < 0 || moved > snapshot.available[c]) continue;
+      if (d.total_p + delta == 0) continue;
+      const double value =
+          estimator.estimate_delta(static_cast<ClusterId>(c), delta, d,
+                                   scratch)
+              .t_c_ms;
+      ++best.probes;
+      if (value < best.t_c_ms - 1e-12) {
+        best.t_c_ms = value;
+        best.cluster = static_cast<ClusterId>(c);
+        best.delta = delta;
+      }
+    }
+  }
+  return best;
+}
 
 PartitionResult general_partition(const CycleEstimator& estimator,
                                   const AvailabilitySnapshot& snapshot,

@@ -32,6 +32,26 @@ struct GeneralPartitionOptions {
   std::uint64_t max_evaluations = 100000;
 };
 
+/// The best single +/-1 move off the baseline bound in `scratch.delta`.
+struct NeighbourMove {
+  ClusterId cluster = -1;  ///< -1 when no move improves on the baseline
+  int delta = 0;
+  double t_c_ms = 0.0;       ///< the move's T_c; the baseline's when none
+  std::uint64_t probes = 0;  ///< legal moves scored through estimate_delta
+};
+
+/// Score every legal +/-1 move off the baseline bound in `scratch.delta`
+/// (whose T_c is `baseline_t_c_ms`) through estimate_delta: clusters
+/// ascending, +1 before -1, skipping moves below zero, above
+/// `snapshot.available`, or to an empty configuration.  A move is kept only
+/// when it beats the best so far by more than 1e-12, so ties keep the
+/// earlier probe.  general_partition's climb and the adaptive executor's
+/// repair scoring (evaluate_config_recovery) share this scan.
+NeighbourMove best_neighbour_move(const CycleEstimator& estimator,
+                                  const AvailabilitySnapshot& snapshot,
+                                  double baseline_t_c_ms,
+                                  EstimatorScratch& scratch);
+
 /// Multi-start local search over the full configuration space.  Never
 /// returns a configuration worse than the locality heuristic's (it is one
 /// of the starting points).  Each start's +/-1 neighbourhood is scored

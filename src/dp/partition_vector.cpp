@@ -4,7 +4,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "dp/rank_kernel.hpp"
 #include "util/error.hpp"
 
 namespace netpart {
@@ -89,89 +88,6 @@ PartitionVector proportional_partition(std::span<const double> weights,
     }
   }
   return PartitionVector(std::move(assigned));
-}
-
-bool proportional_group_shares(std::span<const double> group_weights,
-                               std::span<const int> group_sizes,
-                               std::int64_t num_pdus,
-                               std::span<GroupShare> out) {
-  NP_REQUIRE(!group_weights.empty(), "need at least one rank");
-  NP_REQUIRE(group_weights.size() == group_sizes.size() &&
-                 group_weights.size() == out.size(),
-             "group spans must have equal lengths");
-
-  // The weight sum must reproduce proportional_partition()'s summation
-  // order exactly (rank-major repeated adds): float addition is not
-  // associative, and the per-rank ideal shares divide by this sum.
-  std::int64_t total_ranks = 0;
-  double weight_sum = 0.0;
-  for (std::size_t g = 0; g < group_weights.size(); ++g) {
-    NP_REQUIRE(group_sizes[g] >= 1, "groups must be non-empty");
-    NP_REQUIRE(group_weights[g] > 0.0, "weights must be positive");
-    total_ranks += group_sizes[g];
-    for (int i = 0; i < group_sizes[g]; ++i) weight_sum += group_weights[g];
-  }
-  NP_REQUIRE(num_pdus >= total_ranks, "cannot give every rank a PDU");
-
-  // Every rank of a group computes the identical ideal share, so floor and
-  // fractional part collapse to one value per group.
-  std::int64_t used = 0;
-  for (std::size_t g = 0; g < group_weights.size(); ++g) {
-    const double ideal =
-        static_cast<double>(num_pdus) * group_weights[g] / weight_sum;
-    out[g].base = static_cast<std::int64_t>(ideal);
-    out[g].frac = ideal - static_cast<double>(out[g].base);
-    out[g].extras = 0;
-    used += out[g].base * group_sizes[g];
-  }
-  const std::int64_t remainder = num_pdus - used;
-  NP_ASSERT(remainder >= 0 && remainder <= total_ranks);
-
-  // Largest-remainder distribution: the stable per-rank sort (frac
-  // descending, original rank order on ties) never interleaves two groups,
-  // so group g's ranks are preceded by exactly the ranks of groups with a
-  // strictly larger frac, plus equal-frac groups appearing earlier.  The
-  // count comes from the branchless rank kernel (sorting network up to 4
-  // groups, quadratic pass above); both paths are allocation-free, and the
-  // <= 4 staging below keeps this function's span-only signature.
-  const std::size_t n = group_weights.size();
-  std::int64_t ranks_before_small[4];
-  const std::int64_t* ranks_before = nullptr;
-  if (n <= 4) {
-    double frac[4];
-    int sizes[4];
-    for (std::size_t g = 0; g < n; ++g) {
-      frac[g] = out[g].frac;
-      sizes[g] = group_sizes[g];
-    }
-    largest_remainder_ranks(frac, sizes, static_cast<int>(n),
-                            ranks_before_small);
-    ranks_before = ranks_before_small;
-  }
-  for (std::size_t g = 0; g < n; ++g) {
-    std::int64_t before;
-    if (ranks_before != nullptr) {
-      before = ranks_before[g];
-    } else {
-      // > 4 groups: the quadratic pass, inline over the AoS shares so no
-      // scratch buffer is needed.
-      before = 0;
-      for (std::size_t h = 0; h < n; ++h) {
-        if (h == g) continue;
-        if (out[h].frac > out[g].frac ||
-            (out[h].frac == out[g].frac && h < g)) {
-          before += group_sizes[h];
-        }
-      }
-    }
-    const std::int64_t extras =
-        std::clamp<std::int64_t>(remainder - before, 0, group_sizes[g]);
-    out[g].extras = static_cast<int>(extras);
-    if (out[g].base == 0 && extras < group_sizes[g]) {
-      return false;  // a rank would starve; caller must materialise
-    }
-  }
-  return true;
 }
 
 std::string PartitionVector::to_string() const {

@@ -51,32 +51,4 @@ class PartitionVector {
 PartitionVector proportional_partition(std::span<const double> weights,
                                        std::int64_t num_pdus);
 
-/// One group of consecutive ranks sharing a single weight (a homogeneous
-/// cluster in Eq. 3's balanced partition).  `extras` of the group's ranks
-/// receive `base + 1` PDUs and the rest receive `base`; largest-remainder
-/// order gives the extras to the group's earliest ranks.  `frac` is the
-/// group's fractional share, kept so callers can audit the rounding.
-struct GroupShare {
-  std::int64_t base = 0;
-  int extras = 0;
-  double frac = 0.0;
-};
-
-/// Closed form of proportional_partition() for ranks grouped by equal
-/// weight: a balanced partition hands each group only the floor or ceiling
-/// of its ideal share, so the per-group min/max are computable without
-/// materialising the per-rank vector.  Groups are rank-contiguous in the
-/// given order and must all be non-empty with positive weights.
-///
-/// Writes one GroupShare per group into `out` (sized == group count) and
-/// returns true; the implied per-rank values are then bitwise identical to
-/// proportional_partition() on the expanded weights.  Returns false when
-/// the rounding would starve a rank (extreme weight skew) -- the closed
-/// form does not reproduce proportional_partition()'s donor-stealing
-/// repair, so the caller must fall back to materialising.  Allocation-free.
-bool proportional_group_shares(std::span<const double> group_weights,
-                               std::span<const int> group_sizes,
-                               std::int64_t num_pdus,
-                               std::span<GroupShare> out);
-
 }  // namespace netpart

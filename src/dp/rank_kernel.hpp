@@ -2,10 +2,14 @@
 //
 // proportional_partition() realises the ideal (fractional) Eq. 3 shares as
 // integers by handing the leftover PDUs to the ranks with the largest
-// fractional parts, stable on ties.  Everything the closed-form evaluators
-// need from that sort is one number per group: how many ranks precede the
+// fractional parts, stable on ties.  Everything the estimator's closed form
+// needs from that sort is one number per group: how many ranks precede the
 // group in the frac-descending order ("ranks_before") -- the remainder is
 // then compared against it to decide whether the group receives an extra.
+// The closed form has one home, CycleEstimator's Stage B2 kernel
+// (lane_extras), which every fast path runs; the share divisions before it
+// (B1) are plain IEEE division, the exact `/` proportional_partition()
+// performs per rank.
 //
 // Two implementations of that count, bitwise-identical by construction
 // (both implement the same exact-double comparisons; the differential tier
@@ -24,12 +28,8 @@
 //   * detail::largest_remainder_ranks_general() -- the O(G^2) pass in
 //     |/& arithmetic, kept as the any-size fallback and as the
 //     differential oracle.  Its compares do compile to `setcc`/`cmov`.
-//
-// Also here: InvariantDivider, the reciprocal-multiply division used by the
-// batched share stage (see the class comment for the bitwise contract).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 namespace netpart {
@@ -65,9 +65,8 @@ inline void largest_remainder_ranks_general(const double* frac,
 
 /// Largest-remainder rank counts (see file comment).  Preconditions:
 /// groups >= 1, sizes[g] >= 0, and frac[g] in [0, 1) -- the fractional
-/// part of a finite non-negative ideal share, which is what both callers
-/// (proportional_group_shares and the batched Stage B) compute.  Writes
-/// exactly `groups` entries of ranks_before.
+/// part of a finite non-negative ideal share, which is what Stage B1
+/// computes.  Writes exactly `groups` entries of ranks_before.
 inline void largest_remainder_ranks(const double* frac, const int* sizes,
                                     int groups,
                                     std::int64_t* ranks_before) {
@@ -126,49 +125,5 @@ inline void largest_remainder_ranks(const double* frac, const int* sizes,
   }
   for (int g = 0; g < groups; ++g) ranks_before[g] = out[g];
 }
-
-/// True when InvariantDivider runs its fused reciprocal-multiply path;
-/// false on toolchains without hardware FMA, where it degrades to plain
-/// division (see below).  Exposed so tests can assert the active path's
-/// bitwise contract.
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
-inline constexpr bool kInvariantDividerFused = true;
-#else
-inline constexpr bool kInvariantDividerFused = false;
-#endif
-
-/// Division by a loop-invariant divisor, as the batched share stage needs
-/// it: one real division (the reciprocal) amortised over a whole group of
-/// numerators, each served by two FMAs.
-///
-/// Bitwise contract: divide(x) == x / d exactly.  With hardware FMA this
-/// holds by Markstein's round-to-nearest correction: r = RN(1/d) is the
-/// correctly rounded reciprocal, q0 = RN(x*r) is within an ulp of the
-/// quotient, and the residual rem = fma(-d, q0, x) is exact, so
-/// fma(rem, r, q0) rounds to RN(x/d) for normal x/d -- the range Eq. 3
-/// shares live in (num_pdus * weight over a positive weight sum).  Without
-/// hardware FMA the correction would go through libm's software fma --
-/// slower than the division it replaces and, worse, a libm soft-fma is not
-/// guaranteed exact on every platform; that configuration falls back to
-/// plain division at compile time (kInvariantDividerFused == false), which
-/// is trivially bitwise.  The property tier asserts divide(x) == x / d on
-/// whichever path is compiled in.
-struct InvariantDivider {
-  double d;
-  double r;  ///< RN(1/d), correctly rounded by IEEE division
-
-  explicit InvariantDivider(double divisor)
-      : d(divisor), r(1.0 / divisor) {}
-
-  double divide(double x) const {
-    if constexpr (kInvariantDividerFused) {
-      const double q0 = x * r;
-      const double rem = std::fma(-d, q0, x);
-      return std::fma(rem, r, q0);
-    } else {
-      return x / d;
-    }
-  }
-};
 
 }  // namespace netpart

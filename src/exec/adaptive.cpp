@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 
+#include "core/general.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/faults.hpp"
@@ -266,8 +267,8 @@ ConfigRecoveryReport evaluate_config_recovery(
   // The achieved configuration is scored once, as the delta baseline of
   // the repair below: bind_delta's estimate is bitwise estimate()'s.
   EstimatorScratch scratch;
-  DeltaScratch& d = scratch.delta;
-  report.achieved_t_c_ms = estimator.bind_delta(achieved, d, scratch).t_c_ms;
+  report.achieved_t_c_ms =
+      estimator.bind_delta(achieved, scratch.delta, scratch).t_c_ms;
   const PartitionResult oracle =
       exhaustive_partition(estimator, snapshot, options);
   report.oracle_t_c_ms = oracle.estimate.t_c_ms;
@@ -276,36 +277,17 @@ ConfigRecoveryReport evaluate_config_recovery(
   report.ratio =
       report.achieved_t_c_ms / std::max(report.oracle_t_c_ms, 1e-12);
 
-  // Local +/-1 repair off the achieved configuration, on the delta path:
-  // 2K probes against the bound baseline instead of 2K from-scratch
-  // evaluations.  Probe order and the strict improvement bar match the
-  // general partitioner's climb.
-  const int total = config_total(achieved);
-  double best_value = report.achieved_t_c_ms;
-  int best_cluster = -1;
-  int best_delta = 0;
-  for (std::size_t c = 0; c < achieved.size(); ++c) {
-    for (const int delta : {+1, -1}) {
-      const int moved = achieved[c] + delta;
-      if (moved < 0 || moved > snapshot.available[c]) continue;
-      if (total + delta == 0) continue;
-      const double value =
-          estimator.estimate_delta(static_cast<ClusterId>(c), delta, d,
-                                   scratch)
-              .t_c_ms;
-      if (value < best_value - 1e-12) {
-        best_value = value;
-        best_cluster = static_cast<int>(c);
-        best_delta = delta;
-      }
-    }
-  }
-  report.local_best_t_c_ms = best_value;
+  // Local +/-1 repair off the achieved configuration: one round of the
+  // general partitioner's climb, 2K delta probes against the bound
+  // baseline instead of 2K from-scratch evaluations.
+  const NeighbourMove move = best_neighbour_move(
+      estimator, snapshot, report.achieved_t_c_ms, scratch);
+  report.local_best_t_c_ms = move.t_c_ms;
   report.local_best_config = achieved;
-  report.locally_optimal = best_cluster < 0;
-  if (best_cluster >= 0) {
-    report.local_best_config[static_cast<std::size_t>(best_cluster)] +=
-        best_delta;
+  report.locally_optimal = move.cluster < 0;
+  if (move.cluster >= 0) {
+    report.local_best_config[static_cast<std::size_t>(move.cluster)] +=
+        move.delta;
   }
   estimator.merge_evaluations(scratch.evaluations);
   return report;

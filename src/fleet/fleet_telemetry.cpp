@@ -33,14 +33,18 @@ std::vector<obs::TraceLane> FleetTelemetry::lanes() const {
   return lanes;
 }
 
-std::string FleetTelemetry::merged_metrics_text() {
+std::vector<obs::LabelledRegistry> FleetTelemetry::metric_sources() {
   sync_loss_counters();
   std::vector<obs::LabelledRegistry> sources{{&fleet_.telemetry(), ""}};
   for (NodeId id : fleet_.node_ids()) {
     sources.push_back(
         {&fleet_.node(id).telemetry(), "node=" + std::to_string(id)});
   }
-  return obs::merged_metrics_text(sources);
+  return sources;
+}
+
+std::string FleetTelemetry::merged_metrics_text() {
+  return obs::merged_metrics_text(metric_sources());
 }
 
 JsonValue FleetTelemetry::merged_chrome_trace() {

@@ -63,6 +63,12 @@ class FleetTelemetry {
   /// named to match make_fleet_network's cluster names).
   std::vector<obs::TraceLane> lanes() const;
 
+  /// The registries merged_metrics_text() dumps, loss counters synced
+  /// first: the Fleet's own (plain rows), then each node's (`{node=N}`).
+  /// A caller with more registries to export appends them and calls
+  /// obs::merged_metrics_text() itself (fleetd adds the process-wide one).
+  std::vector<obs::LabelledRegistry> metric_sources();
+
   /// Name-ordered merged metrics dump: fleet-level rows plain, per-node
   /// rows with a `{node=N}` dimension.  Deterministic for a deterministic
   /// run.

@@ -121,8 +121,9 @@ AvailabilityFeed::AvailabilityFeed(
     : AvailabilityFeed(gather_availability(net, managers)) {}
 
 std::uint64_t AvailabilityFeed::epoch() const {
+  const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
   NP_ATOMIC_ACQUIRE(&epoch_, "net.feed.epoch");
-  return epoch_.load(std::memory_order_acquire);
+  return epoch;
 }
 
 std::pair<AvailabilitySnapshot, std::uint64_t> AvailabilityFeed::read()

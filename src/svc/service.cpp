@@ -71,8 +71,8 @@ PartitionService::~PartitionService() {
 }
 
 void PartitionService::observe_epoch(std::uint64_t epoch) {
-  NP_ATOMIC_ACQUIRE(&seen_epoch_, "svc.service.seen_epoch");
   std::uint64_t seen = seen_epoch_.load(std::memory_order_acquire);
+  NP_ATOMIC_ACQUIRE(&seen_epoch_, "svc.service.seen_epoch");
   while (epoch > seen) {
     NP_ATOMIC_RMW(&seen_epoch_, "svc.service.seen_epoch");
     if (seen_epoch_.compare_exchange_weak(seen, epoch,

@@ -8,6 +8,7 @@
 #include "exec/adaptive.hpp"
 #include "exec/executor.hpp"
 #include "exec/load.hpp"
+#include "net/builder.hpp"
 #include "net/presets.hpp"
 
 namespace netpart {
@@ -107,6 +108,84 @@ TEST(AdaptiveTest, ConfigRecoveryScoresAgainstExhaustiveOracle) {
   EXPECT_GT(bad.ratio, 1.0);
   EXPECT_EQ(bad.oracle_config, self.oracle_config);
   EXPECT_DOUBLE_EQ(bad.oracle_t_c_ms, self.oracle_t_c_ms);
+}
+
+TEST(AdaptiveTest, ConfigRecoveryLocalRepairMatchesBruteForceScan) {
+  // The local +/-1 repair fields against a brute-force scan of the
+  // neighbours through the reference estimate(): every legal single move
+  // off the achieved configuration, cluster ascending and +1 before -1,
+  // kept only when it beats the best so far by more than 1e-12.
+  const ComputationSpec spec = apps::make_stencil_spec(
+      apps::StencilConfig{.n = 1200, .iterations = 10, .overlap = false});
+  Rng rng(0x10CA1);
+  const auto expect_scan = [&](const Network& net, const CostModelDb& db) {
+    const CycleEstimator est(net, db, spec);
+    const AvailabilitySnapshot snap =
+        gather_availability(net, make_managers(net, AvailabilityPolicy{}));
+    std::vector<ProcessorConfig> achieved_set;
+    Rng config_rng = rng.stream(1);
+    while (achieved_set.size() < 12) {
+      ProcessorConfig config(snap.available.size(), 0);
+      for (std::size_t c = 0; c < config.size(); ++c) {
+        config[c] =
+            static_cast<int>(config_rng.next_int(0, snap.available[c]));
+      }
+      if (config_total(config) > 0) achieved_set.push_back(config);
+    }
+    // One processor per cluster: on the twin network its two +1 moves tie.
+    achieved_set.push_back(ProcessorConfig(snap.available.size(), 1));
+    // The exhaustive argmin is a global optimum, so no move improves it.
+    achieved_set.push_back(exhaustive_partition(est, snap).config);
+
+    int improvable = 0;
+    int optimal = 0;
+    for (const ProcessorConfig& achieved : achieved_set) {
+      const ConfigRecoveryReport report =
+          evaluate_config_recovery(est, snap, achieved);
+      double best = est.estimate(achieved).t_c_ms;
+      ProcessorConfig best_config = achieved;
+      for (std::size_t c = 0; c < achieved.size(); ++c) {
+        for (const int delta : {+1, -1}) {
+          ProcessorConfig probe = achieved;
+          probe[c] += delta;
+          if (probe[c] < 0 || probe[c] > snap.available[c]) continue;
+          if (config_total(probe) == 0) continue;
+          const double value = est.estimate(probe).t_c_ms;
+          if (value < best - 1e-12) {
+            best = value;
+            best_config = probe;
+          }
+        }
+      }
+      const bool moved = best_config != achieved;
+      EXPECT_EQ(report.local_best_t_c_ms, best);
+      EXPECT_EQ(report.local_best_config, best_config);
+      EXPECT_EQ(report.locally_optimal, !moved);
+      ++(moved ? improvable : optimal);
+    }
+    EXPECT_GT(improvable, 0);
+    EXPECT_GT(optimal, 0);
+  };
+
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  expect_scan(testbed(), calibrate(testbed(), params).db);
+  const Network wide = presets::random_network(rng, 3, 5);
+  expect_scan(wide, calibrate(wide, params).db);
+
+  // Two identical clusters with identical fitted costs: mirrored
+  // configurations score the same, so from {1, 1} the scan order and the
+  // strict bar decide which +1 move is reported.
+  NetworkBuilder builder;
+  builder.bandwidth_bps(10e6);
+  builder.router_delay(SimTime::nanos(600), SimTime::micros(100));
+  builder.add_cluster("twin0", testbed().cluster(0).type(), 4);
+  builder.add_cluster("twin1", testbed().cluster(0).type(), 4);
+  const Network twin = builder.build();
+  CostModelDb twin_db = calibrate(twin, params).db;
+  const Eq1Fit fit = twin_db.comm_fit(0, Topology::OneD);
+  twin_db.set_comm(1, Topology::OneD, fit);
+  expect_scan(twin, twin_db);
 }
 
 TEST(AdaptiveTest, NoLoadMeansNoRepartitions) {

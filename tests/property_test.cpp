@@ -229,20 +229,38 @@ TEST_P(RandomNetworkProperties, FastPathBitwiseMatchesReference) {
   }
 }
 
-/// Whether `config` sends Eq. 3 through starvation repair: the closed-form
-/// shares refuse exactly then.
+/// Whether `config` sends Eq. 3 through starvation repair, by a test-local
+/// oracle of the rounding before proportional_partition's repair loop:
+/// per-rank ideal shares over the rank-major weight sum, floors, and the
+/// leftover PDUs to the largest fractional parts (stable on ties).  The
+/// fast paths serve a configuration in closed form exactly when no rank
+/// ends up with zero PDUs here.
 bool starves(const Network& net, const CycleEstimator& est,
              const ProcessorConfig& config, std::int64_t pdus) {
   std::vector<double> weights;
-  std::vector<int> sizes;
   for (ClusterId c : est.cluster_order()) {
-    const int p = config[static_cast<std::size_t>(c)];
-    if (p == 0) continue;
-    weights.push_back(1.0 / net.cluster(c).type().flop_time.as_seconds());
-    sizes.push_back(p);
+    for (int i = 0; i < config[static_cast<std::size_t>(c)]; ++i) {
+      weights.push_back(1.0 / net.cluster(c).type().flop_time.as_seconds());
+    }
   }
-  std::vector<GroupShare> shares(weights.size());
-  return !proportional_group_shares(weights, sizes, pdus, shares);
+  double weight_sum = 0.0;
+  for (const double w : weights) weight_sum += w;
+  std::vector<std::int64_t> shares(weights.size());
+  std::vector<std::pair<double, std::size_t>> fractional;
+  std::int64_t used = 0;
+  for (std::size_t r = 0; r < weights.size(); ++r) {
+    const double ideal = static_cast<double>(pdus) * weights[r] / weight_sum;
+    shares[r] = static_cast<std::int64_t>(ideal);
+    used += shares[r];
+    fractional.emplace_back(ideal - static_cast<double>(shares[r]), r);
+  }
+  std::stable_sort(
+      fractional.begin(), fractional.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (std::int64_t k = 0; k < pdus - used; ++k) {
+    ++shares[fractional[static_cast<std::size_t>(k)].second];
+  }
+  return std::find(shares.begin(), shares.end(), 0) != shares.end();
 }
 
 /// materialize() against the reference estimate() over random
@@ -456,45 +474,70 @@ TEST(BatchEngine, RemainderOnlyTailAndEmptyBatch) {
   EXPECT_EQ(scratch.batch_evaluations, 0u);
 }
 
+/// One cluster per group, in group order, with a flop time of 1/w ms: each
+/// cluster's Eq. 3 weight 1/S_i is 1000 * weights[g] up to the nanosecond
+/// rounding of its flop time.
+Network share_network(const std::vector<double>& weights,
+                      const std::vector<int>& sizes) {
+  NetworkBuilder b;
+  b.bandwidth_bps(10e6);
+  b.frame_overhead(SimTime::micros(50));
+  b.router_delay(SimTime::nanos(600), SimTime::micros(100));
+  for (std::size_t g = 0; g < weights.size(); ++g) {
+    ProcessorType t;
+    t.name = "group" + std::to_string(g);
+    t.flop_time = SimTime::millis(1.0 / weights[g]);
+    t.int_time = t.flop_time;
+    t.comm_per_byte = SimTime::nanos(800);
+    t.comm_per_message = SimTime::micros(500);
+    b.add_cluster(t.name, t, sizes[g]);
+  }
+  return b.build();
+}
+
+/// A spec with one computation phase and no communication: T_c is Eq. 4's
+/// maximum alone, so the partition decides every cost field.
+ComputationSpec compute_only_spec(std::int64_t pdus) {
+  ComputationPhaseSpec phase;
+  phase.name = "compute";
+  phase.num_pdus = [pdus] { return pdus; };
+  phase.ops_per_pdu = [] { return 100.0; };
+  return ComputationSpec("shares", {phase}, {}, 1);
+}
+
 TEST(GroupShares, MatchesProportionalPartitionExactly) {
-  // proportional_group_shares must reproduce, per homogeneous group, the
-  // exact per-rank assignment of proportional_partition: the first
-  // `extras` ranks of a group carry base+1, the rest base.
+  // Each draw is a network of homogeneous clusters under a computation-only
+  // spec, every processor selected.  The winner materialize() expands from
+  // lane 0's closed-form shares (the first clamp(remainder - ranks_before,
+  // 0, P_g) ranks of a group carry base + 1) must be estimate()'s
+  // proportional_partition() vector and cost fields exactly.
   Rng rng(0x5A5A);
   int closed_form = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const int groups = static_cast<int>(rng.next_int(1, 6));
-    std::vector<double> group_weights;
-    std::vector<int> group_sizes;
-    std::vector<double> rank_weights;
+    std::vector<double> weights;
+    std::vector<int> sizes;
     int total_ranks = 0;
     for (int g = 0; g < groups; ++g) {
-      group_weights.push_back(0.1 + 10.0 * rng.next_double());
-      group_sizes.push_back(static_cast<int>(rng.next_int(1, 5)));
-      total_ranks += group_sizes.back();
-      for (int i = 0; i < group_sizes.back(); ++i) {
-        rank_weights.push_back(group_weights.back());
-      }
+      weights.push_back(0.1 + 10.0 * rng.next_double());
+      sizes.push_back(static_cast<int>(rng.next_int(1, 5)));
+      total_ranks += sizes.back();
     }
     const std::int64_t pdus = rng.next_int(total_ranks, 4000);
-    std::vector<GroupShare> shares(static_cast<std::size_t>(groups));
-    const PartitionVector pv = proportional_partition(rank_weights, pdus);
-    if (!proportional_group_shares(group_weights, group_sizes, pdus,
-                                   shares)) {
-      continue;  // starvation repair engaged; callers materialise
-    }
-    ++closed_form;
-    int rank = 0;
-    for (int g = 0; g < groups; ++g) {
-      for (int i = 0; i < group_sizes[static_cast<std::size_t>(g)];
-           ++i, ++rank) {
-        const std::int64_t expected =
-            shares[static_cast<std::size_t>(g)].base +
-            (i < shares[static_cast<std::size_t>(g)].extras ? 1 : 0);
-        ASSERT_EQ(pv.at(rank), expected)
-            << "trial " << trial << " group " << g << " rank " << rank;
-      }
-    }
+    const Network net = share_network(weights, sizes);
+    const CostModelDb db(net.num_clusters());
+    const ComputationSpec spec = compute_only_spec(pdus);
+    const CycleEstimator est(net, db, spec);
+    const ProcessorConfig config(sizes.begin(), sizes.end());
+    EstimatorScratch scratch;
+    const CycleEstimate want = est.estimate(config);
+    const CycleEstimate got = est.materialize(config, scratch);
+    ASSERT_EQ(got.partition.values(), want.partition.values())
+        << "trial " << trial;
+    ASSERT_EQ(got.t_comp_ms, want.t_comp_ms) << "trial " << trial;
+    ASSERT_EQ(got.t_c_ms, want.t_c_ms) << "trial " << trial;
+    ASSERT_EQ(got.t_elapsed_ms, want.t_elapsed_ms) << "trial " << trial;
+    if (!starves(net, est, config, pdus)) ++closed_form;
   }
   // The closed form must cover the overwhelming majority of draws.
   EXPECT_GT(closed_form, 350);
@@ -607,45 +650,54 @@ TEST(RankKernel, GeneralPathAboveFourGroupsMatchesOracle) {
   }
 }
 
-TEST(RankKernel, InvariantDividerBitwiseMatchesDivision) {
-  // The batched share stage replaces x / d with divide(x); the engine's
-  // bitwise contract requires exact equality on whichever path the
-  // toolchain compiled in (Markstein correction under hardware FMA, plain
-  // division otherwise).
-  Rng rng(0xD1F1);
-  for (int trial = 0; trial < 20000; ++trial) {
-    // Magnitudes spanning the Eq. 3 share range and well beyond it.
-    const double x = std::ldexp(0.5 + rng.next_double(),
-                                static_cast<int>(rng.next_int(-30, 60)));
-    const double d = std::ldexp(0.5 + rng.next_double(),
-                                static_cast<int>(rng.next_int(-30, 60)));
-    const InvariantDivider div(d);
-    ASSERT_EQ(div.divide(x), x / d)
-        << "trial " << trial << " x " << x << " d " << d
-        << " fused " << kInvariantDividerFused;
-  }
-}
-
 TEST(GroupShares, StarvationEdges) {
   // The closed form must refuse exactly when a rank would starve: base 0
-  // with fewer extras than ranks.  Pin both sides of the edge.
-  const auto run = [](std::vector<double> w, std::vector<int> sz,
-                      std::int64_t pdus) {
-    std::vector<GroupShare> shares(w.size());
-    return proportional_group_shares(w, sz, pdus, shares);
+  // with fewer extras than ranks.  Both sides of each edge run as one full
+  // lane group of estimate_batch: on the closed-form side all 16 lanes are
+  // scored by the lane engine, on the starved side every lane replays
+  // through estimate_into.  Either way every lane must equal estimate().
+  constexpr auto kLanes = static_cast<std::uint64_t>(BatchScratch::kLanes);
+  const auto batch_evaluations = [&](const std::vector<double>& w,
+                                     const std::vector<int>& sz,
+                                     std::int64_t pdus) {
+    const Network net = share_network(w, sz);
+    const CostModelDb db(net.num_clusters());
+    const ComputationSpec spec = compute_only_spec(pdus);
+    const CycleEstimator est(net, db, spec);
+    const ProcessorConfig config(sz.begin(), sz.end());
+    const std::vector<ProcessorConfig> configs(kLanes, config);
+    std::vector<FastEstimate> got(configs.size());
+    EstimatorScratch scratch;
+    est.estimate_batch(configs.data(), configs.size(), got.data(), scratch);
+    const CycleEstimate want = est.estimate(config);
+    for (const FastEstimate& lane : got) {
+      EXPECT_EQ(lane.t_comp_ms, want.t_comp_ms) << "pdus " << pdus;
+      EXPECT_EQ(lane.t_comm_ms, want.t_comm_ms) << "pdus " << pdus;
+      EXPECT_EQ(lane.t_overlap_ms, want.t_overlap_ms) << "pdus " << pdus;
+      EXPECT_EQ(lane.t_c_ms, want.t_c_ms) << "pdus " << pdus;
+      EXPECT_EQ(lane.t_elapsed_ms, want.t_elapsed_ms) << "pdus " << pdus;
+    }
+    EXPECT_EQ(scratch.evaluations, kLanes);
+    EXPECT_EQ(scratch.batch_evaluations,
+              starves(net, est, config, pdus) ? 0u : kLanes)
+        << "pdus " << pdus;
+    return scratch.batch_evaluations;
   };
-  // pdus == total ranks with equal weights: every rank gets exactly one
-  // (base 0, extras == size everywhere) -- no starvation.
-  EXPECT_TRUE(run({1.0, 1.0}, {3, 3}, 6));
+  // pdus == total ranks with equal weights: every rank gets exactly one --
+  // no starvation.
+  EXPECT_EQ(batch_evaluations({1.0, 1.0}, {3, 3}, 6), kLanes);
   // A tiny-weight group at the remainder boundary: base 0 and the
   // remainder runs out before reaching it.
-  EXPECT_FALSE(run({1000.0, 0.001}, {2, 2}, 100));
+  EXPECT_EQ(batch_evaluations({1000.0, 0.001}, {2, 2}, 100), 0u);
   // Same weights, enough PDUs that the small group's base rises above 0.
-  EXPECT_TRUE(run({1000.0, 0.001}, {2, 2}, 4000000));
-  // Starvation must also be detected past the 4-group sorting network, on
-  // the inline quadratic path.
-  EXPECT_FALSE(
-      run({100.0, 100.0, 100.0, 100.0, 0.001}, {1, 1, 1, 1, 2}, 7));
+  EXPECT_EQ(batch_evaluations({1000.0, 0.001}, {2, 2}, 4000000), kLanes);
+  // Both sides past the 4-group sorting network, on the quadratic pass.
+  EXPECT_EQ(batch_evaluations({100.0, 100.0, 100.0, 100.0, 0.001},
+                              {1, 1, 1, 1, 2}, 7),
+            0u);
+  EXPECT_EQ(batch_evaluations({100.0, 100.0, 100.0, 100.0, 0.001},
+                              {1, 1, 1, 1, 2}, 4000000),
+            kLanes);
 }
 
 class DeltaEvalProperties : public RandomNetworkProperties {};

@@ -719,11 +719,8 @@ TEST(RaceFixtureTest, AtomicHandoffMacrosCreateTheEdge) {
   int payload = 0;
   RaceRecorder::instance().start();
   std::thread consumer([&] {
+    while (!ready.load(std::memory_order_acquire)) std::this_thread::yield();
     NP_ATOMIC_ACQUIRE(&ready, "fixture.ready");
-    while (!ready.load(std::memory_order_acquire)) {
-      NP_ATOMIC_ACQUIRE(&ready, "fixture.ready");
-      std::this_thread::yield();
-    }
     NP_READ(&payload, "fixture.payload");
     EXPECT_EQ(payload, 42);
   });

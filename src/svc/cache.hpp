@@ -3,17 +3,27 @@
 // The service's hot path is a lookup; a global lock would serialise every
 // worker and client thread on it.  The key space is already well mixed
 // (FNV-1a), so keys map to shards by simple modulo and each shard carries
-// its own mutex, eviction list, and counters.  Capacity is divided evenly
-// across shards (an approximation of a global policy that never takes more
-// than one lock per operation).
+// its own mutex, entries, and counters.  Capacity is divided evenly across
+// shards (an approximation of a global policy that never takes more than
+// one lock per operation).
 //
-// Eviction: second chance, an approximation of LRU.  A hit sets its
-// entry's `referenced` flag, and only when the flag is clear.  An insert
-// into a full shard walks the list from its oldest end, moves referenced
-// entries to the front with the flag cleared, and evicts the first
-// unreferenced one.  A hit must not write list links: if every hit moved
-// its entry to the front (LRU), two clients hitting one hot shard would
-// keep rewriting the same links and list nodes, and the second client
+// Storage: each shard is a flat ring of at most shard_capacity() entries,
+// reserved at construction and filled as entries arrive, plus a
+// fixed-size open-addressing index from key to ring position
+// (util/flat_index.hpp).  A cold insert into a full shard overwrites its
+// victim's slot, so it allocates nothing under the shard lock, and the
+// victim's decision and reply are released after the lock.
+//
+// Eviction: second chance (CLOCK), an approximation of LRU.  The ring
+// holds its entries in age order from a hand: the entry at the hand is the
+// oldest, the one before it the newest.  A hit sets its entry's
+// `referenced` flag, and only when the flag is clear.  An insert into a
+// full shard clears the flag of each referenced entry at the hand and
+// advances past it (the entry is now the newest), then overwrites the
+// first unreferenced entry with the new one and advances once more, so a
+// new decision is never its own victim.  A hit must not reorder anything:
+// if every hit moved its entry to the front (LRU), two clients hitting one
+// hot shard would keep rewriting the same links, and the second client
 // would add little to the hit rate.  A hit on a warm entry writes only
 // the shard's mutex and hit counter, and the reference count of the
 // reply it copies.
@@ -21,7 +31,8 @@
 // Invalidation: the availability epoch is folded into every key, so stale
 // entries can never be *hit* -- invalidate_before() exists to reclaim
 // their memory the moment the service observes a bump, and to make
-// staleness visible in the stats.
+// staleness visible in the stats.  It compacts each shard's survivors to
+// the ring's front in age order and rebuilds the index.
 //
 // Ready replies: a cache hit answers with a resolved future.  Each entry
 // builds its own on its first lookup_reply() and every later hit copies
@@ -32,16 +43,15 @@
 
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/partitioner.hpp"
 #include "dp/partition_vector.hpp"
 #include "topo/placement.hpp"
+#include "util/flat_index.hpp"
 
 namespace netpart::svc {
 
@@ -87,7 +97,7 @@ class DecisionCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     /// Capacity evictions: the first unreferenced entry a second-chance
-    /// pass reaches.  Entries the pass only moves are not counted.
+    /// pass reaches.  Entries the pass only passes over are not counted.
     std::uint64_t evictions = 0;
     std::uint64_t invalidated = 0;  ///< entries purged by epoch bumps
   };
@@ -138,21 +148,24 @@ class DecisionCache {
 
  private:
   struct Entry {
-    std::uint64_t key;
+    std::uint64_t key = 0;
     std::shared_ptr<const PartitionDecision> decision;
     /// Empty until the first lookup_reply(); reset when `decision` is.
     std::shared_future<ServiceReply> reply;
     /// Second-chance bit: set by a hit or a refresh, cleared when an
-    /// eviction pass moves the entry to the front.
+    /// eviction pass advances the hand past the entry.
     bool referenced = false;
   };
   struct Shard {
+    explicit Shard(std::size_t capacity);
     mutable std::mutex mutex;
-    // Eviction order, oldest at the back: new keys enter at the front, and
-    // an eviction pass moves referenced entries from the back to the
-    // front.  Hits never reorder it.
-    std::list<Entry> lru;
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
+    // Entries in age order from `hand` (the oldest) around to the newest
+    // just before it.  While the ring is not full, `hand` is 0 and a new
+    // key is appended; once full, a new key overwrites the victim at the
+    // hand.  Hits never reorder it.
+    std::vector<Entry> ring;
+    std::size_t hand = 0;
+    FlatIndex<std::uint32_t> index;  ///< key -> position in `ring`
     Stats stats;
   };
 

@@ -18,6 +18,18 @@ double us_since(Clock::time_point start) {
       .count();
 }
 
+/// An upper bound on the jobs in flight at once: a full queue, and per
+/// worker the job it runs and the one it answered but has not yet erased.
+std::size_t inflight_bound(const ServiceOptions& options) {
+  NP_REQUIRE(options.workers >= 1, "service needs at least one worker");
+  NP_REQUIRE(options.queue_capacity >= 1,
+             "service queue capacity must be positive");
+  const std::size_t per_worker = 2 * static_cast<std::size_t>(options.workers);
+  NP_REQUIRE(options.queue_capacity <= SIZE_MAX - per_worker,
+             "service queue capacity too large");
+  return options.queue_capacity + per_worker;
+}
+
 }  // namespace
 
 PartitionService::PartitionService(const Network& net, const CostModelDb& db,
@@ -39,10 +51,8 @@ PartitionService::PartitionService(const Network& net, const CostModelDb& db,
       cold_computes_(metrics_.counter("cold_computes")),
       epoch_bumps_(metrics_.counter("epoch_bumps")),
       hit_latency_(metrics_.latency("hit")),
-      cold_latency_(metrics_.latency("cold")) {
-  NP_REQUIRE(options_.workers >= 1, "service needs at least one worker");
-  NP_REQUIRE(options_.queue_capacity >= 1,
-             "service queue capacity must be positive");
+      cold_latency_(metrics_.latency("cold")),
+      inflight_(inflight_bound(options_)) {
   // npracer contract: queue_, inflight_, and stopping_ move only under
   // mutex_; everything the constructor wrote before the fork is visible to
   // the workers through the fork/start edge.
@@ -123,6 +133,19 @@ std::shared_future<ServiceReply> PartitionService::submit(
     key = request_key(request, signature_, epoch);
   }
 
+  // The job is built before the queue lock, which every worker pop takes
+  // too: under it, admission only looks up and moves pointers.  A request
+  // the lock turns away (rejected, coalesced, answered by the second cache
+  // check, or shed) drops its job after the unlock.
+  auto job = std::make_shared<Job>();
+  job->request = request;
+  job->key = key;
+  job->epoch = epoch;
+  job->snapshot = std::move(snapshot);
+  job->enqueued = t0;
+  job->trace = span.context();
+  job->future = job->promise.get_future().share();
+
   std::unique_lock lock(mutex_, std::defer_lock);
   lock_adaptive(lock);
   // Explicit acquire/release (not NP_LOCK_SCOPE): this function unlocks
@@ -138,11 +161,11 @@ std::shared_future<ServiceReply> PartitionService::submit(
                                     "service shutting down"});
   }
   NP_READ(&inflight_, "svc.service.inflight");
-  if (const auto it = inflight_.find(key); it != inflight_.end()) {
+  if (const JobPtr* running = inflight_.find(key)) {
     coalesced_.add();
     span.attr("outcome", JsonValue("coalesced"));
     NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-    return it->second->future;
+    return (*running)->future;
   }
   // Double-checked: a worker may have completed this key between the
   // lock-free miss above and acquiring the lock.
@@ -164,16 +187,8 @@ std::shared_future<ServiceReply> PartitionService::submit(
     return ready_reply(ServiceReply{ServiceStatus::Overloaded, nullptr,
                                     false, "request queue full"});
   }
-  auto job = std::make_shared<Job>();
-  job->request = request;
-  job->key = key;
-  job->epoch = epoch;
-  job->snapshot = std::move(snapshot);
-  job->enqueued = t0;
-  job->trace = span.context();
-  job->future = job->promise.get_future().share();
   NP_WRITE(&inflight_, "svc.service.inflight");
-  inflight_.emplace(key, job);
+  inflight_.insert(key, job);
   NP_WRITE(&queue_, "svc.service.queue");
   queue_.push_back(job);
   NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
@@ -207,10 +222,10 @@ void PartitionService::worker_loop() {
 
 PartitionService::JobPtr PartitionService::next_job(
     std::optional<std::uint64_t> answered) {
-  // Declared before the lock, so destroyed after it is released: freeing
-  // the node (and the last reference to its Job) stays out of the critical
+  // Declared before the lock, so destroyed after it is released: dropping
+  // the last reference to the answered Job stays out of the critical
   // section.
-  decltype(inflight_)::node_type done;
+  std::optional<JobPtr> done;
   std::unique_lock lock(mutex_, std::defer_lock);
   lock_adaptive(lock);
   // Explicit acquire/release: the condition wait below drops and retakes
@@ -275,7 +290,7 @@ bool PartitionService::run_cold(Job& job, EstimatorScratch& scratch) {
   if (!ok) {
     // A failure is not cached, so its entry goes before the reply: a retry
     // sent after the reply must recompute, not coalesce onto the failure.
-    decltype(inflight_)::node_type done;  // freed after the lock is released
+    std::optional<JobPtr> done;  // freed after the lock is released
     AdaptiveLockGuard lock(mutex_);
     NP_LOCK_SCOPE(&mutex_, "svc.service.mutex");
     NP_WRITE(&inflight_, "svc.service.inflight");

@@ -7,15 +7,17 @@
 //
 //   * a sharded decision cache keyed by (network signature, availability
 //     epoch, canonical request) -- repeated queries are lookups, and an
-//     availability change invalidates by construction.  It evicts by
-//     second chance, so a hit only marks its entry and never reorders
-//     the shard's list (concurrent hits would contend on its links);
+//     availability change invalidates by construction.  Each shard is a
+//     flat CLOCK ring: a hit only marks its entry and never reorders
+//     anything, and a cold insert overwrites its victim's slot instead of
+//     allocating;
 //   * a fixed worker pool draining a bounded queue -- cold computations
 //     never run on client threads, and when the queue is full admission
 //     control *sheds* the request with an explicit Overloaded reply
 //     instead of queuing without bound;
 //   * request coalescing -- concurrent identical requests attach to the
-//     one in-flight computation (a shared-future per cache key), so a
+//     one in-flight computation (a shared-future per cache key, in a table
+//     sized at construction for every job that can be in flight), so a
 //     thundering herd on a cold key costs one compute;
 //   * a metrics registry -- counters plus hit/cold latency histograms,
 //     exportable as CSV/JSON.
@@ -38,7 +40,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "calib/cost_model.hpp"
@@ -49,6 +50,7 @@
 #include "obs/trace_context.hpp"
 #include "svc/cache.hpp"
 #include "svc/request.hpp"
+#include "util/flat_index.hpp"
 
 namespace netpart {
 struct EstimatorScratch;  // core/estimator.hpp
@@ -157,7 +159,11 @@ class PartitionService {
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::deque<JobPtr> queue_;
-  std::unordered_map<std::uint64_t, JobPtr> inflight_;
+  /// Admitted jobs by key, from admission until their entry is erased:
+  /// queued, running, or answered and awaiting their worker's next pop.
+  /// Sized for queue_capacity queued jobs plus, per worker, one running and
+  /// one answered, so admission never allocates a node under mutex_.
+  FlatIndex<JobPtr> inflight_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;  // last member: joins before teardown
 };

@@ -13,12 +13,17 @@
 // here must stay free of reported races.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
+#include <iterator>
+#include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -32,6 +37,7 @@
 #include "sim/faults.hpp"
 #include "svc/client.hpp"
 #include "svc/service.hpp"
+#include "util/rng.hpp"
 
 namespace netpart {
 namespace {
@@ -280,6 +286,124 @@ TEST(ServiceTest, OverloadShedsInsteadOfBlocking) {
             static_cast<std::uint64_t>(shed));
   // Destructor drains the remaining queue without deadlock (implicitly
   // verified by leaving scope; a hang here fails the test by timeout).
+}
+
+// The in-flight table is sized once, at construction.  Two workers block
+// on a gate while sixteen clients submit distinct keys, so the 4-deep queue
+// and both workers fill and the rest shed; then the gate opens and every
+// client retries its key until Ok.  An admission that found the table full
+// would throw out of submit(): every reply must be Ok or Overloaded, and
+// each key computes once.
+TEST(ServiceTest, InflightTableHoldsEveryJobAtItsBound) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+
+  ColdCounter colds;
+  std::promise<void> opener;
+  const std::shared_future<void> gate = opener.get_future().share();
+  svc::ServiceOptions options;
+  options.workers = 2;
+  options.queue_capacity = 4;
+  options.cold_override = [&colds, gate](const svc::PartitionRequest& request,
+                                         const AvailabilitySnapshot&) {
+    colds.bump(request.n);
+    gate.wait();
+    svc::PartitionDecision decision;
+    decision.partition = PartitionVector({request.n});
+    return decision;
+  };
+  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
+                                options);
+
+  constexpr int kClients = 16;
+  constexpr int kRounds = 3;  // after the burst: one compute, then hits
+  std::atomic<int> ok{0}, overloaded{0}, failed{0}, threw{0};
+  const auto tally = [&](const svc::ServiceReply& reply) {
+    switch (reply.status) {
+      case svc::ServiceStatus::Ok: ++ok; break;
+      case svc::ServiceStatus::Overloaded: ++overloaded; break;
+      case svc::ServiceStatus::Failed: ++failed; break;
+    }
+    return reply.status;
+  };
+  const auto run_clients = [&](const std::function<void(int)>& client) {
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&client, &threw, c] {
+        try {
+          client(c);
+        } catch (const std::exception&) {
+          ++threw;
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  };
+
+  // The burst: at most 2 running and 4 queued are admitted.
+  std::vector<std::shared_future<svc::ServiceReply>> burst(kClients);
+  run_clients([&](int c) {
+    burst[static_cast<std::size_t>(c)] =
+        service.submit(stencil_request(1000 + c));
+  });
+  opener.set_value();
+  int admitted = 0;
+  for (const auto& reply : burst) {
+    if (tally(reply.get()) == svc::ServiceStatus::Ok) ++admitted;
+  }
+  EXPECT_GE(admitted, 1);
+  EXPECT_LE(admitted, 6);
+
+  run_clients([&](int c) {
+    for (int r = 0; r < kRounds; ++r) {
+      while (tally(service.query(stencil_request(1000 + c))) ==
+             svc::ServiceStatus::Overloaded) {
+        std::this_thread::yield();
+      }
+    }
+  });
+
+  EXPECT_EQ(threw.load(), 0) << "an admission overflowed the table";
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(ok.load(), admitted + kClients * kRounds);
+  EXPECT_GE(overloaded.load(), kClients - admitted);
+  EXPECT_EQ(service.metrics().counter("shed_overload").value(),
+            static_cast<std::uint64_t>(overloaded.load()));
+  const auto counts = colds.snapshot();
+  EXPECT_EQ(counts.size(), static_cast<std::size_t>(kClients));
+  for (const auto& [n, count] : counts) {
+    EXPECT_EQ(count, 1) << "key n=" << n << " computed " << count
+                        << " times";
+  }
+}
+
+// The cache's and the in-flight table's storage is sized at construction,
+// so a size it cannot hold fails there with InvalidArgument.  A queue
+// capacity of SIZE_MAX (netpartd's `queue=-1`) would wrap the in-flight
+// bound to a few entries and overflow it at the first burst; a cache
+// capacity of SIZE_MAX wrapped its per-shard share to 0, and the first
+// insert read an empty shard.
+TEST(ServiceTest, SizesBeyondTheFlatTablesFailAtConstruction) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+  svc::ServiceOptions queue_options;
+  queue_options.queue_capacity = SIZE_MAX;
+  EXPECT_THROW(
+      {
+        svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
+                                      queue_options);
+      },
+      InvalidArgument);
+  svc::ServiceOptions cache_options;
+  cache_options.cache_capacity = SIZE_MAX;
+  EXPECT_THROW(
+      {
+        svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
+                                      cache_options);
+      },
+      InvalidArgument);
+  EXPECT_THROW(svc::DecisionCache(SIZE_MAX, 1), InvalidArgument);
 }
 
 // Chaos tier: seeded fault injection on the cold partition path plus
@@ -852,6 +976,207 @@ TEST(DecisionCacheTest, EvictionsCountEachVictimOnce) {
   EXPECT_EQ(cache.invalidate_before(2), 3u);
   EXPECT_EQ(cache.stats().evictions, 7u);
   EXPECT_EQ(cache.stats().invalidated, 3u);
+}
+
+// The second-chance rules written out on a std::list per shard, newest at
+// the front: the reference whatever storage the cache uses is checked
+// against.  Keys map to shards as DecisionCache::shard_for maps them.
+class SecondChanceModel {
+ public:
+  struct Entry {
+    std::uint64_t key = 0;
+    std::shared_ptr<const svc::PartitionDecision> decision;
+    bool referenced = false;
+    /// The entry's ready reply once a lookup_reply() has built it.
+    const svc::ServiceReply* reply = nullptr;
+  };
+  struct Shard {
+    std::list<Entry> lru;
+    svc::DecisionCache::Stats stats;
+  };
+
+  SecondChanceModel(std::size_t capacity, int shards)
+      : shards_(std::min<std::size_t>(static_cast<std::size_t>(shards),
+                                      capacity)),
+        shard_capacity_((capacity + shards_.size() - 1) / shards_.size()) {}
+
+  const std::vector<Shard>& shards() const { return shards_; }
+  std::size_t shard_capacity() const { return shard_capacity_; }
+
+  Entry* find(std::uint64_t key) {
+    for (Entry& entry : shard_for(key).lru) {
+      if (entry.key == key) return &entry;
+    }
+    return nullptr;
+  }
+
+  /// lookup() and lookup_reply(): counts, and marks a hit.
+  Entry* lookup(std::uint64_t key) {
+    Shard& shard = shard_for(key);
+    Entry* entry = find(key);
+    if (entry == nullptr) {
+      ++shard.stats.misses;
+    } else {
+      entry->referenced = true;
+      ++shard.stats.hits;
+    }
+    return entry;
+  }
+
+  /// The victim's key, if the insert evicted one.
+  std::optional<std::uint64_t> insert(
+      std::shared_ptr<const svc::PartitionDecision> decision) {
+    Shard& shard = shard_for(decision->key);
+    if (Entry* entry = find(decision->key)) {
+      entry->decision = std::move(decision);
+      entry->referenced = true;
+      entry->reply = nullptr;
+      return std::nullopt;
+    }
+    std::optional<std::uint64_t> victim;
+    if (shard.lru.size() >= shard_capacity_) {
+      while (shard.lru.back().referenced) {
+        shard.lru.back().referenced = false;
+        shard.lru.splice(shard.lru.begin(), shard.lru,
+                         std::prev(shard.lru.end()));
+      }
+      victim = shard.lru.back().key;
+      shard.lru.pop_back();
+      ++shard.stats.evictions;
+    }
+    const std::uint64_t key = decision->key;
+    shard.lru.push_front(Entry{key, std::move(decision)});
+    return victim;
+  }
+
+  std::size_t invalidate_before(std::uint64_t epoch) {
+    std::size_t purged = 0;
+    for (Shard& shard : shards_) {
+      purged += shard.lru.remove_if([&](const Entry& entry) {
+        if (entry.decision->epoch >= epoch) return false;
+        ++shard.stats.invalidated;
+        return true;
+      });
+    }
+    return purged;
+  }
+
+ private:
+  Shard& shard_for(std::uint64_t key) {
+    return shards_[(key ^ (key >> 32)) % shards_.size()];
+  }
+
+  std::vector<Shard> shards_;
+  std::size_t shard_capacity_;
+};
+
+bool same_stats(const svc::DecisionCache::Stats& a,
+                const svc::DecisionCache::Stats& b) {
+  return a.hits == b.hits && a.misses == b.misses &&
+         a.evictions == b.evictions && a.invalidated == b.invalidated;
+}
+
+// Seeded random operation sequences, checked step by step against the
+// list model: the resident keys and their decisions, each victim, each
+// lookup's answer, the ready reply an entry shares between hits, and every
+// counter, summed and per shard.
+TEST(DecisionCacheTest, RingMatchesSecondChanceModel) {
+  for (const int shards : {1, 4}) {
+    for (const std::size_t capacity : {1, 3, 7, 16}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                        << " capacity=" << capacity
+                                        << " seed=" << seed);
+        svc::DecisionCache cache(capacity, shards);
+        SecondChanceModel model(capacity, shards);
+        ASSERT_EQ(static_cast<std::size_t>(cache.num_shards()),
+                  model.shards().size());
+        ASSERT_EQ(cache.shard_capacity(), model.shard_capacity());
+
+        Rng rng(seed * 7919 + capacity * 31 +
+                static_cast<std::uint64_t>(shards));
+        // About twice the capacity in keys, so shards overflow and keys
+        // return after they were evicted; FNV keys take any value.
+        std::vector<std::uint64_t> keys = {0, UINT64_MAX};
+        while (keys.size() < 2 * capacity + 3) keys.push_back(rng.next_u64());
+        std::uint64_t epoch = 1;
+
+        for (int step = 0; step < 1500; ++step) {
+          const std::uint64_t key =
+              keys[static_cast<std::size_t>(rng.next_int(
+                  0, static_cast<std::int64_t>(keys.size()) - 1))];
+          const std::int64_t op = rng.next_int(0, 99);
+          if (op < 35) {
+            auto decision = std::make_shared<svc::PartitionDecision>();
+            decision->key = key;
+            decision->epoch =
+                epoch - static_cast<std::uint64_t>(
+                            rng.next_int(0, epoch > 1 ? 1 : 0));
+            const std::shared_ptr<const svc::PartitionDecision> shared =
+                std::move(decision);
+            const auto victim = model.insert(shared);
+            cache.insert(shared);
+            EXPECT_EQ(cache.peek(key), shared);
+            if (victim) {
+              EXPECT_EQ(cache.peek(*victim), nullptr) << *victim;
+            }
+          } else if (op < 55) {
+            const SecondChanceModel::Entry* entry = model.lookup(key);
+            EXPECT_EQ(cache.lookup(key),
+                      entry == nullptr ? nullptr : entry->decision);
+          } else if (op < 75) {
+            SecondChanceModel::Entry* entry = model.lookup(key);
+            const auto reply = cache.lookup_reply(key);
+            EXPECT_EQ(reply.valid(), entry != nullptr);
+            if (entry != nullptr && reply.valid()) {
+              EXPECT_EQ(reply.get().decision, entry->decision);
+              EXPECT_TRUE(reply.get().cache_hit);
+              if (entry->reply != nullptr) {
+                EXPECT_EQ(&reply.get(), entry->reply);
+              }
+              entry->reply = &reply.get();
+            }
+          } else if (op < 90) {
+            const SecondChanceModel::Entry* entry = model.find(key);
+            EXPECT_EQ(cache.peek(key),
+                      entry == nullptr ? nullptr : entry->decision);
+          } else if (op < 96) {
+            const auto before = static_cast<std::uint64_t>(
+                rng.next_int(1, static_cast<std::int64_t>(epoch) + 1));
+            EXPECT_EQ(cache.invalidate_before(before),
+                      model.invalidate_before(before));
+          } else {
+            ++epoch;
+          }
+
+          std::size_t model_size = 0;
+          svc::DecisionCache::Stats model_total;
+          const auto shard_stats = cache.shard_stats();
+          ASSERT_EQ(shard_stats.size(), model.shards().size());
+          for (std::size_t s = 0; s < shard_stats.size(); ++s) {
+            const SecondChanceModel::Shard& shard = model.shards()[s];
+            EXPECT_EQ(shard_stats[s].size, shard.lru.size()) << "shard " << s;
+            EXPECT_TRUE(same_stats(shard_stats[s].stats, shard.stats))
+                << "shard " << s;
+            model_size += shard.lru.size();
+            model_total.hits += shard.stats.hits;
+            model_total.misses += shard.stats.misses;
+            model_total.evictions += shard.stats.evictions;
+            model_total.invalidated += shard.stats.invalidated;
+          }
+          EXPECT_EQ(cache.size(), model_size);
+          EXPECT_TRUE(same_stats(cache.stats(), model_total));
+          for (const std::uint64_t resident : keys) {
+            const SecondChanceModel::Entry* entry = model.find(resident);
+            EXPECT_EQ(cache.peek(resident),
+                      entry == nullptr ? nullptr : entry->decision)
+                << "key " << resident;
+          }
+          if (HasFailure()) FAIL() << "diverged at step " << step;
+        }
+      }
+    }
+  }
 }
 
 // Part of the TSan tier: 4 threads hit a hot key set in a small cache

@@ -1,14 +1,16 @@
 // Unit tests for the util library: time, rng, statistics, least squares,
-// tables, csv, config, strings.
+// tables, csv, config, strings, hashing and the flat key index.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <sstream>
 #include <vector>
 
 #include "util/config.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/flat_index.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/least_squares.hpp"
@@ -344,6 +346,145 @@ TEST(Fnv1aTest, DoublesAreCanonicalised) {
   const double nan1 = std::numeric_limits<double>::quiet_NaN();
   const double nan2 = -nan1;
   EXPECT_EQ(Fnv1a().f64(nan1).value(), Fnv1a().f64(nan2).value());
+}
+
+// ------------------------------------------------------------ flat index
+
+// Keys whose probes start at `home`, found by search: long probe runs need
+// keys that share a home slot, and random keys at load 1/2 rarely make them.
+std::vector<std::uint64_t> keys_homed_at(const FlatIndex<std::uint32_t>& index,
+                                         std::size_t home, std::size_t count,
+                                         std::uint64_t from = 1) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t key = from; keys.size() < count; ++key) {
+    if (index.home(key) == home) keys.push_back(key);
+  }
+  return keys;
+}
+
+// Every key in `expected` is found with its value, and nothing else is
+// stored.
+void expect_holds(const FlatIndex<std::uint32_t>& index,
+                  const std::map<std::uint64_t, std::uint32_t>& expected) {
+  EXPECT_EQ(index.size(), expected.size());
+  for (const auto& [key, value] : expected) {
+    const std::uint32_t* found = index.find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    EXPECT_EQ(*found, value) << "key " << key;
+  }
+}
+
+TEST(FlatIndexTest, ZeroAndAllOnesAreOrdinaryKeys) {
+  FlatIndex<std::uint32_t> index(4);
+  // A free slot's key field reads 0; only its flag says it is free.
+  EXPECT_EQ(index.find(0), nullptr);
+  EXPECT_EQ(index.find(UINT64_MAX), nullptr);
+  index.insert(0, 7);
+  index.insert(UINT64_MAX, 9);
+  expect_holds(index, {{0, 7}, {UINT64_MAX, 9}});
+  EXPECT_EQ(index.extract(0), std::optional<std::uint32_t>(7));
+  EXPECT_EQ(index.find(0), nullptr);
+  EXPECT_EQ(index.extract(0), std::nullopt);
+  expect_holds(index, {{UINT64_MAX, 9}});
+}
+
+TEST(FlatIndexTest, EraseFromTheMiddleOfAProbeRunKeepsTheRest) {
+  FlatIndex<std::uint32_t> index(8);
+  ASSERT_EQ(index.slot_count(), 16u);
+  // Four keys homed at slot 3 fill slots 3-6; two homed at slot 4 follow
+  // in slots 7-8.  Erasing the second of the first four must pull later
+  // members back over the hole without moving any before its home.
+  const auto at3 = keys_homed_at(index, 3, 4);
+  const auto at4 = keys_homed_at(index, 4, 2);
+  std::map<std::uint64_t, std::uint32_t> expected;
+  std::uint32_t value = 0;
+  for (const auto& group : {at3, at4}) {
+    for (const std::uint64_t key : group) {
+      index.insert(key, value);
+      expected[key] = value++;
+    }
+  }
+  expect_holds(index, expected);
+  for (const std::uint64_t key : {at3[1], at4[0], at3[0], at3[3]}) {
+    EXPECT_EQ(index.extract(key), std::optional<std::uint32_t>(expected[key]));
+    expected.erase(key);
+    EXPECT_EQ(index.find(key), nullptr);
+    expect_holds(index, expected);
+  }
+}
+
+TEST(FlatIndexTest, ProbeRunsWrapAroundTheTableEnd) {
+  FlatIndex<std::uint32_t> index(4);
+  ASSERT_EQ(index.slot_count(), 8u);
+  // Three keys homed at the last slot occupy slots 7, 0 and 1; a key homed
+  // at slot 0 lands in slot 2.  Erasing the one in slot 7 shifts members
+  // back across the end, and the slot-0 key may then move into slot 1.
+  const auto last = keys_homed_at(index, 7, 3);
+  const auto first = keys_homed_at(index, 0, 1);
+  std::map<std::uint64_t, std::uint32_t> expected;
+  for (const std::uint64_t key : {last[0], last[1], last[2], first[0]}) {
+    const auto value = static_cast<std::uint32_t>(expected.size());
+    index.insert(key, value);
+    expected[key] = value;
+  }
+  expect_holds(index, expected);
+  for (const std::uint64_t key : {last[0], first[0], last[2], last[1]}) {
+    ASSERT_TRUE(index.extract(key).has_value());
+    expected.erase(key);
+    expect_holds(index, expected);
+  }
+  EXPECT_EQ(index.size(), 0u);
+}
+
+TEST(FlatIndexTest, InsertBeyondTheBoundThrows) {
+  FlatIndex<std::uint32_t> index(3);
+  for (std::uint64_t key = 0; key < 3; ++key) {
+    index.insert(key, static_cast<std::uint32_t>(key));
+  }
+  EXPECT_THROW(index.insert(3, 3), InvalidArgument);
+  EXPECT_EQ(index.size(), 3u);
+  ASSERT_TRUE(index.extract(1).has_value());
+  index.insert(3, 3);
+  expect_holds(index, {{0, 0}, {2, 2}, {3, 3}});
+  index.clear();
+  expect_holds(index, {});
+  EXPECT_EQ(index.find(0), nullptr);
+}
+
+// Seeded churn on keys crowded onto the last three slots and the first
+// one, so nearly every erase shifts a run, often across the table's end;
+// checked after every step against std::map.
+TEST(FlatIndexTest, ClusteredChurnMatchesAMap) {
+  constexpr std::size_t kBound = 8;
+  FlatIndex<std::uint32_t> index(kBound);
+  std::vector<std::uint64_t> keys;
+  for (const std::size_t home : {13u, 14u, 15u, 0u}) {
+    for (const std::uint64_t key : keys_homed_at(index, home, 4)) {
+      keys.push_back(key);
+    }
+  }
+  keys.push_back(0);  // home 0
+  std::map<std::uint64_t, std::uint32_t> expected;
+  Rng rng(20261019);
+  for (std::uint32_t step = 0; step < 4000; ++step) {
+    const std::uint64_t key = keys[static_cast<std::size_t>(
+        rng.next_int(0, static_cast<std::int64_t>(keys.size()) - 1))];
+    if (expected.count(key) != 0) {
+      EXPECT_EQ(index.extract(key),
+                std::optional<std::uint32_t>(expected[key]));
+      expected.erase(key);
+    } else if (expected.size() < kBound) {
+      index.insert(key, step);
+      expected[key] = step;
+    }
+    expect_holds(index, expected);
+    for (const std::uint64_t absent : keys) {
+      if (expected.count(absent) == 0) {
+        EXPECT_EQ(index.find(absent), nullptr) << "key " << absent;
+      }
+    }
+    if (HasFailure()) FAIL() << "diverged at step " << step;
+  }
 }
 
 // ------------------------------------------------------------------ json

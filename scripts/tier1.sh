@@ -36,8 +36,11 @@
 #   scripts/tier1.sh --batch    # Release build, then the batched-engine
 #                               # lockdown: the differential property
 #                               # suite (estimate_batch bitwise ==
-#                               # estimate_into across batch shapes), the
-#                               # work-stealing determinism tests, and
+#                               # estimate_into across batch shapes,
+#                               # estimate_into and every fast path
+#                               # bitwise == the reference estimate(),
+#                               # one scratch shared across estimators),
+#                               # the work-stealing determinism tests, and
 #                               # the degenerate-input fuzz sweeps
 #   scripts/tier1.sh --lint     # Strict build (-Wshadow -Werror, preset
 #                               # `strict`) plus clang-tidy over src/ when
@@ -122,13 +125,14 @@ cmake --build --preset "$preset" -j "$(nproc)"
 
 if [[ "$batch_stage" == 1 ]]; then
   # Focused lockdown of the batched estimator engine and the
-  # work-stealing sweep: the differential tier (bitwise batch == scalar),
-  # steal-order determinism under chaos yields, degenerate-input fuzzing,
-  # and the speedup-gate unit tests.  A subset of the release tier, for
-  # fast iteration on the engine itself.
+  # work-stealing sweep: the differential tier (bitwise batch == scalar,
+  # scalar == reference, a scratch shared across estimators), steal-order
+  # determinism under chaos yields, degenerate-input fuzzing, and the
+  # speedup-gate unit tests.  A subset of the release tier, for fast
+  # iteration on the engine itself.
   echo "== batched engine lockdown =="
   ./build/tests/test_property \
-    --gtest_filter='*Batch*:*ParallelExhaustive*:GroupShares.*:RankKernel.*:*DeltaBitwise*:DeltaEval.*:*Materialize*'
+    --gtest_filter='*Batch*:*ParallelExhaustive*:GroupShares.*:RankKernel.*:*DeltaBitwise*:DeltaEval.*:*Materialize*:*FastPathBitwise*:SharedScratch.*'
   ./build/tests/test_threaded \
     --gtest_filter='ThreadedPartitionSearchTest.*'
   ./build/tests/test_fuzz \

@@ -84,11 +84,6 @@ std::vector<Event> RaceRecorder::stop() {
   return log;
 }
 
-std::vector<Event> RaceRecorder::events() const {
-  std::lock_guard lock(mutex_);
-  return events_;
-}
-
 std::size_t RaceRecorder::size() const {
   std::lock_guard lock(mutex_);
   return events_.size();

@@ -96,8 +96,6 @@ class RaceRecorder {
   /// Disarm and drain: returns the log and leaves the recorder empty.
   std::vector<Event> stop();
 
-  /// Snapshot without disarming (event-ordering tests).
-  std::vector<Event> events() const;
   std::size_t size() const;
   std::uint64_t dropped() const;
 

@@ -11,33 +11,33 @@
 namespace netpart {
 
 namespace {
-/// Process-unique identities for BatchScratch binding.  Stack-allocated
+/// Process-unique estimator identities (binding_id()).  Stack-allocated
 /// estimators can reuse addresses, so pointers cannot tell two apart.
 std::atomic<std::uint64_t> g_next_binding_id{1};
 
-/// The memoised bytes_per_message lookup of the lane kernels (lane_comm):
-/// the dominant communication phase's callback (a std::function, the one
-/// indirect call the batch cannot hoist) is deterministic for the
-/// estimator's lifetime, so caching by A_i is exact.  Direct-indexed table
-/// when num_PDUs is small (one load, no hashing), direct-mapped hash memo
-/// otherwise; both are cleared on rebinding.
+/// B3's memoised bytes_per_message lookup (see BatchScratch): a slot
+/// stamped by another estimator is empty, so a new estimator needs no
+/// reset.  `direct` is the A_i-indexed table when the spec uses it, else
+/// null and `hashed` serves.  A search hits far more often than it
+/// misses, so the hit is the fall-through path.
 inline std::int64_t memoized_bytes(const CommunicationPhaseSpec& comm,
-                                   BatchScratch& batch, std::int64_t a) {
-  if (!batch.bytes_cache.empty()) {
-    std::int64_t bytes = batch.bytes_cache[static_cast<std::size_t>(a)];
-    if (bytes >= 0) return bytes;
-    bytes = comm.bytes_per_message(a);
-    batch.bytes_cache[static_cast<std::size_t>(a)] = bytes;
-    return bytes;
+                                   BatchScratch::DirectSlot* direct,
+                                   BatchScratch::HashedSlot* hashed,
+                                   std::uint64_t id, std::int64_t a) {
+  if (direct != nullptr) {
+    BatchScratch::DirectSlot& slot = direct[a];
+    if (slot.stamp != id) [[unlikely]] {
+      slot = {id, comm.bytes_per_message(a)};
+    }
+    return slot.bytes;
   }
-  const auto slot = static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ull) >>
-      (64 - BatchScratch::kBytesMemoBits));
-  if (batch.memo_key[slot] == a + 1) return batch.memo_val[slot];
-  const std::int64_t bytes = comm.bytes_per_message(a);
-  batch.memo_key[slot] = a + 1;
-  batch.memo_val[slot] = bytes;
-  return bytes;
+  BatchScratch::HashedSlot& slot =
+      hashed[(static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ull) >>
+             (64 - BatchScratch::kBytesMemoBits)];
+  if (slot.stamp != id || slot.a != a) [[unlikely]] {
+    slot = {id, a, comm.bytes_per_message(a)};
+  }
+  return slot.bytes;
 }
 
 /// Eq. 3's preconditions on the selected rank count, checked by every fast
@@ -47,8 +47,7 @@ inline void require_ranks_fit(std::int64_t num_pdus, int total) {
   NP_REQUIRE(num_pdus >= total, "cannot give every selected processor a PDU");
 }
 
-/// Size the lane buffers Stages A, B1 and B2 write to `n` entries: K per
-/// lane, so lane 0 alone needs K and a bound batch kLanes * K.
+/// Size every lane buffer to `n` entries: K per lane.
 void size_lane_buffers(BatchScratch& batch, std::size_t n) {
   batch.group_w.resize(n);
   batch.group_p.resize(n);
@@ -56,6 +55,7 @@ void size_lane_buffers(BatchScratch& batch, std::size_t n) {
   batch.share_base.resize(n);
   batch.share_frac.resize(n);
   batch.ranks_before.resize(n);
+  batch.group_bytes.resize(n);
   batch.max_a.resize(n);
 }
 
@@ -84,8 +84,9 @@ CycleEstimator::CycleEstimator(const Network& network, const CostModelDb& db,
              "estimator: ops per PDU must be finite and non-negative");
   NP_REQUIRE(spec.iterations() >= 1,
              "estimator: spec iterations must be >= 1");
-  // One allocation per table, not one per doubling: the constructor runs
-  // on every cold request the service serves.
+  // One allocation, for the per-cluster table: the constructor runs on
+  // every cold request the service serves.  Nothing is copied out of the
+  // cost model; B3 reads its flat tables in place.
   const auto k = static_cast<std::size_t>(network.num_clusters());
   clusters_.resize(k);
   for (ClusterId c = 0; c < network.num_clusters(); ++c) {
@@ -107,12 +108,10 @@ CycleEstimator::CycleEstimator(const Network& network, const CostModelDb& db,
     dominant_comm_ = &spec.dominant_communication();
     comm_topology_ = dominant_comm_->topology();
     comm_bw_limited_ = is_bandwidth_limited(comm_topology_);
-    fitted_clusters_.reserve(k);
-    for (ClusterId c = 0; c < network.num_clusters(); ++c) {
-      if (db.has_comm(c, comm_topology_)) {
-        clusters_[static_cast<std::size_t>(c)].has_fit = true;
-        fitted_clusters_.push_back(c);
-      }
+    comm_fits_ = db.comm_fits(comm_topology_);
+    pair_fits_ = db.pair_fits();
+    for (std::size_t c = 0; c < k; ++c) {
+      clusters_[c].has_fit = comm_fits_[c].has_value();
     }
   }
   binding_id_ = g_next_binding_id.fetch_add(1, std::memory_order_relaxed);
@@ -240,43 +239,18 @@ FastEstimate CycleEstimator::estimate_into(const ProcessorConfig& config,
 FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
                                              EstimatorScratch& scratch,
                                              std::int64_t* remainder) const {
-  validate_config(network_, config);
-
-  // Active clusters in placement (rank-major) order, gathered into lane 0.
-  // Lane 0 needs K entries; a scratch no batch has bound grows them here,
-  // once.  No coefficient table is bound: T_comm below reads the cost
-  // model directly.
+  // The lane engine's kernels on lane 0: Stage A's gather, the Eq. 3 share
+  // divisions, the largest-remainder extras with the T_comp maximum, and
+  // B3's T_comm.
   BatchScratch& lane = scratch.batch;
-  const auto k = static_cast<std::size_t>(network_.num_clusters());
-  if (lane.max_a.size() < k) size_lane_buffers(lane, k);
-  double* gw = lane.group_w.data();
-  int* gp = lane.group_p.data();
-  ClusterId* gc = lane.group_c.data();
-  int groups = 0;
-  int total = 0;
-  double sum = 0.0;
-  for (ClusterId c : cluster_order_) {
-    const int p = config[static_cast<std::size_t>(c)];
-    if (p == 0) continue;
-    const double w = clusters_[static_cast<std::size_t>(c)].inv_s;
-    gw[groups] = w;
-    gp[groups] = p;
-    gc[groups] = c;
-    ++groups;
-    total += p;
-    // Eq. 3 weight sum: rank-major repeated adds, proportional_partition's
-    // order.
-    for (int i = 0; i < p; ++i) sum += w;
-  }
-  require_ranks_fit(num_pdus_, total);
-
-  // Eqs. 3 and 4 through the lane kernels: the share divisions, then the
-  // largest-remainder extras with the T_comp maximum.
-  const std::int64_t leftover = lane_shares(lane, 0, groups, total, sum);
+  grow_scratch(lane, 1);
+  const LaneGroups active = gather_lane(config, lane, 0);
+  const int groups = active.groups;
+  const std::int64_t leftover =
+      lane_shares(lane, 0, groups, active.total, active.weight_sum);
   double t_comp = 0.0;
   const bool starved = lane_extras(lane, 0, groups, leftover, t_comp);
   if (remainder != nullptr) *remainder = starved ? -1 : leftover;
-  std::int64_t* max_a = lane.max_a.data();
   if (starved) {
     // Starvation repair engaged (extreme speed skew): the closed form
     // cannot reproduce the donor-stealing loop, so materialise the real
@@ -284,6 +258,9 @@ FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
     // allocating -- correctness over speed on this branch.
     const PartitionVector partition =
         balanced_partition(network_, config, cluster_order_, num_pdus_);
+    const int* gp = lane.group_p.data();
+    const ClusterId* gc = lane.group_c.data();
+    std::int64_t* max_a = lane.max_a.data();
     t_comp = 0.0;
     int rank = 0;
     for (int g = 0; g < groups; ++g) {
@@ -297,13 +274,7 @@ FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
                       static_cast<double>(a));
     }
   }
-
-  double t_comm = 0.0;
-  if (dominant_comm_ != nullptr && total > 1) {
-    t_comm = comm_cost_from_groups(gc, gp, max_a,
-                                   static_cast<std::size_t>(groups), total);
-  }
-  return eq6_estimate(t_comp, t_comm);
+  return eq6_estimate(t_comp, lane_comm(lane, 0, groups, active.total));
 }
 
 FastEstimate CycleEstimator::eq6_estimate(double t_comp,
@@ -317,67 +288,69 @@ FastEstimate CycleEstimator::eq6_estimate(double t_comp,
   return out;
 }
 
-void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
-  if (batch.bound_id == binding_id_) return;
-  const auto k = static_cast<std::size_t>(network_.num_clusters());
-
-  batch.fit.assign(k, Eq1Fit{});
-  batch.router_i.assign(k * k, 0.0);
-  batch.router_s.assign(k * k, 0.0);
-  batch.coerce_i.assign(k * k, 0.0);
-  batch.coerce_s.assign(k * k, 0.0);
-  batch.has_router.assign(k * k, 0);
-  if (dominant_comm_ != nullptr) {
-    for (ClusterId c = 0; c < network_.num_clusters(); ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      if (clusters_[ci].has_fit) {
-        batch.fit[ci] = db_.comm_fit(c, comm_topology_);
-      }
+[[gnu::always_inline]] inline void CycleEstimator::grow_scratch(
+    BatchScratch& batch, std::size_t lanes) const {
+  const std::size_t n =
+      lanes * static_cast<std::size_t>(network_.num_clusters());
+  if (batch.max_a.size() < n) [[unlikely]] size_lane_buffers(batch, n);
+  if (dominant_comm_ == nullptr) return;
+  if (num_pdus_ <= BatchScratch::kBytesDirectMax) {
+    const auto slots = static_cast<std::size_t>(num_pdus_) + 1;
+    if (batch.bytes_direct.size() < slots) [[unlikely]] {
+      // The whole direct range in one allocation, so the table never
+      // reallocates; only the slots a spec can index are ever written.
+      batch.bytes_direct.reserve(
+          static_cast<std::size_t>(BatchScratch::kBytesDirectMax) + 1);
+      batch.bytes_direct.resize(slots);
     }
-    for (ClusterId a = 0; a < network_.num_clusters(); ++a) {
-      for (ClusterId b = 0; b < network_.num_clusters(); ++b) {
-        if (a == b) continue;
-        const std::size_t slot =
-            static_cast<std::size_t>(a) * k + static_cast<std::size_t>(b);
-        if (const auto rf = db_.router_fit(a, b)) {
-          batch.has_router[slot] = 1;
-          batch.router_i[slot] = rf->intercept;
-          batch.router_s[slot] = rf->slope;
-        }
-        if (const auto cf = db_.coerce_fit(a, b)) {
-          // Absent coercion stays {0, 0}: max(0, 0 + 0*b) reproduces
-          // coerce_ms()'s literal 0.0 return bitwise.
-          batch.coerce_i[slot] = cf->intercept;
-          batch.coerce_s[slot] = cf->slope;
-        }
-      }
-    }
+  } else if (batch.bytes_hashed.empty()) [[unlikely]] {
+    batch.bytes_hashed.resize(std::size_t{1} << BatchScratch::kBytesMemoBits);
   }
-
-  constexpr auto lanes = static_cast<std::size_t>(BatchScratch::kLanes);
-  size_lane_buffers(batch, lanes * k);
-  batch.group_bytes.resize(lanes * k);
-  // A different estimator means a different spec: the bytes caches keyed
-  // by the old spec's callback are poison, not a warm start.
-  if (dominant_comm_ != nullptr && num_pdus_ <= BatchScratch::kBytesDirectMax) {
-    batch.bytes_cache.assign(static_cast<std::size_t>(num_pdus_) + 1, -1);
-    batch.memo_key.clear();
-    batch.memo_val.clear();
-  } else {
-    batch.bytes_cache.clear();
-    batch.memo_key.assign(std::size_t{1} << BatchScratch::kBytesMemoBits, 0);
-    batch.memo_val.assign(std::size_t{1} << BatchScratch::kBytesMemoBits, 0);
-  }
-  batch.bound_id = binding_id_;
 }
 
-// Stage B kernels: one lane's evaluation once its active groups sit at
+// The lane kernels.  Stage A gathers one configuration's active groups to
 // offset `base` of the lane buffers (group_w/p/c, placement order) with
-// their Eq. 3 weight sum.  estimate_lanes runs each kernel across all
-// lanes before starting the next (stage-major); estimate_delta runs them
-// on its spliced lane 0, and estimate_into B1 and B2 on its gathered lane
-// 0.  Force-inlined, so each lane loop compiles as if the body were
-// written out in place.
+// their Eq. 3 weight sum; Stage B (B1-B3) scores them.  estimate_lanes
+// runs each kernel across all lanes before starting the next
+// (stage-major); estimate_into runs all four on lane 0, and estimate_delta
+// Stage B on its spliced lane 0.  Force-inlined, so each lane loop
+// compiles as if the body were written out in place.
+
+[[gnu::always_inline]] inline CycleEstimator::LaneGroups
+CycleEstimator::gather_lane(const ProcessorConfig& config, BatchScratch& batch,
+                            std::size_t base) const {
+  const auto k = static_cast<std::size_t>(network_.num_clusters());
+  NP_REQUIRE(config.size() == k, "configuration must name every cluster");
+  const int* cfg = config.data();
+  const ClusterId* order = cluster_order_.data();
+  const ClusterConst* cc = clusters_.data();
+  double* gw = &batch.group_w[base];
+  int* gp = &batch.group_p[base];
+  ClusterId* gc = &batch.group_c[base];
+  int groups = 0;
+  int total = 0;
+  double sum = 0.0;
+  for (std::size_t oi = 0; oi < k; ++oi) {
+    const auto c = static_cast<std::size_t>(order[oi]);
+    const int p = cfg[c];
+    NP_REQUIRE(p >= 0 && p <= cc[c].capacity,
+               "configuration exceeds cluster capacity");
+    // Branch-free compaction: always store, advance only on p > 0 (an
+    // idle cluster's slot is overwritten by the next active one).  p == 0
+    // is data-dependent -- a skip branch here mispredicts constantly.
+    const double w = cc[c].inv_s;
+    gw[groups] = w;
+    gp[groups] = p;
+    gc[groups] = order[oi];
+    groups += static_cast<int>(p != 0);
+    total += p;
+    // Eq. 3 weight sum: rank-major repeated adds, proportional_partition's
+    // order.
+    for (int i = 0; i < p; ++i) sum += w;
+  }
+  require_ranks_fit(num_pdus_, total);
+  return {groups, total, sum};
+}
 
 [[gnu::always_inline]] inline std::int64_t CycleEstimator::lane_shares(
     BatchScratch& batch, std::size_t base, int groups, int total,
@@ -440,22 +413,29 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
 [[gnu::always_inline]] inline double CycleEstimator::lane_comm(
     BatchScratch& batch, std::size_t base, int groups, int total) const {
   // B3: Eq. 2/5 communication -- the worst synchronous cluster, then the
-  // boundary router/coercion penalties -- over the bound coefficient
-  // tables.
+  // boundary router/coercion penalties -- over the cost model's flat
+  // tables.  Same values in the same order as comm_cost_ms.
   if (dominant_comm_ == nullptr || total <= 1) return 0.0;
   const auto k = static_cast<std::size_t>(network_.num_clusters());
   const Topology topo = comm_topology_;
   const bool bw_limited = comm_bw_limited_;
+  // Locals, so the memo's stores cannot force reloads of these members.
+  const std::uint64_t id = binding_id_;
+  BatchScratch::DirectSlot* direct =
+      num_pdus_ <= BatchScratch::kBytesDirectMax ? batch.bytes_direct.data()
+                                                 : nullptr;
+  BatchScratch::HashedSlot* hashed = batch.bytes_hashed.data();
+  const std::optional<Eq1Fit>* fits = comm_fits_;
+  const CostModelDb::PairFits* pairs = pair_fits_;
   const int* gp = &batch.group_p[base];
   const ClusterId* gc = &batch.group_c[base];
   const std::int64_t* max_a = &batch.max_a[base];
   double* gb = &batch.group_bytes[base];
   const ClusterConst* cc = clusters_.data();
-  const Eq1Fit* fit = batch.fit.data();
   double worst = 0.0;
   for (int g = 0; g < groups; ++g) {
-    const double bytes =
-        static_cast<double>(memoized_bytes(*dominant_comm_, batch, max_a[g]));
+    const double bytes = static_cast<double>(
+        memoized_bytes(*dominant_comm_, direct, hashed, id, max_a[g]));
     gb[g] = bytes;
     int adj = 0;
     if (groups > 1) {
@@ -480,9 +460,10 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
     const auto c = static_cast<std::size_t>(gc[g]);
     double cost;
     if (cc[c].has_fit) {
-      // db_.comm_ms over the by-value fit: same p <= 1 early-out, same
-      // |Eq. 1| evaluation, without the optional deref or slot checks.
-      cost = p_param <= 1.0 ? 0.0 : std::abs(fit[c].evaluate(bytes, p_param));
+      // db_.comm_ms over the fit in place: same p <= 1 early-out, same
+      // |Eq. 1| evaluation, without the range and presence checks.
+      cost = p_param <= 1.0 ? 0.0
+                            : std::abs(fits[c]->evaluate(bytes, p_param));
     } else {
       cost = cluster_cost_ms(gc[g], bytes, p_param);  // proxy (rare)
     }
@@ -495,15 +476,14 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
     // bytes_per_message(max(a, b)) is the bytes of whichever neighbour has
     // the larger max A_i -- already computed (and cast) above.
     const double bytes = max_a[g] >= max_a[g + 1] ? gb[g] : gb[g + 1];
-    const std::size_t slot =
-        static_cast<std::size_t>(ca) * k + static_cast<std::size_t>(cb);
+    const CostModelDb::PairFits& pair =
+        pairs[static_cast<std::size_t>(ca) * k + static_cast<std::size_t>(cb)];
     const double router =
-        batch.has_router[slot]
-            ? std::max(0.0,
-                       batch.router_i[slot] + batch.router_s[slot] * bytes)
+        pair.has_router
+            ? std::max(0.0, pair.router.intercept + pair.router.slope * bytes)
             : db_.router_ms(ca, cb, bytes);  // throws exactly like scalar
     const double coerce =
-        std::max(0.0, batch.coerce_i[slot] + batch.coerce_s[slot] * bytes);
+        std::max(0.0, pair.coerce.intercept + pair.coerce.slope * bytes);
     penalty = std::max(penalty, router + coerce);
   }
   return worst + penalty;
@@ -515,49 +495,18 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
   BatchScratch& batch = scratch.batch;
   constexpr int kLanes = BatchScratch::kLanes;
   const auto k = static_cast<std::size_t>(network_.num_clusters());
-  const ClusterId* order = cluster_order_.data();
-  const ClusterConst* cc = clusters_.data();
 
-  // Stage A, gather pass: one loop per lane validates (validate_config's
-  // checks and messages) and collects the active groups in placement
-  // order.  Integer-only; the float work is deferred to the chain pass
-  // below so its loop body stays small.
+  // Stage A: one gather per lane.  Integer work plus the weight-sum chain;
+  // the float-heavy stages follow stage-major.
   int lane_groups[kLanes];
   int lane_total[kLanes];
   double weight_sum[kLanes];
   for (int lane = 0; lane < kLanes; ++lane) {
-    const ProcessorConfig& config = configs[lane];
-    NP_REQUIRE(config.size() == k, "configuration must name every cluster");
-    const int* cfg = config.data();
-    const std::size_t base = static_cast<std::size_t>(lane) * k;
-    double* gw = &batch.group_w[base];
-    int* gp = &batch.group_p[base];
-    ClusterId* gc = &batch.group_c[base];
-    int total = 0;
-    int groups = 0;
-    double sum = 0.0;
-    for (std::size_t oi = 0; oi < k; ++oi) {
-      const auto c = static_cast<std::size_t>(order[oi]);
-      const int p = cfg[c];
-      NP_REQUIRE(p >= 0 && p <= cc[c].capacity,
-                 "configuration exceeds cluster capacity");
-      // Branch-free compaction: always store, advance only on p > 0 (an
-      // idle cluster's slot is overwritten by the next active one).  p == 0
-      // is data-dependent -- a skip branch here mispredicts constantly.
-      const double w = cc[c].inv_s;
-      gw[groups] = w;
-      gp[groups] = p;
-      gc[groups] = order[oi];
-      groups += static_cast<int>(p != 0);
-      total += p;
-      // Eq. 3 weight sum: the repeated adds reproduce estimate_into's
-      // rank-major sum bitwise -- same values, same order.
-      for (int i = 0; i < p; ++i) sum += w;
-    }
-    require_ranks_fit(num_pdus_, total);
-    lane_groups[lane] = groups;
-    lane_total[lane] = total;
-    weight_sum[lane] = sum;
+    const LaneGroups g =
+        gather_lane(configs[lane], batch, static_cast<std::size_t>(lane) * k);
+    lane_groups[lane] = g.groups;
+    lane_total[lane] = g.total;
+    weight_sum[lane] = g.weight_sum;
   }
 
   // Stage B runs stage-major through the lane kernels: all lanes advance
@@ -607,8 +556,8 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
 void CycleEstimator::estimate_batch(const ProcessorConfig* configs,
                                     std::size_t count, FastEstimate* out,
                                     EstimatorScratch& scratch) const {
-  ensure_batch_bound(scratch.batch);
   constexpr auto lanes = static_cast<std::size_t>(BatchScratch::kLanes);
+  grow_scratch(scratch.batch, lanes);
   std::size_t i = 0;
   for (; i + lanes <= count; i += lanes) {
     estimate_lanes(configs + i, out + i, scratch);
@@ -660,8 +609,8 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   NP_REQUIRE(d.bound_id == binding_id_,
              "delta scratch is not bound to this estimator "
              "(call bind_delta first)");
-  ensure_batch_bound(scratch.batch);
   BatchScratch& batch = scratch.batch;
+  grow_scratch(batch, 1);
   const auto k = static_cast<std::size_t>(network_.num_clusters());
   const auto ci = static_cast<std::size_t>(cluster);
   NP_REQUIRE(ci < k, "cluster id out of range");
@@ -729,8 +678,7 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
 }
 
 void CycleEstimator::commit_delta(ClusterId cluster, int delta,
-                                  DeltaScratch& d,
-                                  EstimatorScratch& /*scratch*/) const {
+                                  DeltaScratch& d) const {
   NP_REQUIRE(d.bound_id == binding_id_,
              "delta scratch is not bound to this estimator "
              "(call bind_delta first)");
@@ -751,33 +699,55 @@ double CycleEstimator::cluster_cost_ms(ClusterId c, double bytes,
   // A singleton cluster has no intra-cluster benchmark (nothing to
   // measure), yet its segment still carries router traffic when it joins
   // a spanning configuration; fall back to the most expensive fitted
-  // cluster as a conservative proxy.  The fitted-cluster list is resolved
-  // once, in the constructor, instead of rescanning has_comm per call.
-  NP_REQUIRE(!fitted_clusters_.empty(),
-             "no communication fit for any cluster; run calibration first");
+  // cluster as a conservative proxy.
+  bool any_fit = false;
   double proxy = 0.0;
-  for (ClusterId other : fitted_clusters_) {
+  for (ClusterId other = 0; other < network_.num_clusters(); ++other) {
+    if (!clusters_[static_cast<std::size_t>(other)].has_fit) continue;
+    any_fit = true;
     proxy = std::max(proxy, db_.comm_ms(other, comm_topology_, bytes,
                                         p_param));
   }
+  NP_REQUIRE(any_fit,
+             "no communication fit for any cluster; run calibration first");
   return proxy;
 }
 
-double CycleEstimator::comm_cost_from_groups(const ClusterId* clusters,
-                                             const int* sizes,
-                                             const std::int64_t* max_a,
-                                             std::size_t num_groups,
-                                             int total_p) const {
-  NP_ASSERT(num_groups > 0);
+double CycleEstimator::comm_cost_ms(const ProcessorConfig& config,
+                                    const PartitionVector& partition) const {
+  if (dominant_comm_ == nullptr) return 0.0;
+  const int total_p = config_total(config);
+  if (total_p <= 1) return 0.0;
   const CommunicationPhaseSpec& comm = *dominant_comm_;
-  const Topology topo = comm_topology_;
+
+  // Active clusters in placement order, with the max A_i of their ranks
+  // (message sizes may depend on the assignment).
+  std::vector<ClusterId> clusters;
+  std::vector<int> sizes;
+  std::vector<std::int64_t> max_a;
+  {
+    int rank = 0;
+    for (ClusterId c : cluster_order_) {
+      const int p = config[static_cast<std::size_t>(c)];
+      if (p == 0) continue;
+      std::int64_t cluster_max = 0;
+      for (int i = 0; i < p; ++i, ++rank) {
+        cluster_max = std::max(cluster_max, partition.at(rank));
+      }
+      clusters.push_back(c);
+      sizes.push_back(p);
+      max_a.push_back(cluster_max);
+    }
+  }
+  const std::size_t num_groups = clusters.size();
+  NP_ASSERT(num_groups > 0);
 
   // Router stations: under contiguous placement, messages cross between
   // consecutive active clusters (chain-like topologies) or from the root
   // cluster to every other (tree/broadcast rooted at rank 0).
   const auto adjacency = [&](std::size_t k) -> int {
     if (num_groups == 1) return 0;
-    switch (topo) {
+    switch (comm_topology_) {
       case Topology::OneD:
       case Topology::TwoD:
         return (k > 0 ? 1 : 0) + (k + 1 < num_groups ? 1 : 0);
@@ -819,37 +789,6 @@ double CycleEstimator::comm_cost_from_groups(const ClusterId* clusters,
   }
 
   return worst + penalty;
-}
-
-double CycleEstimator::comm_cost_ms(const ProcessorConfig& config,
-                                    const PartitionVector& partition) const {
-  if (dominant_comm_ == nullptr) return 0.0;
-  const int total_p = config_total(config);
-  if (total_p <= 1) return 0.0;
-
-  // Active clusters in placement order, with the max A_i of their ranks
-  // (message sizes may depend on the assignment); the Eq. 1/2/5 math is
-  // shared with the fast path via comm_cost_from_groups.
-  std::vector<ClusterId> clusters;
-  std::vector<int> sizes;
-  std::vector<std::int64_t> max_a;
-  {
-    int rank = 0;
-    for (ClusterId c : cluster_order_) {
-      const int p = config[static_cast<std::size_t>(c)];
-      if (p == 0) continue;
-      std::int64_t cluster_max = 0;
-      for (int i = 0; i < p; ++i, ++rank) {
-        cluster_max = std::max(cluster_max, partition.at(rank));
-      }
-      clusters.push_back(c);
-      sizes.push_back(p);
-      max_a.push_back(cluster_max);
-    }
-  }
-  NP_ASSERT(!clusters.empty());
-  return comm_cost_from_groups(clusters.data(), sizes.data(), max_a.data(),
-                               clusters.size(), total_p);
 }
 
 }  // namespace netpart

@@ -20,15 +20,17 @@
 //     searches' winners come from materialize() (the fast path's cost
 //     fields plus the vector expanded from lane 0's shares).
 //   * estimate_into() -- the scalar fast path: the active clusters are
-//     gathered into lane 0 of the scratch's BatchScratch and scored by the
-//     lane engine's share kernels (B1, the Eq. 3 divisions; B2, the
-//     largest-remainder extras and the Eq. 4 maximum).  A balanced
-//     partition hands a homogeneous cluster only the floor or ceiling of
-//     its ideal share, so no per-rank vector exists and a steady-state
-//     evaluation allocates nothing.  T_comm stays comm_cost_from_groups,
-//     which reads the cost model directly: a cold request's new estimator
-//     is scored without binding any table to the scratch.  Bitwise
-//     identical to estimate() -- the property tier asserts this.
+//     gathered into lane 0 of the scratch's BatchScratch by the lane
+//     engine's Stage A gather and scored by its kernels (B1, the Eq. 3
+//     divisions; B2, the largest-remainder extras and the Eq. 4 maximum;
+//     B3, the Eq. 1/2/5 T_comm fold).  A balanced partition hands a
+//     homogeneous cluster only the floor or ceiling of its ideal share, so
+//     no per-rank vector exists and a steady-state evaluation allocates
+//     nothing.  B3 reads the cost model's own flat tables, so a cold
+//     request's new estimator is scored without binding anything to the
+//     scratch.  Bitwise identical to estimate(), whose T_comm fold
+//     (comm_cost_ms) shares no code with B3 -- the property tier asserts
+//     this.
 //   * estimate_batch() -- the batched engine the searches hammer: up to
 //     BatchScratch::kLanes candidate configurations advance through each
 //     evaluation stage together over struct-of-arrays scratch, so the
@@ -89,12 +91,13 @@ struct FastEstimate {
 /// batch advances up to kLanes candidate configurations through every
 /// evaluation stage together; per-stage buffers are lane-interleaved so the
 /// per-config dependent chains become independent per-lane chains.  The
-/// per-cluster constants (weights, op times, capacities) live in the
-/// estimator; only the Eq. 1/2/5 coefficient tables are bound here, to one
-/// estimator on first use, and rebuilt only when a different estimator
-/// borrows the scratch -- steady-state batches with a fixed estimator
-/// perform zero heap allocations.  estimate_into() uses lane 0 of the lane
-/// buffers without binding.
+/// per-cluster constants live in the estimator and the Eq. 1/2/5
+/// coefficients in the cost model; the only per-spec state here is the
+/// bytes_per_message memo, whose slots are stamped with the estimator that
+/// filled them.  Buffers only grow -- a new estimator on a warm scratch
+/// allocates nothing unless it needs more room -- so steady-state
+/// evaluations perform zero heap allocations.  estimate_into() runs on
+/// lane 0.
 struct BatchScratch {
   /// Lane width: candidate configurations evaluated per SoA pass.  The
   /// per-lane dependent chains (Eq. 3 weight sum, share divisions) are
@@ -106,20 +109,6 @@ struct BatchScratch {
   /// register file comfortably; widening further showed no gain on the
   /// hotpath bench while growing the scratch footprint.
   static constexpr int kLanes = 16;
-
-  /// Identity of the estimator the coefficient tables below were built for
-  /// (CycleEstimator::binding_id(); 0 = unbound).  Address comparison is
-  /// not enough: a stack-constructed estimator can reuse the address of a
-  /// dead one (the svc workers do exactly that, one estimator per cold
-  /// request).
-  std::uint64_t bound_id = 0;
-
-  // Eq. 1/2/5 coefficients, resolved once per binding (fits indexed by
-  // ClusterId, router/coercion by ordered pair).
-  std::vector<Eq1Fit> fit;         ///< by-value Eq. 1 fits (where fitted)
-  std::vector<double> router_i, router_s;  ///< per ordered pair, K*K
-  std::vector<double> coerce_i, coerce_s;  ///< zero when no coercion fit
-  std::vector<char> has_router;
 
   // SoA lane state (lane-major, stride = cluster count).  Scalar per-lane
   // values (group counts, totals, weight sums) live on estimate_lanes()'s
@@ -134,18 +123,28 @@ struct BatchScratch {
   std::vector<std::int64_t> max_a; ///< per-lane per-group max A_i
 
   /// Memo for the dominant communication phase's bytes_per_message
-  /// callback (a std::function, the one indirect call the batch cannot
+  /// callback (a std::function, the one indirect call the lanes cannot
   /// hoist).  Spec callbacks are fixed for the estimator's lifetime, so
-  /// caching by A_i is exact.  For the common case (num_PDUs small enough)
-  /// `bytes_cache` is indexed directly by A_i (-1 = empty): one load per
-  /// group, no hashing, no collisions.  Above kBytesDirectMax PDUs the
-  /// direct table would outgrow the data cache, so a direct-mapped hash
-  /// memo takes over.  Both are cleared on rebinding.
+  /// caching by A_i is exact.  Every slot carries the binding_id() of the
+  /// estimator that filled it; a slot with any other stamp is empty, so a
+  /// new estimator starts on an empty memo without touching it.  Up to
+  /// kBytesDirectMax PDUs `bytes_direct` is indexed by A_i: one load per
+  /// group, no hashing, no collisions.  Above that the direct table would
+  /// outgrow the data cache, and the direct-mapped `bytes_hashed` takes
+  /// over.
   static constexpr std::int64_t kBytesDirectMax = std::int64_t{1} << 16;
-  std::vector<std::int64_t> bytes_cache;  ///< [0, num_pdus]; empty if large
   static constexpr int kBytesMemoBits = 9;
-  std::vector<std::int64_t> memo_key;  ///< A_i + 1; 0 = empty
-  std::vector<std::int64_t> memo_val;
+  struct DirectSlot {
+    std::uint64_t stamp = 0;
+    std::int64_t bytes = 0;
+  };
+  struct HashedSlot {
+    std::uint64_t stamp = 0;
+    std::int64_t a = 0;
+    std::int64_t bytes = 0;
+  };
+  std::vector<DirectSlot> bytes_direct;  ///< by A_i; > num_pdus slots
+  std::vector<HashedSlot> bytes_hashed;  ///< 1 << kBytesMemoBits slots
 };
 
 /// Cached baseline for CycleEstimator::estimate_delta(): one evaluated
@@ -302,13 +301,11 @@ class CycleEstimator {
   /// Apply a move to `d`'s cached baseline: the baseline becomes the moved
   /// configuration and the gather cache is refreshed.  No evaluation is
   /// performed (the caller already holds the move's estimate from
-  /// estimate_delta), so `scratch` is not read; it keeps the delta calls'
-  /// shared signature.
-  void commit_delta(ClusterId cluster, int delta, DeltaScratch& d,
-                    EstimatorScratch& scratch) const;
+  /// estimate_delta).
+  void commit_delta(ClusterId cluster, int delta, DeltaScratch& d) const;
 
-  /// Identity for BatchScratch binding (never 0; see
-  /// BatchScratch::bound_id).
+  /// Process-unique identity (never 0): the stamp on the bytes memo slots
+  /// this estimator fills, and DeltaScratch::bound_id.
   std::uint64_t binding_id() const { return binding_id_; }
 
   /// Clusters ordered fastest-first; partition vectors and placements are
@@ -347,18 +344,30 @@ class CycleEstimator {
   FastEstimate evaluate_groups(const ProcessorConfig& config,
                                EstimatorScratch& scratch,
                                std::int64_t* remainder) const;
-  /// Rebuild `batch`'s coefficient tables and size its lane buffers when it
-  /// is bound to a different estimator (allocates); no-op on the
-  /// steady-state path.
-  void ensure_batch_bound(BatchScratch& batch) const;
+  /// Grow `batch` to `lanes` lanes of this network's cluster count and to
+  /// the bytes memo this spec uses.  Allocates only when the scratch needs
+  /// more room than any estimator before gave it.
+  void grow_scratch(BatchScratch& batch, std::size_t lanes) const;
   /// One full lane group (BatchScratch::kLanes configurations) through the
   /// SoA stages; lanes the closed form cannot serve divert to
   /// estimate_into.
   void estimate_lanes(const ProcessorConfig* configs, FastEstimate* out,
                       EstimatorScratch& scratch) const;
-  // Stage B kernels over one lane whose `groups` active groups (`total`
-  // ranks) sit at offset `base` of batch's lane buffers; shared by
-  // estimate_lanes and estimate_delta, force-inlined in estimator.cpp.
+  /// One lane's active groups: count, ranks and Eq. 3 weight sum.
+  struct LaneGroups {
+    int groups = 0;
+    int total = 0;
+    double weight_sum = 0.0;
+  };
+  // The lane kernels, force-inlined in estimator.cpp and shared by
+  // estimate_lanes, evaluate_groups and (Stage B) estimate_delta.  Each
+  // works on one lane whose `groups` active groups (`total` ranks) sit at
+  // offset `base` of batch's lane buffers.
+  /// Stage A: validate `config` (validate_config's checks and messages,
+  /// then Eq. 3's rank-count preconditions) and gather its active groups
+  /// in placement order.
+  LaneGroups gather_lane(const ProcessorConfig& config, BatchScratch& batch,
+                         std::size_t base) const;
   /// B1: Eq. 3 floor shares and fractions; returns the leftover PDUs.
   std::int64_t lane_shares(BatchScratch& batch, std::size_t base, int groups,
                            int total, double weight_sum) const;
@@ -366,7 +375,8 @@ class CycleEstimator {
   /// true when a rank would starve (the closed form cannot serve the lane).
   bool lane_extras(BatchScratch& batch, std::size_t base, int groups,
                    std::int64_t remainder, double& t_comp) const;
-  /// B3: Eq. 1/2/5 T_comm from the lane's max_a.
+  /// B3: Eq. 1/2/5 T_comm from the lane's max_a, over the cost model's
+  /// flat tables.
   double lane_comm(BatchScratch& batch, std::size_t base, int groups,
                    int total) const;
   /// Eq. 6: the fast paths' result from T_comp and T_comm.
@@ -374,16 +384,12 @@ class CycleEstimator {
   /// Rebuild `d`'s gather cache (active groups, weight-sum prefixes) from
   /// d.config.
   void rebuild_delta_cache(DeltaScratch& d) const;
+  /// The reference path's Eq. 1/2/5 fold, through the cost model's checked
+  /// accessors.  No fast path calls it.
   double comm_cost_ms(const ProcessorConfig& config,
                       const PartitionVector& partition) const;
-  /// Shared Eq. 1/2/5 evaluation once the per-cluster max A_i are known.
-  /// `clusters`/`sizes`/`max_a` describe the active clusters in placement
-  /// order; total_p is config_total(config).
-  double comm_cost_from_groups(const ClusterId* clusters, const int* sizes,
-                               const std::int64_t* max_a,
-                               std::size_t num_groups, int total_p) const;
-  /// T_comm[C](b, p) with the singleton-cluster proxy fallback resolved
-  /// against the constructor-memoized fitted-cluster list.
+  /// T_comm[C](b, p), with the most expensive fitted cluster as the proxy
+  /// for a cluster the dominant topology has no fit for.
   double cluster_cost_ms(ClusterId c, double bytes, double p_param) const;
 
   /// Per-cluster constants every fast path reads, resolved once by the
@@ -407,8 +413,8 @@ class CycleEstimator {
   std::vector<ClusterConst> clusters_;  ///< indexed by ClusterId
 
   // Constructor-resolved invariants of the spec and cost model: the hot
-  // path must not re-run phase-dominance scans, callback invocations with
-  // fixed results, or the per-call "which clusters have a fit" rescan.
+  // path must not re-run phase-dominance scans or callback invocations
+  // with fixed results.
   const ComputationPhaseSpec* dominant_comp_ = nullptr;
   std::int64_t num_pdus_ = 0;
   double ops_per_pdu_ = 0.0;
@@ -416,8 +422,11 @@ class CycleEstimator {
   Topology comm_topology_ = Topology::OneD;
   bool comm_bw_limited_ = false;
   bool phases_overlap_ = false;
-  std::vector<ClusterId> fitted_clusters_;  ///< has_comm(c, topo), id order
-  std::uint64_t binding_id_ = 0;            ///< process-unique, never 0
+  // The cost model's flat tables for comm_topology_ (see
+  // calib/cost_model.hpp), read by B3; null without a communication phase.
+  const std::optional<Eq1Fit>* comm_fits_ = nullptr;
+  const CostModelDb::PairFits* pair_fits_ = nullptr;
+  std::uint64_t binding_id_ = 0;  ///< process-unique, never 0
 
   mutable std::atomic<std::uint64_t> evaluations_{0};
 };

@@ -30,7 +30,7 @@ double hill_climb(const CycleEstimator& estimator,
         best_neighbour_move(estimator, snapshot, current, scratch);
     *evaluations += move.probes;
     if (move.cluster < 0) break;
-    estimator.commit_delta(move.cluster, move.delta, scratch.delta, scratch);
+    estimator.commit_delta(move.cluster, move.delta, scratch.delta);
     config[static_cast<std::size_t>(move.cluster)] += move.delta;
     current = move.t_c_ms;
   }

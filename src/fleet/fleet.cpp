@@ -95,10 +95,6 @@ FleetNode& Fleet::node(NodeId id) {
   return *nodes_[id];
 }
 
-const FleetNode& Fleet::node(NodeId id) const {
-  return const_cast<Fleet*>(this)->node(id);
-}
-
 bool Fleet::node_alive(NodeId id) const {
   return net_.host(host_of(id)).alive();
 }
@@ -231,7 +227,10 @@ void Fleet::arm_forward(NodeId n) {
     arm_forward(n);
     const std::optional<ForwardEnvelope> envelope =
         decode_or_count(node(n), decode_forward, msg.payload);
-    if (!envelope) return;
+    if (!envelope) {
+      fail_bad_forward(n, msg.payload);
+      return;
+    }
     try {
       const SimTime received = net_.engine().now();
       const Served served =
@@ -259,6 +258,22 @@ void Fleet::arm_forward(NodeId n) {
                  encode_forward_reply(ForwardReply{}));
     }
   });
+}
+
+void Fleet::fail_bad_forward(NodeId n, const std::vector<std::byte>& bytes) {
+  // The body did not decode (already counted in fleet.bad_frames).  If the
+  // header still names a fleet node, answer with a failure so its relay
+  // does not wait out the RTO; otherwise drop the frame.
+  ForwardHeader header;
+  try {
+    WireReader r(bytes);
+    header = decode_forward_header_from(r);
+  } catch (const InvalidArgument&) {
+    return;
+  }
+  if (header.from < 0 || header.from >= num_nodes()) return;
+  mmps_.send(host_of(n), host_of(header.from), header.reply_tag,
+             encode_forward_reply(ForwardReply{}));
 }
 
 // --- request path ----------------------------------------------------------

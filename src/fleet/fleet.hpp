@@ -12,7 +12,9 @@
 //   the entry warm), it serves locally; otherwise it forwards the request
 //   and waits on a per-forward reply tag with an RTO.  A timeout reroutes
 //   to the next replica in ring order (a failover); when every candidate
-//   is exhausted the request fails.
+//   is exhausted the request fails.  An owner that cannot decode a
+//   forward's request answers it with a failure, so long as the frame's
+//   header still names the relay.
 //
 // Epoch path (announce_epoch + gossip rounds):
 //   an epoch enters at one node and propagates ring-wise -- each alive
@@ -161,7 +163,6 @@ class Fleet {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   std::vector<NodeId> node_ids() const;
   FleetNode& node(NodeId id);
-  const FleetNode& node(NodeId id) const;
   bool node_alive(NodeId id) const;
   /// Lowest-id alive node (the canonical entry point for drivers).
   NodeId first_alive() const;
@@ -247,6 +248,9 @@ class Fleet {
   void arm_heartbeat(NodeId n);
   void arm_gossip(NodeId n);
   void arm_forward(NodeId n);
+  /// Answer a forward frame node `n` could not decode: a failure reply to
+  /// the relay its header names, or nothing when the header is bad too.
+  void fail_bad_forward(NodeId n, const std::vector<std::byte>& bytes);
   void arm_replicate(NodeId n);
 
   void heartbeat_round();

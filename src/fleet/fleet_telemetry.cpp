@@ -47,11 +47,6 @@ std::string FleetTelemetry::merged_metrics_text() {
   return obs::merged_metrics_text(metric_sources());
 }
 
-JsonValue FleetTelemetry::merged_chrome_trace() {
-  sync_loss_counters();
-  return obs::chrome_trace_json(lanes());
-}
-
 std::vector<NodeHealth> FleetTelemetry::health() const {
   std::vector<NodeHealth> out;
   const std::vector<NodeId> ids = fleet_.node_ids();
@@ -101,24 +96,6 @@ std::string FleetTelemetry::health_text() const {
            " dead_peers=" + std::to_string(h.dead_peers) + "\n";
   }
   return out;
-}
-
-JsonValue FleetTelemetry::health_json() const {
-  JsonValue nodes = JsonValue::array();
-  for (const NodeHealth& h : health()) {
-    nodes.push(JsonValue::object()
-                   .set("id", static_cast<std::int64_t>(h.id))
-                   .set("alive", h.alive)
-                   .set("requests", h.requests)
-                   .set("forwards", h.forwards)
-                   .set("serves", h.serves)
-                   .set("p50_us", h.p50_us)
-                   .set("p99_us", h.p99_us)
-                   .set("forward_ratio", h.forward_ratio)
-                   .set("warm_fraction", h.warm_fraction)
-                   .set("dead_peers", h.dead_peers));
-  }
-  return JsonValue::object().set("nodes", std::move(nodes));
 }
 
 }  // namespace netpart::fleet

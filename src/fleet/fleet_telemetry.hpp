@@ -11,12 +11,11 @@
 //     render plain (`latency fleet.request.route_us ...`), per-node rows
 //     carry a `{node=N}` dimension.  Byte-identical for identical seeded
 //     runs.
-//   * merged_chrome_trace() -- one Chrome-trace JSON with one pid lane
-//     per node (pid kLanePidBase + node id), so a forwarded request reads
-//     as connected spans hopping across swimlanes.
-//   * health() / health_text() / health_json() -- per-node SLO summary:
-//     p50/p99 request latency, forward ratio, cache warm fraction,
-//     dead-peer count.
+//   * lanes() -- one Chrome-trace lane per node (pid kLanePidBase + node
+//     id) for obs::write_chrome_trace, so a forwarded request reads as
+//     connected spans hopping across swimlanes.
+//   * health() / health_text() -- per-node SLO summary: p50/p99 request
+//     latency, forward ratio, cache warm fraction, dead-peer count.
 //
 // Loss surfacing: merging first folds the simulator's message-drop count
 // and each registry's ring-buffer truncation count into counters
@@ -30,7 +29,6 @@
 
 #include "fleet/fleet.hpp"
 #include "obs/chrome_trace.hpp"
-#include "util/json.hpp"
 
 namespace netpart::fleet {
 
@@ -74,13 +72,9 @@ class FleetTelemetry {
   /// run.
   std::string merged_metrics_text();
 
-  /// Merged multi-lane Chrome trace (chrome_trace.hpp rules).
-  JsonValue merged_chrome_trace();
-
   std::vector<NodeHealth> health() const;
   /// One line per node: `node <id> alive=1 requests=57 p50_us=... ...`.
   std::string health_text() const;
-  JsonValue health_json() const;
 
  private:
   Fleet& fleet_;

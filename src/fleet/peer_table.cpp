@@ -7,18 +7,6 @@
 
 namespace netpart::fleet {
 
-const char* to_string(PeerHealth health) {
-  switch (health) {
-    case PeerHealth::Alive:
-      return "alive";
-    case PeerHealth::Suspect:
-      return "suspect";
-    case PeerHealth::Dead:
-      return "dead";
-  }
-  return "unknown";
-}
-
 PeerTable::PeerTable(std::vector<NodeId> nodes, NodeId self, SimTime now,
                      PeerTableOptions options)
     : self_(self), options_(options) {
@@ -89,11 +77,6 @@ void PeerTable::tick(SimTime now) {
 PeerHealth PeerTable::health(NodeId peer) const {
   NP_READ(&peers_, "fleet.peer_table.peers");
   return find(peer).health;
-}
-
-SimTime PeerTable::last_heard(NodeId peer) const {
-  NP_READ(&peers_, "fleet.peer_table.peers");
-  return find(peer).heard;
 }
 
 std::vector<NodeId> PeerTable::ring_members() const {

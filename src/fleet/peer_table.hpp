@@ -34,8 +34,6 @@ enum class PeerHealth : std::uint8_t {
   Dead,     ///< silent for dead_after or reported dead; terminal
 };
 
-const char* to_string(PeerHealth health);
-
 struct PeerTableOptions {
   /// Silence before a peer turns suspect.  Must exceed the heartbeat
   /// period or healthy peers flap (npcheck NP-F004 guards the configs).
@@ -67,7 +65,6 @@ class PeerTable {
   void tick(SimTime now);
 
   PeerHealth health(NodeId peer) const;
-  SimTime last_heard(NodeId peer) const;
 
   /// Ring membership: every node not known dead (self included).  Suspects
   /// stay in the ring -- evicting on first suspicion would reshuffle the

@@ -191,12 +191,21 @@ std::vector<std::byte> encode_forward(const ForwardEnvelope& envelope) {
   return w.take();
 }
 
+ForwardHeader decode_forward_header_from(WireReader& r) {
+  ForwardHeader h;
+  h.from = r.i32();
+  h.routing_key = r.u64();
+  h.reply_tag = r.i32();
+  return h;
+}
+
 ForwardEnvelope decode_forward(const std::vector<std::byte>& bytes) {
   WireReader r(bytes);
   ForwardEnvelope e;
-  e.from = r.i32();
-  e.routing_key = r.u64();
-  e.reply_tag = r.i32();
+  const ForwardHeader h = decode_forward_header_from(r);
+  e.from = h.from;
+  e.routing_key = h.routing_key;
+  e.reply_tag = h.reply_tag;
   e.trace = decode_trace_context_from(r);
   e.request = decode_request_from(r);
   NP_REQUIRE(r.exhausted(), "trailing bytes in fleet forward");

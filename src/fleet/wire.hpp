@@ -116,6 +116,17 @@ struct ForwardEnvelope {
 std::vector<std::byte> encode_forward(const ForwardEnvelope& envelope);
 ForwardEnvelope decode_forward(const std::vector<std::byte>& bytes);
 
+/// A forward frame's fixed header: the relay, the routing key and the tag
+/// the relay waits on.  Read alone, it lets the owner answer a frame whose
+/// body does not decode.
+struct ForwardHeader {
+  NodeId from = -1;
+  std::uint64_t routing_key = 0;
+  std::int32_t reply_tag = 0;
+};
+
+ForwardHeader decode_forward_header_from(WireReader& r);
+
 /// A hot decision pushed to a replica, parented under the owner's serve
 /// span via `trace`.
 struct ReplicateEnvelope {

@@ -143,11 +143,6 @@ std::uint64_t AvailabilityFeed::update(AvailabilitySnapshot next) {
   return epoch;
 }
 
-std::uint64_t AvailabilityFeed::refresh(
-    const Network& net, const std::vector<ClusterManager>& managers) {
-  return update(gather_availability(net, managers));
-}
-
 std::uint64_t AvailabilityFeed::apply_churn_events(
     const Network& net, const std::vector<ChurnEvent>& events,
     SimTime upto) {

@@ -126,11 +126,6 @@ class AvailabilityFeed {
   /// in force after the call.
   std::uint64_t update(AvailabilitySnapshot next);
 
-  /// Re-run the cooperative protocol against the network's current load
-  /// state and update().
-  std::uint64_t refresh(const Network& net,
-                        const std::vector<ClusterManager>& managers);
-
   /// Replay churn events (at <= upto) against the *initial* snapshot and
   /// update() -- the service-facing form of apply_churn, for drivers that
   /// never mutate the Network itself (the Network can then stay immutable

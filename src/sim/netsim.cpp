@@ -38,10 +38,6 @@ std::size_t NetSim::host_slot(ProcessorRef ref) const {
 
 Host& NetSim::host(ProcessorRef ref) { return hosts_[host_slot(ref)]; }
 
-const Host& NetSim::host(ProcessorRef ref) const {
-  return hosts_[host_slot(ref)];
-}
-
 Channel& NetSim::channel(SegmentId id) {
   NP_REQUIRE(id >= 0 && id < network_.num_segments(),
              "segment id out of range");

@@ -76,7 +76,6 @@ class NetSim {
             DeliveryCallback on_delivered);
 
   Host& host(ProcessorRef ref);
-  const Host& host(ProcessorRef ref) const;
   Channel& channel(SegmentId id);
 
   const Network& network() const { return network_; }

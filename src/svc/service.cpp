@@ -205,9 +205,9 @@ ServiceReply PartitionService::query(const PartitionRequest& request) {
 void PartitionService::worker_loop() {
   // One scratch per worker thread, reused across every cold compute this
   // worker ever runs (see EstimatorScratch's single-owner contract).  The
-  // embedded BatchScratch rebinds itself when the request's stack-local
-  // CycleEstimator changes (binding id, not address), so batch buffers and
-  // coefficient tables also amortise across requests.
+  // embedded BatchScratch's buffers only grow, and its bytes memo is
+  // stamped with each request's stack-local CycleEstimator (binding id,
+  // not address), so a new request neither reallocates nor resets them.
   EstimatorScratch scratch;
   NP_THREAD_START(this, "svc.service.workers");
   // The key of this worker's last answered job: its in-flight entry is

@@ -173,11 +173,6 @@ const JsonValue& JsonValue::at(std::size_t index) const {
   return items_[index];
 }
 
-bool JsonValue::as_bool() const {
-  NP_ASSERT(type_ == Type::Bool);
-  return bool_;
-}
-
 std::int64_t JsonValue::as_int() const {
   NP_ASSERT(type_ == Type::Int);
   return int_;
@@ -191,12 +186,6 @@ double JsonValue::as_double() const {
 const std::string& JsonValue::as_string() const {
   NP_ASSERT(type_ == Type::String);
   return string_;
-}
-
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
-    const {
-  NP_ASSERT(type_ == Type::Object);
-  return members_;
 }
 
 namespace {

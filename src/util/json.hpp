@@ -70,13 +70,9 @@ class JsonValue {
 
   /// Typed extraction; throws LogicError on type mismatch.  as_double()
   /// accepts integers.
-  bool as_bool() const;
   std::int64_t as_int() const;
   double as_double() const;
   const std::string& as_string() const;
-
-  /// Object members in insertion order.  Throws LogicError on non-objects.
-  const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
  private:
   enum class Type { Null, Bool, Int, Double, String, Array, Object };

@@ -15,10 +15,6 @@ std::mutex g_write_mutex;
 
 LogLevel Logger::level() { return g_level.load(std::memory_order_relaxed); }
 
-void Logger::set_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
 void Logger::log(LogLevel level, const std::string& message) {
   if (level < Logger::level()) return;
   // One fprintf emits the whole line, and the lock keeps distinct calls

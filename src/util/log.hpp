@@ -16,7 +16,6 @@ enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4 };
 class Logger {
  public:
   static LogLevel level();
-  static void set_level(LogLevel level);
 
   /// Emit if `level` >= the configured level.  Thread-safe: the service
   /// worker pool logs concurrently, so each call formats its whole line

@@ -33,21 +33,10 @@ double RunningStats::min() const { return n_ == 0 ? 0.0 : min_; }
 
 double RunningStats::max() const { return n_ == 0 ? 0.0 : max_; }
 
-double RunningStats::ci95_halfwidth() const {
-  if (n_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
 double mean(std::span<const double> xs) {
   RunningStats s;
   for (double x : xs) s.add(x);
   return s.mean();
-}
-
-double sample_stddev(std::span<const double> xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
 }
 
 double percentile(std::vector<double> xs, double q) {

@@ -21,10 +21,6 @@ class RunningStats {
   double min() const;
   double max() const;
 
-  /// Half-width of the ~95% confidence interval on the mean (normal
-  /// approximation; adequate for the >= 5 repetitions the harness uses).
-  double ci95_halfwidth() const;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -35,7 +31,6 @@ class RunningStats {
 
 /// Batch helpers over a sample vector.
 double mean(std::span<const double> xs);
-double sample_stddev(std::span<const double> xs);
 /// Linear-interpolated percentile; q in [0, 1].  Requires non-empty input.
 double percentile(std::vector<double> xs, double q);
 /// Coefficient of determination of predictions vs observations.

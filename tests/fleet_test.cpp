@@ -647,6 +647,53 @@ TEST(FleetTest, MalformedControlFramesAreCountedAndDropped) {
       << "the counter exists only where a bad frame landed";
 }
 
+TEST(FleetTest, UndecodableForwardIsAnsweredWithAFailureBeforeTheRto) {
+  FleetBed bed(3);
+  // Node 0 sends node 1 a forward whose header (relay, routing key, reply
+  // tag) decodes but whose request is cut short.  Node 1 must answer on
+  // the reply tag with ok = false instead of leaving the relay to wait out
+  // its RTO.  A second such frame whose header names no fleet node is
+  // dropped.  Both count as bad frames.
+  constexpr std::int32_t kReplyTag = 1 << 30;  // no forward reaches it
+  fleet::ForwardEnvelope envelope;
+  envelope.from = 0;
+  envelope.routing_key = 7;
+  envelope.reply_tag = kReplyTag;
+  envelope.request = fleet::workload_request(0);
+  std::vector<std::byte> frame = fleet::encode_forward(envelope);
+  frame.resize(frame.size() - 3);
+  envelope.from = 99;
+  std::vector<std::byte> stray = fleet::encode_forward(envelope);
+  stray.resize(stray.size() - 3);
+
+  const ProcessorRef relay{0, 0};
+  const ProcessorRef owner{1, 0};
+  const SimTime sent = bed.engine.now();
+  const SimTime rto = bed.fl.options().forward_timeout;
+  bed.fl.mmps().send(relay, owner, fleet::kForwardTag, std::move(stray));
+  bed.fl.mmps().send(relay, owner, fleet::kForwardTag, std::move(frame));
+  std::optional<fleet::ForwardReply> reply;
+  std::optional<SimTime> answered_at;
+  bool timed_out = false;
+  bed.fl.mmps().recv_with_timeout(
+      relay, owner, kReplyTag, rto,
+      [&](mmps::Message msg) {
+        reply = fleet::decode_forward_reply(msg.payload);
+        answered_at = bed.engine.now();
+      },
+      [&] { timed_out = true; });
+  ASSERT_TRUE(step_until(bed.engine, [&] { return reply || timed_out; }));
+  ASSERT_TRUE(reply.has_value()) << "the relay waited out its RTO";
+  EXPECT_FALSE(reply->ok);
+  EXPECT_LT(*answered_at - sent, rto);
+
+  const std::string metrics =
+      fleet::FleetTelemetry(bed.fl).merged_metrics_text();
+  EXPECT_NE(metrics.find("counter fleet.bad_frames{node=1} 2\n"),
+            std::string::npos)
+      << metrics;
+}
+
 // ------------------------------------------------- distributed tracing
 
 TEST(FleetWireTest, TraceContextRoundTripsAndAbsenceDecodesInvalid) {

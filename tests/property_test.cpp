@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
@@ -788,7 +789,7 @@ void walk_delta_moves(const Network& net, const CostModelDb& db,
       const auto& [cc, cd] =
           legal[static_cast<std::size_t>(config_rng.next_int(
               0, static_cast<std::int64_t>(legal.size()) - 1))];
-      est.commit_delta(cc, cd, d, scratch);
+      est.commit_delta(cc, cd, d);
       config[static_cast<std::size_t>(cc)] += cd;
       total += cd;
       // After a commit the new baseline must itself score bitwise.
@@ -857,7 +858,7 @@ TEST(DeltaEval, EmptyAndRefillCluster) {
   EXPECT_EQ(drained.t_c_ms, drained_ref.t_c_ms);
   EXPECT_EQ(drained.t_comm_ms, drained_ref.t_comm_ms);
 
-  est.commit_delta(0, -1, d, scratch);  // baseline now {0, 1}
+  est.commit_delta(0, -1, d);  // baseline now {0, 1}
   const FastEstimate refilled = est.estimate_delta(0, +1, d, scratch);
   const FastEstimate refilled_ref = est.estimate_into({1, 1}, ref_scratch);
   EXPECT_EQ(refilled.t_c_ms, refilled_ref.t_c_ms);
@@ -866,7 +867,7 @@ TEST(DeltaEval, EmptyAndRefillCluster) {
   // Draining the only remaining cluster must be rejected, and the
   // capacity edge must hold on the high side too.
   EXPECT_THROW(est.estimate_delta(1, -1, d, scratch), Error);
-  est.commit_delta(0, +1, d, scratch);  // baseline {1, 1}
+  est.commit_delta(0, +1, d);  // baseline {1, 1}
   EXPECT_THROW(est.estimate_delta(0, net.cluster(0).size(), d, scratch),
                Error);
 }
@@ -889,6 +890,138 @@ TEST(DeltaEval, CountsEvaluationsAndRequiresBinding) {
   est.estimate_delta(1, -1, d, scratch);
   EXPECT_EQ(scratch.evaluations, evals_after_bind + 2);
   EXPECT_GE(scratch.delta_evaluations, 0u);
+}
+
+/// Every cost field of a fast-path result against the reference.
+void expect_cost_fields_equal(const FastEstimate& got,
+                              const CycleEstimate& want,
+                              const std::string& where) {
+  EXPECT_EQ(got.t_comp_ms, want.t_comp_ms) << where;
+  EXPECT_EQ(got.t_comm_ms, want.t_comm_ms) << where;
+  EXPECT_EQ(got.t_overlap_ms, want.t_overlap_ms) << where;
+  EXPECT_EQ(got.t_c_ms, want.t_c_ms) << where;
+  EXPECT_EQ(got.t_elapsed_ms, want.t_elapsed_ms) << where;
+}
+
+TEST(SharedScratch, AlternatingEstimatorsMatchAFreshReference) {
+  // A service worker keeps one scratch and builds a new estimator for
+  // every cold request, so the scratch's lane buffers and bytes memo
+  // outlive each estimator that uses them.  Here one scratch alternates
+  // across estimators that differ in cluster count, in num_PDUs (both
+  // sides of the direct memo's bound: a 2-D stencil with n >= 257 has
+  // more than kBytesDirectMax PDUs) and in bytes_per_message (constant in
+  // A_i for the 1-D stencil, a function of A_i for the 2-D one).  Each
+  // memo pairs an A_i-dependent spec with a constant one on the same
+  // network and num_PDUs, so an entry left by one estimator is read at the
+  // same A_i by the other.  Every fast path must stay bitwise equal to a
+  // fresh estimator's estimate().
+  static_assert(300 * 300 > BatchScratch::kBytesDirectMax);
+  CalibrationParams params;
+  params.topologies = {Topology::OneD, Topology::TwoD};
+  struct Problem {
+    Network net;
+    CalibrationResult cal;
+  };
+  std::vector<Problem> problems;
+  Rng rng(0x5C7A);
+  for (const int k : {3, 5, 4}) {
+    Network net = presets::random_network(rng, k, 6);
+    CalibrationResult cal = calibrate(net, params);
+    problems.push_back({std::move(net), std::move(cal)});
+  }
+  const auto stencil = [](int n) {
+    return apps::make_stencil_spec(
+        apps::StencilConfig{.n = n, .iterations = 10, .overlap = false});
+  };
+  const auto stencil2d = [](int n) {
+    return apps::make_stencil2d_spec(
+        apps::StencilConfig{.n = n, .iterations = 10, .overlap = true});
+  };
+  struct Case {
+    const char* name;
+    std::size_t problem;
+    ComputationSpec spec;
+  };
+  const std::vector<Case> cases = {
+      {"A: k3 1-D 576 PDUs", 0, stencil(576)},
+      {"B: k5 2-D 90000 PDUs", 1, stencil2d(300)},
+      {"C: k4 2-D 576 PDUs", 2, stencil2d(24)},
+      {"D: k5 1-D 90000 PDUs", 1, stencil(90000)},
+      {"E: k3 2-D 576 PDUs", 0, stencil2d(24)},
+  };
+  std::deque<CycleEstimator> estimators;  // not movable: no vector
+  for (const Case& c : cases) {
+    estimators.emplace_back(problems[c.problem].net, problems[c.problem].cal.db,
+                            c.spec);
+  }
+
+  EstimatorScratch scratch;
+  Rng config_rng(0x5C7B);
+  constexpr std::size_t kBatch = BatchScratch::kLanes + 3;
+  for (const std::size_t e : {0, 1, 0, 2, 3, 1, 4, 0, 3, 2, 4, 1}) {
+    const Case& c = cases[e];
+    const Network& net = problems[c.problem].net;
+    const CycleEstimator& est = estimators[e];
+    const CycleEstimator fresh(net, problems[c.problem].cal.db, c.spec);
+    const auto random_config = [&] {
+      ProcessorConfig config(static_cast<std::size_t>(net.num_clusters()), 0);
+      while (config_total(config) == 0) {
+        for (ClusterId cl = 0; cl < net.num_clusters(); ++cl) {
+          config[static_cast<std::size_t>(cl)] = static_cast<int>(
+              config_rng.next_int(0, net.cluster(cl).size()));
+        }
+      }
+      return config;
+    };
+    const std::string where = std::string(c.name) + " estimator " +
+                              std::to_string(e);
+
+    for (int i = 0; i < 12; ++i) {
+      const ProcessorConfig config = random_config();
+      expect_cost_fields_equal(est.estimate_into(config, scratch),
+                               fresh.estimate(config), where + " into");
+    }
+
+    // One full lane group plus a scalar remainder.
+    std::vector<ProcessorConfig> configs;
+    while (configs.size() < kBatch) configs.push_back(random_config());
+    std::vector<FastEstimate> got(kBatch);
+    est.estimate_batch(configs.data(), kBatch, got.data(), scratch);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      expect_cost_fields_equal(got[i], fresh.estimate(configs[i]),
+                               where + " batch lane " + std::to_string(i));
+    }
+
+    const ProcessorConfig baseline = random_config();
+    expect_cost_fields_equal(est.bind_delta(baseline, scratch.delta, scratch),
+                             fresh.estimate(baseline), where + " bind");
+    for (ClusterId cl = 0; cl < net.num_clusters(); ++cl) {
+      for (const int delta : {+1, -1}) {
+        ProcessorConfig moved = baseline;
+        moved[static_cast<std::size_t>(cl)] += delta;
+        const int p = moved[static_cast<std::size_t>(cl)];
+        if (p < 0 || p > net.cluster(cl).size() || config_total(moved) == 0) {
+          continue;
+        }
+        expect_cost_fields_equal(
+            est.estimate_delta(cl, delta, scratch.delta, scratch),
+            fresh.estimate(moved),
+            where + " delta c " + std::to_string(cl) + " " +
+                std::to_string(delta));
+      }
+    }
+
+    const ProcessorConfig winner = random_config();
+    const CycleEstimate want = fresh.estimate(winner);
+    const CycleEstimate materialized = est.materialize(winner, scratch);
+    EXPECT_EQ(materialized.partition.values(), want.partition.values())
+        << where;
+    expect_cost_fields_equal(
+        FastEstimate{materialized.t_comp_ms, materialized.t_comm_ms,
+                     materialized.t_overlap_ms, materialized.t_c_ms,
+                     materialized.t_elapsed_ms},
+        want, where + " materialize");
+  }
 }
 
 TEST(EstimatorMonotonicity, MoreWorkNeverCheaper) {

@@ -4,10 +4,10 @@
 #   scripts/tier1.sh            # Release build in build/
 #   scripts/tier1.sh asan-ubsan # ASan+UBSan build in build-asan/
 #   scripts/tier1.sh --tsan     # TSan build in build-tsan/; runs the
-#                               # service, decision-cache and threaded
-#                               # tests (the tsan test preset filters to
-#                               # them) -- any reported race fails the
-#                               # tier
+#                               # service, decision-cache and concurrent
+#                               # partition-search tests (the tsan test
+#                               # preset filters to them) -- any reported
+#                               # race fails the tier
 #   scripts/tier1.sh --obs      # Release build, then a telemetry smoke
 #                               # stage: netpartd --trace-out on a small
 #                               # spec, validated by trace_check (the
@@ -39,8 +39,9 @@
 #                               # estimate_into across batch shapes,
 #                               # estimate_into and every fast path
 #                               # bitwise == the reference estimate(),
-#                               # one scratch shared across estimators),
-#                               # the work-stealing determinism tests, and
+#                               # one scratch shared across estimators,
+#                               # and the concurrent-search and
+#                               # work-stealing determinism cases), and
 #                               # the degenerate-input fuzz sweeps
 #   scripts/tier1.sh --lint     # Strict build (-Wshadow -Werror, preset
 #                               # `strict`) plus clang-tidy over src/ when
@@ -49,7 +50,13 @@
 #                               # the NP-R diagnostic-code cross-check
 #                               # (every code npracer can emit must be
 #                               # documented in DESIGN.md §14), plus
-#                               # bench_diff.py's unit tests
+#                               # bench_diff.py's unit tests, plus the
+#                               # reach census (scripts/reach_census.py:
+#                               # every library function is kept by a
+#                               # shipped binary or allowlisted with a
+#                               # reason in scripts/reach_allowlist.txt;
+#                               # its own -O0 trees in build-census/ and
+#                               # build-census-e2e/) and its unit tests
 #   scripts/tier1.sh --race     # npracer interleaving tier (preset
 #                               # `race`: Release + NETPART_RACE=ON, in
 #                               # build-race/).  Runs the detector suite:
@@ -132,9 +139,7 @@ if [[ "$batch_stage" == 1 ]]; then
   # iteration on the engine itself.
   echo "== batched engine lockdown =="
   ./build/tests/test_property \
-    --gtest_filter='*Batch*:*ParallelExhaustive*:GroupShares.*:RankKernel.*:*DeltaBitwise*:DeltaEval.*:*Materialize*:*FastPathBitwise*:SharedScratch.*'
-  ./build/tests/test_threaded \
-    --gtest_filter='ThreadedPartitionSearchTest.*'
+    --gtest_filter='*Batch*:*ParallelExhaustive*:GroupShares.*:RankKernel.*:*DeltaBitwise*:DeltaEval.*:*Materialize*:*FastPathBitwise*:SharedScratch.*:ThreadedPartitionSearchTest.*'
   ./build/tests/test_fuzz \
     --gtest_filter='DegenerateInputs.*:*StarvationPressure*'
   ./build/tests/test_coverage \
@@ -209,6 +214,10 @@ if [[ "$lint_stage" == 1 ]]; then
   scripts/check_race_codes.sh
   echo "== bench_diff unit tests =="
   python3 scripts/test_bench_diff.py
+  echo "== reach census unit tests =="
+  python3 scripts/test_reach_census.py
+  echo "== reach census =="
+  python3 scripts/reach_census.py
   echo "lint tier ok (strict -Werror build passed)"
   exit 0
 fi

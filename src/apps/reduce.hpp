@@ -7,19 +7,13 @@
 // cycle; iterations model repeated reductions (e.g. convergence tests in an
 // outer solver loop).
 //
-// Exercises the Tree topology end to end: calibration, estimation,
-// execution, and a functional MMPS implementation whose result is compared
-// against the sequential sum.
+// Exercises the Tree topology through calibration, estimation and the
+// annotation-level executor.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "dp/partition_vector.hpp"
 #include "dp/phases.hpp"
-#include "net/network.hpp"
-#include "sim/netsim.hpp"
-#include "topo/placement.hpp"
 
 namespace netpart::apps {
 
@@ -30,26 +24,5 @@ struct ReduceConfig {
 
 /// Annotated computation for the partitioner and executor.
 ComputationSpec make_reduce_spec(const ReduceConfig& config);
-
-/// Deterministic test data.
-std::vector<double> make_reduce_input(std::int64_t count,
-                                      std::uint64_t seed);
-
-/// Sequential reference sum (left-to-right order).
-double sequential_sum(const std::vector<double>& values);
-
-struct DistributedReduceResult {
-  double value = 0.0;  ///< the tree-combined sum at rank 0
-  SimTime elapsed;
-  std::uint64_t messages = 0;
-};
-
-/// Functional tree reduction over MMPS.  The combination order differs
-/// from sequential (tree vs linear), so the result matches up to floating
-/// point reassociation, not bit-exactly.
-DistributedReduceResult run_distributed_reduce(
-    const Network& network, const Placement& placement,
-    const PartitionVector& partition, const ReduceConfig& config,
-    std::uint64_t seed = 2, const sim::NetSimParams& sim_params = {});
 
 }  // namespace netpart::apps

@@ -1,14 +1,11 @@
 #include "apps/stencil.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <functional>
-#include <mutex>
 #include <utility>
 
 #include "apps/spmd_sim.hpp"
-#include "exec/threaded.hpp"
 #include "mmps/coercion.hpp"
 #include "util/error.hpp"
 
@@ -302,121 +299,6 @@ DistributedStencilResult run_distributed_stencil(
   StencilRunner runner(network, placement, partition, config, sim_params,
                        faults, fault_origin);
   return runner.run();
-}
-
-ThreadedStencilResult run_threaded_stencil(const Network& network,
-                                           const Placement& placement,
-                                           const PartitionVector& partition,
-                                           const StencilConfig& config) {
-  NP_REQUIRE(!placement.empty(), "placement must be non-empty");
-  partition.validate(config.n);
-  const int n = config.n;
-  const int p = static_cast<int>(placement.size());
-  const auto ranges = partition.block_ranges();
-
-  // Emulated slowdown per rank: extra spin work relative to the fastest
-  // machine model in the placement.
-  SimTime fastest = SimTime::max();
-  for (const ProcessorRef& ref : placement) {
-    fastest = std::min(fastest,
-                       network.cluster(ref.cluster).type().flop_time);
-  }
-  std::vector<double> extra_factor;
-  for (const ProcessorRef& ref : placement) {
-    const double ratio =
-        network.cluster(ref.cluster).type().flop_time.as_seconds() /
-        fastest.as_seconds();
-    extra_factor.push_back(ratio - 1.0);
-  }
-
-  const std::vector<float> init = make_initial_grid(n);
-  ThreadedStencilResult result;
-  result.grid.assign(static_cast<std::size_t>(n) * n, 0.0f);
-  std::mutex grid_mutex;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  threaded::run_spmd(p, [&](GlobalRank rank, threaded::Comm& comm) {
-    const int lo = static_cast<int>(ranges[static_cast<std::size_t>(rank)]
-                                        .first);
-    const int hi = static_cast<int>(ranges[static_cast<std::size_t>(rank)]
-                                        .second);
-    const int rows = hi - lo;
-    std::vector<float> cur(static_cast<std::size_t>(rows + 2) * n, 0.0f);
-    for (int row = lo; row < hi; ++row) {
-      std::copy_n(init.begin() + static_cast<std::ptrdiff_t>(row) * n, n,
-                  cur.begin() +
-                      static_cast<std::ptrdiff_t>(row - lo + 1) * n);
-    }
-    std::vector<float> next = cur;
-    const auto row_at = [&](std::vector<float>& buf, int local) {
-      return buf.data() + static_cast<std::ptrdiff_t>(local) * n;
-    };
-
-    for (int iter = 0; iter < config.iterations; ++iter) {
-      // Exchange borders (STEN-1 structure).
-      if (rank > 0) {
-        comm.send(rank, rank - 1, iter,
-                  mmps::encode_array(
-                      std::span<const float>(row_at(cur, 1), n)));
-      }
-      if (rank + 1 < p) {
-        comm.send(rank, rank + 1, iter,
-                  mmps::encode_array(
-                      std::span<const float>(row_at(cur, rows), n)));
-      }
-      if (rank > 0) {
-        const auto ghost = mmps::decode_array<float>(
-            comm.recv(rank, rank - 1, iter).payload);
-        std::copy(ghost.begin(), ghost.end(), row_at(cur, 0));
-      }
-      if (rank + 1 < p) {
-        const auto ghost = mmps::decode_array<float>(
-            comm.recv(rank, rank + 1, iter).payload);
-        std::copy(ghost.begin(), ghost.end(), row_at(cur, rows + 1));
-      }
-
-      // Compute (the same arithmetic as the simulator path).
-      int updated = 0;
-      for (int row = lo; row < hi; ++row) {
-        if (row == 0 || row == n - 1) continue;
-        ++updated;
-        const int lr = row - lo + 1;
-        const float* above = row_at(cur, lr - 1);
-        const float* here = row_at(cur, lr);
-        const float* below = row_at(cur, lr + 1);
-        float* out = row_at(next, lr);
-        out[0] = here[0];
-        out[n - 1] = here[n - 1];
-        for (int j = 1; j < n - 1; ++j) {
-          out[j] =
-              0.25f * (above[j] + below[j] + here[j - 1] + here[j + 1]);
-        }
-      }
-      if (lo == 0) std::copy_n(row_at(cur, 1), n, row_at(next, 1));
-      if (hi == n) std::copy_n(row_at(cur, rows), n, row_at(next, rows));
-      cur.swap(next);
-
-      // Emulate the slower machine models with extra spin work.
-      const double extra =
-          extra_factor[static_cast<std::size_t>(rank)];
-      if (extra > 0.0) {
-        threaded::emulate_compute(5.0 * n * updated, extra);
-      }
-    }
-
-    const std::lock_guard<std::mutex> lock(grid_mutex);
-    for (int row = lo; row < hi; ++row) {
-      std::copy_n(cur.begin() +
-                      static_cast<std::ptrdiff_t>(row - lo + 1) * n,
-                  n,
-                  result.grid.begin() +
-                      static_cast<std::ptrdiff_t>(row) * n);
-    }
-  });
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  return result;
 }
 
 }  // namespace netpart::apps

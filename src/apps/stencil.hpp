@@ -81,19 +81,4 @@ DistributedStencilResult run_distributed_stencil(
     const sim::FaultPlan* faults = nullptr,
     SimTime fault_origin = SimTime::zero());
 
-struct ThreadedStencilResult {
-  std::vector<float> grid;  ///< assembled final grid
-  double wall_ms = 0.0;     ///< host wall-clock time (informational)
-};
-
-/// Execute the stencil on the real-threads backend: one std::thread per
-/// rank, blocking mailbox message passing, heterogeneity emulated by spin
-/// work proportional to each processor's flop time.  The numerics are the
-/// same as the simulator path, so the result is bit-identical to
-/// run_sequential().  STEN-1 structure (exchange, then compute).
-ThreadedStencilResult run_threaded_stencil(const Network& network,
-                                           const Placement& placement,
-                                           const PartitionVector& partition,
-                                           const StencilConfig& config);
-
 }  // namespace netpart::apps

@@ -90,10 +90,6 @@ bool CostModelDb::has_coerce(ClusterId a, ClusterId b) const {
   return a != b && pairs_[pair_slot(a, b)].has_coerce;
 }
 
-bool CostModelDb::has_router(ClusterId a, ClusterId b) const {
-  return a != b && pairs_[pair_slot(a, b)].has_router;
-}
-
 std::optional<LineFit> CostModelDb::router_fit(ClusterId a,
                                                ClusterId b) const {
   if (a == b) return std::nullopt;

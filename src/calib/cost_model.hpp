@@ -71,7 +71,6 @@ class CostModelDb {
   double coerce_ms(ClusterId a, ClusterId b, double bytes) const;
 
   bool has_coerce(ClusterId a, ClusterId b) const;
-  bool has_router(ClusterId a, ClusterId b) const;
 
   /// Raw fits (for persistence and reporting); nullopt when absent.
   std::optional<LineFit> router_fit(ClusterId a, ClusterId b) const;

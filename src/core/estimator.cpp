@@ -155,32 +155,10 @@ CycleEstimate CycleEstimator::counted_estimate(
 
 CycleEstimate CycleEstimator::materialize_impl(
     const ProcessorConfig& config, EstimatorScratch& scratch) const {
-  std::int64_t remainder = 0;
-  const FastEstimate fast = evaluate_groups(config, scratch, &remainder);
-  if (remainder < 0) {
-    // Starvation repair engaged (extreme speed skew, rare): the lane's
-    // shares do not describe the donor-stealing result, so the reference
-    // path builds the vector.
-    return estimate_impl(config);
-  }
-  // Expand lane 0's shares rank by rank: within a group every rank has the
-  // same fractional part, and the stable largest-remainder sort keeps rank
-  // order among equals, so the group's extras go to its first ranks --
-  // exactly the vector proportional_partition() returns.
-  const BatchScratch& lane = scratch.batch;
-  const auto total = static_cast<std::size_t>(config_total(config));
-  std::vector<std::int64_t> per_rank;
-  per_rank.reserve(total);
-  for (std::size_t g = 0; per_rank.size() < total; ++g) {
-    const int p = lane.group_p[g];
-    const std::int64_t extras = std::clamp<std::int64_t>(
-        remainder - lane.ranks_before[g], 0, p);
-    for (int i = 0; i < p; ++i) {
-      per_rank.push_back(lane.share_base[g] + (i < extras ? 1 : 0));
-    }
-  }
+  std::optional<PartitionVector> partition;
+  const FastEstimate fast = evaluate_groups(config, scratch, &partition);
   return CycleEstimate{config,
-                       PartitionVector(std::move(per_rank)),
+                       std::move(*partition),
                        fast.t_comp_ms,
                        fast.t_comm_ms,
                        fast.t_overlap_ms,
@@ -236,9 +214,9 @@ FastEstimate CycleEstimator::estimate_into(const ProcessorConfig& config,
   return evaluate_groups(config, scratch, nullptr);
 }
 
-FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
-                                             EstimatorScratch& scratch,
-                                             std::int64_t* remainder) const {
+FastEstimate CycleEstimator::evaluate_groups(
+    const ProcessorConfig& config, EstimatorScratch& scratch,
+    std::optional<PartitionVector>* partition) const {
   // The lane engine's kernels on lane 0: Stage A's gather, the Eq. 3 share
   // divisions, the largest-remainder extras with the T_comp maximum, and
   // B3's T_comm.
@@ -250,13 +228,12 @@ FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
       lane_shares(lane, 0, groups, active.total, active.weight_sum);
   double t_comp = 0.0;
   const bool starved = lane_extras(lane, 0, groups, leftover, t_comp);
-  if (remainder != nullptr) *remainder = starved ? -1 : leftover;
   if (starved) {
     // Starvation repair engaged (extreme speed skew): the closed form
     // cannot reproduce the donor-stealing loop, so materialise the real
     // Eq. 3 vector once and take the per-cluster maxima from it.  Rare and
     // allocating -- correctness over speed on this branch.
-    const PartitionVector partition =
+    PartitionVector repaired =
         balanced_partition(network_, config, cluster_order_, num_pdus_);
     const int* gp = lane.group_p.data();
     const ClusterId* gc = lane.group_c.data();
@@ -266,13 +243,30 @@ FastEstimate CycleEstimator::evaluate_groups(const ProcessorConfig& config,
     for (int g = 0; g < groups; ++g) {
       std::int64_t a = 0;
       for (int i = 0; i < gp[g]; ++i, ++rank) {
-        a = std::max(a, partition.at(rank));
+        a = std::max(a, repaired.at(rank));
       }
       max_a[g] = a;
       t_comp = std::max(
           t_comp, clusters_[static_cast<std::size_t>(gc[g])].comp_ms *
                       static_cast<double>(a));
     }
+    if (partition != nullptr) partition->emplace(std::move(repaired));
+  } else if (partition != nullptr) {
+    // Expand lane 0's shares rank by rank: within a group every rank has
+    // the same fractional part, and the stable largest-remainder sort
+    // keeps rank order among equals, so the group's extras go to its first
+    // ranks -- exactly the vector proportional_partition() returns.
+    std::vector<std::int64_t> per_rank;
+    per_rank.reserve(static_cast<std::size_t>(active.total));
+    for (std::size_t g = 0; g < static_cast<std::size_t>(groups); ++g) {
+      const int p = lane.group_p[g];
+      const std::int64_t extras =
+          std::clamp<std::int64_t>(leftover - lane.ranks_before[g], 0, p);
+      for (int i = 0; i < p; ++i) {
+        per_rank.push_back(lane.share_base[g] + (i < extras ? 1 : 0));
+      }
+    }
+    partition->emplace(std::move(per_rank));
   }
   return eq6_estimate(t_comp, lane_comm(lane, 0, groups, active.total));
 }

@@ -15,10 +15,10 @@
 //
 //   * estimate() -- the reference path: materialises the full Eq. 3
 //     partition vector and scans it rank by rank, allocating on every
-//     call.  It is the oracle the fast paths are tested against, and the
-//     fallback materialize() takes when starvation repair engages; the
+//     call.  It is the oracle the fast paths are tested against; the
 //     searches' winners come from materialize() (the fast path's cost
-//     fields plus the vector expanded from lane 0's shares).
+//     fields plus the vector expanded from lane 0's shares, or the vector
+//     starvation repair built for those fields).
 //   * estimate_into() -- the scalar fast path: the active clusters are
 //     gathered into lane 0 of the scratch's BatchScratch by the lane
 //     engine's Stage A gather and scored by its kernels (B1, the Eq. 3
@@ -55,6 +55,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "calib/cost_model.hpp"
@@ -251,8 +252,9 @@ class CycleEstimator {
   /// clamp(remainder - ranks_before[g], 0, P_g) ranks get
   /// share_base[g] + 1).  Bitwise identical to estimate(config) on every
   /// field -- the property tier asserts this -- at two allocations (the
-  /// config copy and the vector).  Falls back to estimate()'s path when
-  /// starvation repair engages.  Like estimate(), it counts one evaluation
+  /// config copy and the vector).  When starvation repair engages, the
+  /// vector is the one the repair built for the cost fields, so it is
+  /// built once there too.  Like estimate(), it counts one evaluation
   /// on evaluations() (not on scratch.evaluations) and emits the
   /// `estimator.estimate` span when telemetry is on.
   CycleEstimate materialize(const ProcessorConfig& config,
@@ -338,12 +340,11 @@ class CycleEstimator {
   CycleEstimate materialize_impl(const ProcessorConfig& config,
                                  EstimatorScratch& scratch) const;
   /// estimate_into without the count, on lane 0 of scratch.batch.  When
-  /// `remainder` is non-null it receives the leftover PDUs B2 handed out,
-  /// or -1 when starvation repair engaged (lane 0's shares then do not
-  /// describe the partition).
-  FastEstimate evaluate_groups(const ProcessorConfig& config,
-                               EstimatorScratch& scratch,
-                               std::int64_t* remainder) const;
+  /// `partition` is non-null it receives the Eq. 3 vector: lane 0's shares
+  /// expanded rank by rank, or the vector starvation repair built.
+  FastEstimate evaluate_groups(
+      const ProcessorConfig& config, EstimatorScratch& scratch,
+      std::optional<PartitionVector>* partition) const;
   /// Grow `batch` to `lanes` lanes of this network's cluster count and to
   /// the bytes memo this spec uses.  Allocates only when the scratch needs
   /// more room than any estimator before gave it.

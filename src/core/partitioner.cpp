@@ -459,19 +459,6 @@ PartitionResult exhaustive_partition(const CycleEstimator& estimator,
   return result;
 }
 
-ProcessorConfig config_single_fastest_cluster(
-    const CycleEstimator& estimator, const AvailabilitySnapshot& snapshot) {
-  ProcessorConfig config(snapshot.available.size(), 0);
-  for (ClusterId c : estimator.cluster_order()) {
-    const int n = snapshot.available[static_cast<std::size_t>(c)];
-    if (n > 0) {
-      config[static_cast<std::size_t>(c)] = n;
-      return config;
-    }
-  }
-  throw InvalidArgument("no processors available");
-}
-
 ProcessorConfig config_all_available(const AvailabilitySnapshot& snapshot) {
   NP_REQUIRE(snapshot.total() > 0, "no processors available");
   return snapshot.available;

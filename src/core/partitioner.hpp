@@ -91,9 +91,7 @@ PartitionResult exhaustive_partition(const CycleEstimator& estimator,
                                      const AvailabilitySnapshot& snapshot,
                                      const ExhaustiveOptions& options = {});
 
-/// Baseline configurations for comparisons.
-ProcessorConfig config_single_fastest_cluster(
-    const CycleEstimator& estimator, const AvailabilitySnapshot& snapshot);
+/// Baseline configuration for comparisons: every available processor.
 ProcessorConfig config_all_available(const AvailabilitySnapshot& snapshot);
 
 }  // namespace netpart

@@ -312,8 +312,4 @@ ExprPtr parse_expr(std::string_view text) {
   return Parser(text).parse();
 }
 
-double evaluate_expr(std::string_view text, const ExprEnv& env) {
-  return parse_expr(text)->evaluate(env);
-}
-
 }  // namespace netpart

@@ -73,7 +73,4 @@ std::set<std::string> expr_variables(const Expr& expr);
 /// offset of the failure on syntax errors.
 ExprPtr parse_expr(std::string_view text);
 
-/// Convenience: parse and evaluate in one step.
-double evaluate_expr(std::string_view text, const ExprEnv& env);
-
 }  // namespace netpart

@@ -171,18 +171,7 @@ AdaptiveResult run_chunked(const Network& network,
       continue;  // balanced enough
     }
 
-    PartitionVector next = [&] {
-      if (adaptive_options.client != nullptr) {
-        std::optional<PartitionVector> provided =
-            adaptive_options.client->repartition(rate, current.total());
-        if (provided.has_value() &&
-            provided->num_ranks() == current.num_ranks() &&
-            provided->total() == current.total()) {
-          return std::move(*provided);
-        }
-      }
-      return proportional_partition(rate, current.total());
-    }();
+    PartitionVector next = proportional_partition(rate, current.total());
     if (disturbed) {
       ++result.fault_responses;
       fault_counter.add(1);

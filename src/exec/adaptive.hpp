@@ -15,31 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "core/partitioner.hpp"
 #include "exec/executor.hpp"
 
 namespace netpart {
-
-/// External provider of repartition decisions.
-///
-/// By default the adaptive executor recomputes Eq. 3 inline from the
-/// observed per-rank rates.  A long-lived deployment instead routes the
-/// decision through the partition service (svc::AdaptiveServiceClient),
-/// which caches, deduplicates, and meters the computation.  Returning
-/// nullopt -- service overloaded, decision rejected -- falls back to the
-/// inline rule, so adaptation never blocks on the service being healthy.
-class RepartitionClient {
- public:
-  virtual ~RepartitionClient() = default;
-
-  /// Next partition for ranks with the given observed PDU rates (PDUs per
-  /// ms of service time); the result must assign exactly `total_pdus`.
-  virtual std::optional<PartitionVector> repartition(
-      std::span<const double> rates, std::int64_t total_pdus) = 0;
-};
 
 struct AdaptiveOptions {
   /// Iterations per chunk between imbalance checks.
@@ -49,9 +30,6 @@ struct AdaptiveOptions {
   /// Bytes per PDU, used both for redistribution traffic and the startup
   /// scatter cost (0 = migration is free, not recommended).
   std::int64_t pdu_bytes = 0;
-  /// Repartition decision provider; nullptr = inline Eq. 3.  Must outlive
-  /// the execution.
-  RepartitionClient* client = nullptr;
 };
 
 struct AdaptiveResult {

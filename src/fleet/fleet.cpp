@@ -99,13 +99,6 @@ bool Fleet::node_alive(NodeId id) const {
   return net_.host(host_of(id)).alive();
 }
 
-NodeId Fleet::first_alive() const {
-  for (const auto& n : nodes_) {
-    if (node_alive(n->id())) return n->id();
-  }
-  return -1;
-}
-
 std::uint64_t Fleet::routing_key(const svc::PartitionRequest& request) const {
   // Epoch 0: routing must be stable across epoch bumps (an epoch changes
   // what is cached, not where a key lives).
@@ -208,7 +201,7 @@ void Fleet::arm_replicate(NodeId n) {
     if (!envelope) return;
     // A push computed under an older epoch than this node's is already
     // stale; dropping it here is the same rule invalidate_before applies.
-    const bool accepted = envelope->decision.epoch >= node(n).epoch();
+    const bool accepted = envelope->decision->epoch >= node(n).epoch();
     // Materialise the carried context as a point span on the replica's
     // lane: the owner minted this identity when it pushed, so the merged
     // trace shows serve -> replicate edges across nodes.
@@ -216,8 +209,7 @@ void Fleet::arm_replicate(NodeId n) {
     record_node_span(n, "fleet.replicate", envelope->trace, now, now,
                      {{"accepted", JsonValue(accepted)}});
     if (!accepted) return;
-    node(n).cache().insert(std::make_shared<svc::PartitionDecision>(
-        std::move(envelope->decision)));
+    node(n).cache().insert(std::move(envelope->decision));
     ++stats_.replica_inserts;
   });
 }
@@ -323,10 +315,8 @@ void Fleet::replicate(NodeId owner, std::uint64_t routing_key,
       o.ring().replicas(routing_key, options_.replication);
   for (NodeId replica : replicas) {
     if (replica == owner) continue;
-    WireWriter w;
-    encode_trace_context_into(w, o.child_of(parent));
-    encode_decision_into(w, *d);
-    mmps_.send(host_of(owner), host_of(replica), kReplicateTag, w.take());
+    mmps_.send(host_of(owner), host_of(replica), kReplicateTag,
+               encode_replicate({o.child_of(parent), d}));
     ++stats_.replications_pushed;
     ctr_replications_.add();
   }

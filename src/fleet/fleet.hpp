@@ -164,8 +164,6 @@ class Fleet {
   std::vector<NodeId> node_ids() const;
   FleetNode& node(NodeId id);
   bool node_alive(NodeId id) const;
-  /// Lowest-id alive node (the canonical entry point for drivers).
-  NodeId first_alive() const;
 
   std::uint64_t signature() const { return signature_; }
   std::uint64_t routing_key(const svc::PartitionRequest& request) const;

@@ -43,10 +43,6 @@ std::vector<obs::LabelledRegistry> FleetTelemetry::metric_sources() {
   return sources;
 }
 
-std::string FleetTelemetry::merged_metrics_text() {
-  return obs::merged_metrics_text(metric_sources());
-}
-
 std::vector<NodeHealth> FleetTelemetry::health() const {
   std::vector<NodeHealth> out;
   const std::vector<NodeId> ids = fleet_.node_ids();

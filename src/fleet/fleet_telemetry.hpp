@@ -7,8 +7,9 @@
 // per-hop attribution registry and merges them into single deterministic
 // artifacts:
 //
-//   * merged_metrics_text() -- one name-ordered dump; fleet-level rows
-//     render plain (`latency fleet.request.route_us ...`), per-node rows
+//   * metric_sources() -- the registries obs::merged_metrics_text() turns
+//     into one name-ordered dump; fleet-level rows render plain
+//     (`latency fleet.request.route_us ...`), per-node rows
 //     carry a `{node=N}` dimension.  Byte-identical for identical seeded
 //     runs.
 //   * lanes() -- one Chrome-trace lane per node (pid kLanePidBase + node
@@ -61,16 +62,12 @@ class FleetTelemetry {
   /// named to match make_fleet_network's cluster names).
   std::vector<obs::TraceLane> lanes() const;
 
-  /// The registries merged_metrics_text() dumps, loss counters synced
-  /// first: the Fleet's own (plain rows), then each node's (`{node=N}`).
-  /// A caller with more registries to export appends them and calls
-  /// obs::merged_metrics_text() itself (fleetd adds the process-wide one).
+  /// The registries to dump with obs::merged_metrics_text(), loss
+  /// counters synced first: the Fleet's own (plain rows), then each
+  /// node's (`{node=N}`).  The dump is deterministic for a deterministic
+  /// run.  A caller with more registries to export appends them (fleetd
+  /// adds the process-wide one).
   std::vector<obs::LabelledRegistry> metric_sources();
-
-  /// Name-ordered merged metrics dump: fleet-level rows plain, per-node
-  /// rows with a `{node=N}` dimension.  Deterministic for a deterministic
-  /// run.
-  std::string merged_metrics_text();
 
   std::vector<NodeHealth> health() const;
   /// One line per node: `node <id> alive=1 requests=57 p50_us=... ...`.

@@ -65,10 +65,6 @@ std::size_t HashRing::lower_bound_index(std::uint64_t key) const {
   return static_cast<std::size_t>(it - points_.begin());
 }
 
-NodeId HashRing::owner(std::uint64_t key) const {
-  return points_[lower_bound_index(key)].node;
-}
-
 std::vector<NodeId> HashRing::replicas(std::uint64_t key,
                                        int replicas) const {
   NP_REQUIRE(replicas >= 1, "replication factor must be >= 1");

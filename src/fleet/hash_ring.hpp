@@ -23,7 +23,7 @@ using NodeId = ClusterId;
 
 class HashRing {
  public:
-  /// An empty ring owns nothing (owner() on it is an error).
+  /// An empty ring owns nothing (replicas() on it is an error).
   HashRing() = default;
 
   /// Hash each node onto the ring at `vnodes_per_node` points.  Nodes must
@@ -36,12 +36,9 @@ class HashRing {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<NodeId>& nodes() const { return nodes_; }
 
-  /// The node owning `key`: first ring point at or clockwise after the
-  /// key's hash.
-  NodeId owner(std::uint64_t key) const;
-
-  /// The owner plus the next `replicas - 1` distinct nodes in ring order
-  /// (fewer when the ring has fewer nodes).  replicas >= 1.
+  /// The owner -- the node of the first ring point at or clockwise after
+  /// the key's hash -- plus the next `replicas - 1` distinct nodes in ring
+  /// order (fewer when the ring has fewer nodes).  replicas >= 1.
   std::vector<NodeId> replicas(std::uint64_t key, int replicas) const;
 
   /// Position of the first ring point at or after the key's (re-mixed)

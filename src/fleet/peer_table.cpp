@@ -89,16 +89,4 @@ std::vector<NodeId> PeerTable::ring_members() const {
   return members;
 }
 
-int PeerTable::alive_count() const {
-  int n = 0;
-  for (const Peer& p : peers_) n += p.health == PeerHealth::Alive ? 1 : 0;
-  return n;
-}
-
-int PeerTable::dead_count() const {
-  int n = 0;
-  for (const Peer& p : peers_) n += p.health == PeerHealth::Dead ? 1 : 0;
-  return n;
-}
-
 }  // namespace netpart::fleet

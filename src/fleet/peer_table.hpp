@@ -71,9 +71,6 @@ class PeerTable {
   /// key space on every transient hiccup.
   std::vector<NodeId> ring_members() const;
 
-  int alive_count() const;
-  int dead_count() const;
-
   /// Bumps on every health transition; the owner rebuilds its HashRing
   /// when the version it built against goes stale.
   std::uint64_t version() const { return version_; }

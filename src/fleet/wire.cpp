@@ -37,11 +37,6 @@ WireWriter& WireWriter::u8(std::uint8_t v) {
   return *this;
 }
 
-WireWriter& WireWriter::u32(std::uint32_t v) {
-  put_le(bytes_, v);
-  return *this;
-}
-
 WireWriter& WireWriter::u64(std::uint64_t v) {
   put_le(bytes_, v);
   return *this;
@@ -213,9 +208,11 @@ ForwardEnvelope decode_forward(const std::vector<std::byte>& bytes) {
 }
 
 std::vector<std::byte> encode_replicate(const ReplicateEnvelope& envelope) {
+  NP_REQUIRE(envelope.decision != nullptr,
+             "a replicate push carries a decision");
   WireWriter w;
   encode_trace_context_into(w, envelope.trace);
-  encode_decision_into(w, envelope.decision);
+  encode_decision_into(w, *envelope.decision);
   return w.take();
 }
 
@@ -223,7 +220,8 @@ ReplicateEnvelope decode_replicate(const std::vector<std::byte>& bytes) {
   WireReader r(bytes);
   ReplicateEnvelope e;
   e.trace = decode_trace_context_from(r);
-  e.decision = decode_decision_from(r);
+  e.decision =
+      std::make_shared<svc::PartitionDecision>(decode_decision_from(r));
   NP_REQUIRE(r.exhausted(), "trailing bytes in fleet replicate");
   return e;
 }
@@ -291,19 +289,6 @@ svc::PartitionDecision decode_decision_from(WireReader& r) {
     ref.index = r.i32();
     d.placement.push_back(ref);
   }
-  return d;
-}
-
-std::vector<std::byte> encode_decision(const svc::PartitionDecision& d) {
-  WireWriter w;
-  encode_decision_into(w, d);
-  return w.take();
-}
-
-svc::PartitionDecision decode_decision(const std::vector<std::byte>& bytes) {
-  WireReader r(bytes);
-  svc::PartitionDecision d = decode_decision_from(r);
-  NP_REQUIRE(r.exhausted(), "trailing bytes in fleet decision");
   return d;
 }
 

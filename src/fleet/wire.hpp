@@ -46,7 +46,6 @@ namespace netpart::fleet {
 class WireWriter {
  public:
   WireWriter& u8(std::uint8_t v);
-  WireWriter& u32(std::uint32_t v);
   WireWriter& u64(std::uint64_t v);
   WireWriter& i32(std::int32_t v);
   WireWriter& i64(std::int64_t v);
@@ -128,10 +127,11 @@ struct ForwardHeader {
 ForwardHeader decode_forward_header_from(WireReader& r);
 
 /// A hot decision pushed to a replica, parented under the owner's serve
-/// span via `trace`.
+/// span via `trace`.  The decision is shared, not copied: the owner pushes
+/// its cached entry, and a replica inserts the decoded one.
 struct ReplicateEnvelope {
   obs::TraceContext trace;
-  svc::PartitionDecision decision;
+  std::shared_ptr<const svc::PartitionDecision> decision;
 };
 
 std::vector<std::byte> encode_replicate(const ReplicateEnvelope& envelope);
@@ -152,8 +152,6 @@ std::vector<std::byte> encode_forward_reply(const ForwardReply& reply);
 ForwardReply decode_forward_reply(const std::vector<std::byte>& bytes);
 
 /// A full decision (replication push, or the payload of a forward reply).
-std::vector<std::byte> encode_decision(const svc::PartitionDecision& d);
-svc::PartitionDecision decode_decision(const std::vector<std::byte>& bytes);
 void encode_decision_into(WireWriter& w, const svc::PartitionDecision& d);
 svc::PartitionDecision decode_decision_from(WireReader& r);
 

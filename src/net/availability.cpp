@@ -114,7 +114,7 @@ AvailabilitySnapshot apply_churn(const Network& net,
 }
 
 AvailabilityFeed::AvailabilityFeed(AvailabilitySnapshot initial)
-    : baseline_(initial), current_(std::move(initial)) {}
+    : current_(std::move(initial)) {}
 
 AvailabilityFeed::AvailabilityFeed(
     const Network& net, const std::vector<ClusterManager>& managers)
@@ -141,17 +141,6 @@ std::uint64_t AvailabilityFeed::update(AvailabilitySnapshot next) {
     epoch_.store(++epoch, std::memory_order_release);
   }
   return epoch;
-}
-
-std::uint64_t AvailabilityFeed::apply_churn_events(
-    const Network& net, const std::vector<ChurnEvent>& events,
-    SimTime upto) {
-  AvailabilitySnapshot base;
-  {
-    std::lock_guard lock(mutex_);
-    base = baseline_;
-  }
-  return update(apply_churn(net, std::move(base), events, upto));
 }
 
 void apply_random_load(Network& net, Rng& rng, double mean_load) {

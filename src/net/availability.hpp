@@ -126,17 +126,8 @@ class AvailabilityFeed {
   /// in force after the call.
   std::uint64_t update(AvailabilitySnapshot next);
 
-  /// Replay churn events (at <= upto) against the *initial* snapshot and
-  /// update() -- the service-facing form of apply_churn, for drivers that
-  /// never mutate the Network itself (the Network can then stay immutable
-  /// and be shared with worker threads without locking).
-  std::uint64_t apply_churn_events(const Network& net,
-                                   const std::vector<ChurnEvent>& events,
-                                   SimTime upto);
-
  private:
   mutable std::mutex mutex_;
-  AvailabilitySnapshot baseline_;
   AvailabilitySnapshot current_;
   /// Stored (release) only under mutex_, beside current_, so read() sees
   /// the pair together while epoch() reads it without the lock.

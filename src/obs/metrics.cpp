@@ -172,15 +172,4 @@ JsonValue snapshot_json(const MetricsSnapshot& snapshot) {
       .set("latency_counts", std::move(latencies));
 }
 
-std::string snapshot_text(const MetricsSnapshot& snapshot) {
-  std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    out += "counter " + name + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : snapshot.latency_counts) {
-    out += "latency " + name + " count " + std::to_string(value) + "\n";
-  }
-  return out;
-}
-
 }  // namespace netpart::obs

@@ -138,8 +138,4 @@ MetricsSnapshot snapshot_delta(const MetricsSnapshot& before,
 /// rendering is deterministic and name-ordered.
 JsonValue snapshot_json(const MetricsSnapshot& snapshot);
 
-/// One metric per line ("counter <name> <value>" / "latency <name> count
-/// <n>"), name-ordered: byte-identical for identical snapshots.
-std::string snapshot_text(const MetricsSnapshot& snapshot);
-
 }  // namespace netpart::obs

@@ -117,13 +117,4 @@ void bridge_trace_log(const sim::TraceLog& log, TelemetryRegistry& registry,
   registry.counter("obs.trace.dropped").add(log.dropped_events());
 }
 
-void bridge_net_loss(const sim::NetSim& net, TelemetryRegistry& registry) {
-  registry.counter("sim.messages_dropped").add(net.messages_dropped());
-}
-
-void bridge_trace_loss(const sim::TraceLog& log,
-                       TelemetryRegistry& registry) {
-  registry.counter("obs.trace.dropped").add(log.dropped_events());
-}
-
 }  // namespace netpart::obs

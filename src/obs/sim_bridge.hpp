@@ -10,16 +10,13 @@
 // land in the registry's counters.  After bridging, `netpartd --trace-out`
 // shows message traffic and fault onsets on the same Perfetto timeline as
 // the partitioner and service spans.
-// Silent-loss surfacing: the simulator counts what it discards --
-// NetSim::messages_dropped() for dead-destination sends, TraceLog's
-// dropped_events() for ring-buffer truncation -- but a getter nobody polls
-// reads as a healthy run.  bridge_loss_counters() folds both into the
-// registry's counters (`sim.messages_dropped`, `obs.trace.dropped`) so
-// every metrics export carries the loss totals.
+// Silent-loss surfacing: a TraceLog's ring-buffer truncation count lands
+// in the registry as `obs.trace.dropped` beside the traffic counters, so a
+// bridged export carries the loss total (the fleet's exporter folds
+// NetSim::messages_dropped() in the same way, as `sim.messages_dropped`).
 #pragma once
 
 #include "obs/telemetry.hpp"
-#include "sim/netsim.hpp"
 #include "sim/trace.hpp"
 #include "util/time.hpp"
 
@@ -31,15 +28,5 @@ namespace netpart::obs {
 /// caller holding a TraceLog has already opted into tracing.
 void bridge_trace_log(const sim::TraceLog& log, TelemetryRegistry& registry,
                       SimTime origin = SimTime::zero());
-
-/// Record the simulator's cumulative message-drop count as the
-/// `sim.messages_dropped` counter.  Counters are monotonic adds, so call
-/// once per (net, registry) pair -- typically right before export.
-void bridge_net_loss(const sim::NetSim& net, TelemetryRegistry& registry);
-
-/// Record a TraceLog's ring-buffer truncation count as the
-/// `obs.trace.dropped` counter (same once-per-export discipline).
-void bridge_trace_loss(const sim::TraceLog& log,
-                       TelemetryRegistry& registry);
 
 }  // namespace netpart::obs

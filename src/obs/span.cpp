@@ -2,10 +2,6 @@
 
 namespace netpart::obs {
 
-namespace {
-thread_local int t_span_depth = 0;
-}  // namespace
-
 Span::Span(TelemetryRegistry& registry, const char* name,
            const char* category) {
   if (!registry.enabled()) return;
@@ -14,7 +10,6 @@ Span::Span(TelemetryRegistry& registry, const char* name,
   category_ = category;
   start_us_ = registry.wall_now_us();
   open_context(registry);
-  ++t_span_depth;
 }
 
 Span::Span(TelemetryRegistry& registry, const char* name, SimTime start,
@@ -27,7 +22,6 @@ Span::Span(TelemetryRegistry& registry, const char* name, SimTime start,
   start_us_ = start.as_micros();
   end_us_ = start_us_;
   open_context(registry);
-  ++t_span_depth;
 }
 
 void Span::open_context(TelemetryRegistry& registry) {
@@ -49,21 +43,13 @@ void Span::attr(const char* key, JsonValue value) {
   attrs_.emplace_back(key, std::move(value));
 }
 
-void Span::end() {
-  if (registry_ == nullptr || ended_) return;
-  finish(sim_clock_ ? end_us_ : registry_->wall_now_us());
-}
-
 void Span::end_at(SimTime end) {
   if (registry_ == nullptr || ended_) return;
   finish(end.as_micros());
 }
 
-int Span::depth() { return t_span_depth; }
-
 void Span::finish(double end_us) {
   ended_ = true;
-  --t_span_depth;
   detail::pop_context();
   SpanRecord record;
   record.name = name_;

@@ -11,10 +11,10 @@
 //     work does not advance the wall clock.  Used by the adaptive executor
 //     and the sim TraceLog bridge.
 //
-// Spans form a per-thread stack (strict LIFO: construct them as locals).
-// Span::depth() exposes the nesting level; Chrome trace viewers nest
-// complete events by timestamp containment, so the stack exists mainly to
-// keep instrumented callees cheap and attribution-free.
+// Spans form a per-thread stack (strict LIFO: construct them as locals):
+// each enabled span is the current trace context until it ends, so a
+// nested span parents itself under the enclosing one.  Chrome trace
+// viewers nest complete events by timestamp containment.
 //
 // Disabled path: when the registry's span recording is off at construction
 // time, the Span holds a null registry and every member is a single branch
@@ -56,9 +56,6 @@ class Span {
   /// No-op when the span is disabled.
   void attr(const char* key, JsonValue value);
 
-  /// End a wall-clock span now (idempotent; the destructor calls it).
-  void end();
-
   /// End a sim-clock span at the given simulated time.
   void end_at(SimTime end);
 
@@ -67,9 +64,6 @@ class Span {
   /// This span's trace identity -- capture it to parent work on another
   /// thread or node under this span (invalid when the span is disabled).
   const TraceContext& context() const { return context_; }
-
-  /// Nesting depth of this thread's innermost active span (0 = none).
-  static int depth();
 
  private:
   void finish(double end_us);

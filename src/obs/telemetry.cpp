@@ -146,10 +146,6 @@ void TelemetryRegistry::write_csv(std::ostream& os) const {
   }
 }
 
-std::string TelemetryRegistry::metrics_text() const {
-  return metrics_text(std::string_view{});
-}
-
 std::string TelemetryRegistry::metrics_text(std::string_view dimension) const {
   // Built piecewise rather than via `"{" + std::string(dimension) + "}"`:
   // that operator+ chain trips GCC 12's -Wrestrict false positive

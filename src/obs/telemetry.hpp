@@ -116,14 +116,12 @@ class TelemetryRegistry {
 
   /// Full metrics dump, one per line, name-ordered.  Counters render as
   /// "counter <name> <value>"; histograms add count/mean/min/max and the
-  /// quantile estimates.  Deterministic for deterministic inputs.
-  std::string metrics_text() const;
-
-  /// Same rows with a `{<dimension>}` label suffix after each name, e.g.
-  /// `counter fleet.node.requests{node=2} 57`.  The fleet merger uses it
-  /// to keep per-node lanes distinct in one combined dump; the plain
-  /// overload's format is unchanged (tier-1 tooling greps it).
-  std::string metrics_text(std::string_view dimension) const;
+  /// quantile estimates.  Deterministic for deterministic inputs.  A
+  /// non-empty `dimension` adds a `{<dimension>}` label suffix after each
+  /// name, e.g. `counter fleet.node.requests{node=2} 57`: the fleet merger
+  /// uses it to keep per-node lanes distinct in one combined dump (tier-1
+  /// tooling greps the plain rows).
+  std::string metrics_text(std::string_view dimension = {}) const;
 
   // --- structured events ----------------------------------------------
   void record_span(SpanRecord record);

@@ -30,9 +30,4 @@ void Channel::set_degradation(double factor) {
   degradation_ = factor;
 }
 
-SimTime Channel::wire_time(std::int64_t bytes) const {
-  NP_REQUIRE(bytes >= 0, "bytes must be non-negative");
-  return byte_time_ * bytes;
-}
-
 }  // namespace netpart::sim

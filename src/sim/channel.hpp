@@ -30,9 +30,6 @@ class Channel {
   /// channel frees up (FIFO order of reservation calls).
   ChannelGrant reserve(SimTime ready_at, SimTime occupancy);
 
-  /// Wire time for `bytes` at the raw bandwidth (no overheads).
-  SimTime wire_time(std::int64_t bytes) const;
-
   /// Per-byte wire time.
   SimTime byte_time() const { return byte_time_; }
 

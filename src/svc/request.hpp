@@ -25,7 +25,7 @@ struct PartitionRequest {
     /// the Section 5 heuristic.  Answers "how should this program start?".
     Partition = 0,
     /// Eq. 3 re-decomposition from observed per-rank rates (quantised to
-    /// `rate_milli`).  Answers the adaptive executor's "how should this
+    /// `rate_milli`).  Answers a running program's "how should this
     /// program rebalance?"; recurring imbalance patterns hit the cache.
     Repartition = 1,
   };
@@ -38,7 +38,7 @@ struct PartitionRequest {
   std::int64_t n = 0;
   std::int32_t iterations = 1;
   /// Repartition only: observed per-rank rates normalised so the fastest
-  /// rank reads 1000 (see AdaptiveServiceClient); entries must be >= 1.
+  /// rank reads 1000; entries must be >= 1.
   std::vector<std::int32_t> rate_milli;
   PartitionOptions options;
 };

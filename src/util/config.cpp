@@ -44,26 +44,6 @@ Config Config::from_args(int argc, const char* const* argv,
   return from_args(std::vector<std::string>(argv + 1, argv + argc), options);
 }
 
-Config Config::from_string(const std::string& text) {
-  Config cfg;
-  for (const std::string& raw_line : split(text, '\n')) {
-    std::string_view line = trim(raw_line);
-    if (const std::size_t hash = line.find('#');
-        hash != std::string_view::npos) {
-      line = trim(line.substr(0, hash));
-    }
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      throw ConfigError("expected key=value line, got: " +
-                        std::string(line));
-    }
-    cfg.set(std::string(trim(line.substr(0, eq))),
-            std::string(trim(line.substr(eq + 1))));
-  }
-  return cfg;
-}
-
 void Config::set(const std::string& key, const std::string& value) {
   NP_REQUIRE(!key.empty(), "config key must be non-empty");
   entries_[key] = value;
@@ -114,29 +94,6 @@ bool Config::get_bool_or(const std::string& key, bool dflt) const {
   if (lower == "true" || lower == "1" || lower == "yes") return true;
   if (lower == "false" || lower == "0" || lower == "no") return false;
   throw ConfigError("config key '" + key + "' is not a boolean: " + *v);
-}
-
-std::vector<std::int64_t> Config::get_int_list_or(
-    const std::string& key, std::vector<std::int64_t> dflt) const {
-  const auto v = get(key);
-  if (!v) return dflt;
-  std::vector<std::int64_t> out;
-  for (const std::string& piece : split(*v, ',')) {
-    const std::string_view t = trim(piece);
-    if (t.empty()) continue;
-    char* end = nullptr;
-    const std::string tmp(t);
-    const long long parsed = std::strtoll(tmp.c_str(), &end, 10);
-    if (end == tmp.c_str() || *end != '\0') {
-      throw ConfigError("config key '" + key +
-                        "' has a non-integer element: " + tmp);
-    }
-    out.push_back(parsed);
-  }
-  if (out.empty()) {
-    throw ConfigError("config key '" + key + "' is an empty list");
-  }
-  return out;
 }
 
 }  // namespace netpart

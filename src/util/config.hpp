@@ -1,8 +1,8 @@
 // Key-value configuration.
 //
 // Bench binaries and examples accept small "key=value" overrides (problem
-// size, seed, iteration count) either from argv or a file with one entry per
-// line ('#' comments).  Typed getters validate and convert.
+// size, seed, iteration count) from argv.  Typed getters validate and
+// convert.
 #pragma once
 
 #include <initializer_list>
@@ -37,9 +37,6 @@ class Config {
   static Config from_args(int argc, const char* const* argv,
                           std::initializer_list<LongOption> options = {});
 
-  /// Parse file contents (not a path): one key=value per line, '#' comments.
-  static Config from_string(const std::string& text);
-
   void set(const std::string& key, const std::string& value);
   bool contains(const std::string& key) const;
 
@@ -48,10 +45,6 @@ class Config {
   std::int64_t get_int_or(const std::string& key, std::int64_t dflt) const;
   double get_double_or(const std::string& key, double dflt) const;
   bool get_bool_or(const std::string& key, bool dflt) const;
-
-  /// Comma-separated list of integers, e.g. "60,300,600,1200".
-  std::vector<std::int64_t> get_int_list_or(
-      const std::string& key, std::vector<std::int64_t> dflt) const;
 
   const std::map<std::string, std::string>& entries() const {
     return entries_;

@@ -52,8 +52,4 @@ Fnv1a& Fnv1a::str(std::string_view s) {
   return bytes(s.data(), s.size());
 }
 
-std::uint64_t fnv1a(std::string_view s) {
-  return Fnv1a().bytes(s.data(), s.size()).value();
-}
-
 }  // namespace netpart

@@ -44,8 +44,4 @@ class Fnv1a {
   std::uint64_t state_ = kOffsetBasis;
 };
 
-/// One-shot convenience: FNV-1a of a byte string (no length prefix, the
-/// classic reference definition -- matches published test vectors).
-std::uint64_t fnv1a(std::string_view s);
-
 }  // namespace netpart

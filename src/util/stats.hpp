@@ -8,24 +8,18 @@
 
 namespace netpart {
 
-/// Welford's online algorithm: numerically stable running mean/variance.
+/// Welford's online mean (numerically stable) and the running maximum.
 class RunningStats {
  public:
   void add(double x);
 
   std::size_t count() const { return n_; }
   double mean() const;
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const;
   double max() const;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 

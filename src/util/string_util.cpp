@@ -43,11 +43,6 @@ std::string format_double(double v, int precision) {
   return buf;
 }
 
-std::string pad_left(std::string_view s, std::size_t width) {
-  if (s.size() >= width) return std::string(s);
-  return std::string(width - s.size(), ' ') + std::string(s);
-}
-
 std::string pad_right(std::string_view s, std::size_t width) {
   if (s.size() >= width) return std::string(s);
   return std::string(s) + std::string(width - s.size(), ' ');

@@ -22,9 +22,8 @@ std::string to_lower(std::string_view s);
 /// Fixed-precision formatting (std::to_string prints too many digits).
 std::string format_double(double v, int precision);
 
-/// Right/left-align a string into a field of `width` (pads with spaces;
-/// never truncates).
-std::string pad_left(std::string_view s, std::size_t width);
+/// Left-align a string into a field of `width` (pads with spaces; never
+/// truncates).
 std::string pad_right(std::string_view s, std::size_t width);
 
 }  // namespace netpart

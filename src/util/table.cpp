@@ -16,20 +16,17 @@ Table::Table(std::vector<std::string> headers)
 void Table::add_row(std::vector<std::string> cells) {
   NP_REQUIRE(cells.size() == headers_.size(),
              "row width must match header width");
-  rows_.push_back(Row{std::move(cells), /*rule=*/false});
+  rows_.push_back(std::move(cells));
 }
-
-void Table::add_rule() { rows_.push_back(Row{{}, /*rule=*/true}); }
 
 std::string Table::render(const std::string& title) const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();
   }
-  for (const Row& row : rows_) {
-    if (row.rule) continue;
-    for (std::size_t c = 0; c < row.cells.size(); ++c) {
-      widths[c] = std::max(widths[c], row.cells[c].size());
+  for (const std::vector<std::string>& row : rows_) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      widths[c] = std::max(widths[c], row[c].size());
     }
   }
 
@@ -51,13 +48,7 @@ std::string Table::render(const std::string& title) const {
   rule();
   line(headers_);
   rule();
-  for (const Row& row : rows_) {
-    if (row.rule) {
-      rule();
-    } else {
-      line(row.cells);
-    }
-  }
+  for (const std::vector<std::string>& row : rows_) line(row);
   rule();
   return os.str();
 }

@@ -18,21 +18,14 @@ class Table {
   /// Append a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: append a separator rule between row groups.
-  void add_rule();
-
   std::size_t num_rows() const { return rows_.size(); }
 
   /// Render with column padding, a header rule, and optional title.
   std::string render(const std::string& title = "") const;
 
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool rule = false;
-  };
   std::vector<std::string> headers_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace netpart

@@ -11,8 +11,6 @@
 
 #include "apps/gauss.hpp"
 #include "apps/particles.hpp"
-#include "apps/reduce.hpp"
-#include "apps/solver.hpp"
 #include "apps/stencil.hpp"
 #include "core/decompose.hpp"
 #include "net/presets.hpp"
@@ -344,37 +342,6 @@ TEST_F(AppsGolden, ParticlesCleanAndLossy) {
     expect_golden(run.elapsed, run.messages,
                   bits_hash(Fnv1a().u64(bits_hash({}, run.state.position)),
                             run.state.velocity),
-                  golden);
-  }
-}
-
-TEST_F(AppsGolden, ReduceTwoTrees) {
-  const apps::ReduceConfig cfg{.count = 6000, .iterations = 4};
-  const std::pair<ProcessorConfig, Golden> cases[] = {
-      {{5, 0}, {9419200, 16, 15534629730457190284u}},
-      {{6, 6}, {27192800, 44, 12804815150362830920u}},
-  };
-  for (const auto& [config, golden] : cases) {
-    const auto run = apps::run_distributed_reduce(
-        net_, placement(config), partition(config, cfg.count), cfg);
-    expect_golden(run.elapsed, run.messages,
-                  bits_hash({}, std::vector<double>{run.value}), golden);
-  }
-}
-
-TEST_F(AppsGolden, SolverCleanAndLossy) {
-  const apps::SolverConfig cfg{.n = 30, .iterations = 8};
-  const ProcessorConfig config{3, 2};
-  const std::pair<sim::NetSimParams, Golden> cases[] = {
-      {{}, {56189120, 96, 2222072592075534160u}},
-      {lossy_network(), {115036480, 96, 2222072592075534160u}},
-  };
-  for (const auto& [params, golden] : cases) {
-    const auto run = apps::run_distributed_solver(
-        net_, placement(config), partition(config, cfg.n), cfg, params);
-    expect_golden(run.elapsed, run.messages,
-                  bits_hash(Fnv1a().u64(bits_hash({}, run.grid)),
-                            run.residuals),
                   golden);
   }
 }

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include "apps/stencil.hpp"
+#include "calib/calibrate.hpp"
 #include "core/decompose.hpp"
+#include "core/partitioner.hpp"
 #include "exec/executor.hpp"
 #include "exec/schedule.hpp"
+#include "net/availability.hpp"
 #include "net/presets.hpp"
 #include "util/error.hpp"
 
@@ -247,6 +250,46 @@ TEST(ExecutorTest, AverageElapsedAveragesSeeds) {
   EXPECT_THROW(
       average_elapsed_ms(testbed(), spec, placement, part, options, 0),
       InvalidArgument);
+}
+
+// Two communication phases of different topologies -- a 1-D halo exchange
+// and an 8-byte tree reduction, as an iterative solver with a residual norm
+// has: the partitioner estimates on the dominant (halo) phase, and the
+// executor runs both, so every cycle carries the chain's and the tree's
+// messages.
+TEST(ExecutorTest, TwoCommunicationPhasesPartitionAndExecute) {
+  constexpr int n = 1200;
+  ComputationPhaseSpec sweep;
+  sweep.name = "sweep";
+  sweep.num_pdus = [] { return std::int64_t{n}; };
+  sweep.ops_per_pdu = [] { return 6.0 * n; };
+  sweep.op_kind = OpKind::FloatingPoint;
+  CommunicationPhaseSpec borders;
+  borders.name = "borders";
+  borders.topology = [] { return Topology::OneD; };
+  borders.bytes_per_message = [](std::int64_t) { return std::int64_t{4} * n; };
+  CommunicationPhaseSpec norm;
+  norm.name = "norm";
+  norm.topology = [] { return Topology::Tree; };
+  norm.bytes_per_message = [](std::int64_t) { return std::int64_t{8}; };
+  const ComputationSpec spec("halo-and-norm", {sweep}, {borders, norm}, 10);
+  ASSERT_EQ(spec.dominant_communication().name, "borders");
+
+  CalibrationParams params;
+  params.topologies = {Topology::OneD, Topology::Tree};
+  const CalibrationResult cal = calibrate(testbed(), params);
+  CycleEstimator est(testbed(), cal.db, spec);
+  const AvailabilitySnapshot snap = gather_availability(
+      testbed(), make_managers(testbed(), AvailabilityPolicy{}));
+  const PartitionResult r = partition(est, snap);
+  EXPECT_GE(config_total(r.config), 6);
+  const ExecutionResult run =
+      execute(testbed(), spec, r.placement, r.estimate.partition, {});
+  EXPECT_GT(run.elapsed.as_millis(), 0.0);
+  // 2(p-1) directed messages per cycle on the chain, 2(p-1) on the tree.
+  const std::uint64_t p =
+      static_cast<std::uint64_t>(config_total(r.config));
+  EXPECT_EQ(run.messages_delivered, 10u * (2 * (p - 1) + 2 * (p - 1)));
 }
 
 }  // namespace

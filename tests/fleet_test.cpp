@@ -48,7 +48,7 @@ TEST(HashRingTest, SameInputsSameRing) {
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) {
     const std::uint64_t key = rng.next_u64();
-    EXPECT_EQ(a.owner(key), b.owner(key));
+    EXPECT_EQ(a.replicas(key, 1).front(), b.replicas(key, 1).front());
     EXPECT_EQ(a.replicas(key, 3), b.replicas(key, 3));
   }
 }
@@ -62,7 +62,9 @@ TEST(HashRingTest, OwnershipIsRoughlyBalanced) {
   const HashRing ring({0, 1, 2, 3}, 16);
   std::map<NodeId, int> owned;
   Rng rng(2);
-  for (int i = 0; i < kKeys; ++i) owned[ring.owner(rng.next_u64())]++;
+  for (int i = 0; i < kKeys; ++i) {
+    owned[ring.replicas(rng.next_u64(), 1).front()]++;
+  }
   for (NodeId n = 0; n < kNodes; ++n) {
     EXPECT_GT(owned[n], kKeys / (2 * kNodes))
         << "node " << n << " owns " << owned[n] << "/" << kKeys;
@@ -78,8 +80,8 @@ TEST(HashRingTest, RemovingANodeOnlyMovesItsOwnKeys) {
   int moved = 0;
   for (int i = 0; i < 5000; ++i) {
     const std::uint64_t key = rng.next_u64();
-    const NodeId before = full.owner(key);
-    const NodeId after = without2.owner(key);
+    const NodeId before = full.replicas(key, 1).front();
+    const NodeId after = without2.replicas(key, 1).front();
     if (before != 2) {
       EXPECT_EQ(after, before) << "survivor-owned key reassigned";
     } else {
@@ -97,7 +99,7 @@ TEST(HashRingTest, ReplicasAreDistinctAndStartAtTheOwner) {
     const std::uint64_t key = rng.next_u64();
     const std::vector<NodeId> reps = ring.replicas(key, 3);
     ASSERT_EQ(reps.size(), 3u);
-    EXPECT_EQ(reps[0], ring.owner(key));
+    EXPECT_EQ(reps[0], ring.replicas(key, 1).front());
     EXPECT_EQ(std::set<NodeId>(reps.begin(), reps.end()).size(), 3u);
   }
 }
@@ -116,7 +118,7 @@ TEST(HashRingTest, SingleNodeOwnsEverythingAndWrapIsCovered) {
   bool wrapped = false;
   for (int i = 0; i < 1000; ++i) {
     const std::uint64_t key = rng.next_u64();
-    EXPECT_EQ(ring.owner(key), 7);
+    EXPECT_EQ(ring.replicas(key, 1).front(), 7);
     // lower_bound_index returning 0 covers both "before the first point"
     // and the wrap past the last point.
     wrapped = wrapped || ring.lower_bound_index(key) == 0;
@@ -129,7 +131,7 @@ TEST(HashRingTest, RejectsDuplicateNodesAndEmptyLookups) {
   EXPECT_THROW(HashRing({0, 1}, 0), Error);
   const HashRing empty({}, 4);
   EXPECT_TRUE(empty.empty());
-  EXPECT_THROW(empty.owner(1), Error);
+  EXPECT_THROW((void)empty.replicas(1, 1), Error);
   const HashRing ring({0, 1}, 4);
   EXPECT_THROW(ring.replicas(1, 0), Error);
 }
@@ -146,8 +148,8 @@ TEST(PeerTableTest, SilenceWalksAliveSuspectDead) {
   EXPECT_EQ(t.health(2), PeerHealth::Suspect);
   t.tick(SimTime::millis(1000));  // past dead_after = 900ms
   EXPECT_EQ(t.health(1), PeerHealth::Dead);
-  EXPECT_EQ(t.alive_count(), 1);  // self only
-  EXPECT_EQ(t.dead_count(), 2);
+  EXPECT_EQ(t.health(2), PeerHealth::Dead);
+  EXPECT_EQ(t.ring_members(), (std::vector<NodeId>{0}));  // self only
 }
 
 TEST(PeerTableTest, HeartbeatRevivesASuspectButNeverADeadPeer) {
@@ -199,12 +201,11 @@ TEST(PeerTableTest, RingMembersExcludeTheDeadAndIncludeSelf) {
 
 TEST(FleetWireTest, ScalarRoundTripAndCanonicalFloats) {
   fleet::WireWriter w;
-  w.u8(0xab).u32(0xdeadbeef).u64(0x0123456789abcdefULL).i32(-7).i64(-1)
+  w.u8(0xab).u64(0x0123456789abcdefULL).i32(-7).i64(-1)
       .f64(-0.0).f64(std::numeric_limits<double>::quiet_NaN()).str("ring");
   const std::vector<std::byte> bytes = w.take();
   fleet::WireReader r(bytes);
   EXPECT_EQ(r.u8(), 0xab);
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
   EXPECT_EQ(r.i32(), -7);
   EXPECT_EQ(r.i64(), -1);
@@ -266,8 +267,12 @@ TEST(FleetWireTest, DecisionRoundTripPreservesEverythingServed) {
   d.placement = {{0, 0}, {0, 1}, {1, 0}};
   d.t_c_ms = 12.25;
   d.evaluations = 99;
-  const svc::PartitionDecision d2 = fleet::decode_decision(
-      fleet::encode_decision(d));
+  fleet::WireWriter w;
+  fleet::encode_decision_into(w, d);
+  const std::vector<std::byte> bytes = w.take();
+  fleet::WireReader r(bytes);
+  const svc::PartitionDecision d2 = fleet::decode_decision_from(r);
+  EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(d2.key, d.key);
   EXPECT_EQ(d2.epoch, 6u);
   EXPECT_EQ(d2.partition.to_string(), d.partition.to_string());
@@ -289,10 +294,13 @@ TEST(FleetWireTest, DecisionCountBeyondTheFrameIsRejected) {
   svc::PartitionDecision d;
   d.partition = PartitionVector(std::vector<std::int64_t>{30, 20, 10});
   d.config = {2, 1};
-  std::vector<std::byte> bytes = fleet::encode_decision(d);
+  fleet::WireWriter w;
+  fleet::encode_decision_into(w, d);
+  std::vector<std::byte> bytes = w.take();
   // key, epoch, t_c_ms and evaluations, then the rank count.
   poke_u64(bytes, 32, std::uint64_t{1} << 62);
-  EXPECT_THROW(fleet::decode_decision(bytes), InvalidArgument);
+  fleet::WireReader r(bytes);
+  EXPECT_THROW(fleet::decode_decision_from(r), InvalidArgument);
 }
 
 TEST(FleetWireTest, ForwardWithBadKindOrRateCountIsRejected) {
@@ -476,7 +484,7 @@ TEST(FleetTest, NonOwnerEntryForwardsAndOwnerEntryServesLocally) {
   FleetBed bed(4);
   const svc::PartitionRequest req = fleet::workload_request(1);
   const NodeId owner =
-      bed.fl.node(0).ring().owner(bed.fl.routing_key(req));
+      bed.fl.node(0).ring().replicas(bed.fl.routing_key(req), 1).front();
   const NodeId not_owner = (owner + 1) % 4;
 
   fleet::FleetReply last;
@@ -586,7 +594,6 @@ TEST(FleetTest, DeadPeerReportsRerouteWithoutTimeouts) {
   bed.sim.host(ProcessorRef{3, 0}).crash();
   bed.fl.report_dead_peers({3});
   EXPECT_FALSE(bed.fl.node_alive(3));
-  EXPECT_EQ(bed.fl.first_alive(), 0);
 
   fleet::FleetReply last;
   int replies = 0;
@@ -639,7 +646,8 @@ TEST(FleetTest, MalformedControlFramesAreCountedAndDropped) {
   EXPECT_EQ(r.ok, r.submitted) << "a dropped frame fails no request";
 
   const std::string metrics =
-      fleet::FleetTelemetry(bed.fl).merged_metrics_text();
+      obs::merged_metrics_text(
+          fleet::FleetTelemetry(bed.fl).metric_sources());
   EXPECT_NE(metrics.find("counter fleet.bad_frames{node=1} 4\n"),
             std::string::npos)
       << metrics;
@@ -688,7 +696,8 @@ TEST(FleetTest, UndecodableForwardIsAnsweredWithAFailureBeforeTheRto) {
   EXPECT_LT(*answered_at - sent, rto);
 
   const std::string metrics =
-      fleet::FleetTelemetry(bed.fl).merged_metrics_text();
+      obs::merged_metrics_text(
+          fleet::FleetTelemetry(bed.fl).metric_sources());
   EXPECT_NE(metrics.find("counter fleet.bad_frames{node=1} 2\n"),
             std::string::npos)
       << metrics;
@@ -732,18 +741,20 @@ TEST(FleetWireTest, ForwardAndReplicateEnvelopesCarryTheTraceContext) {
       fleet::decode_forward(fleet::encode_forward(f));
   EXPECT_EQ(f2.trace, f.trace);
 
-  fleet::ReplicateEnvelope rep;
-  rep.trace = obs::TraceContext{7, 8, 9};
-  rep.decision.key = 0xfeed;
-  rep.decision.epoch = 2;
-  rep.decision.partition = PartitionVector(std::vector<std::int64_t>{3, 1});
+  svc::PartitionDecision decision;
+  decision.key = 0xfeed;
+  decision.epoch = 2;
+  decision.partition = PartitionVector(std::vector<std::int64_t>{3, 1});
+  const fleet::ReplicateEnvelope rep{
+      obs::TraceContext{7, 8, 9},
+      std::make_shared<const svc::PartitionDecision>(decision)};
   const fleet::ReplicateEnvelope rep2 =
       fleet::decode_replicate(fleet::encode_replicate(rep));
   EXPECT_EQ(rep2.trace, rep.trace);
-  EXPECT_EQ(rep2.decision.key, 0xfeedu);
-  EXPECT_EQ(rep2.decision.epoch, 2u);
-  EXPECT_EQ(rep2.decision.partition.to_string(),
-            rep.decision.partition.to_string());
+  EXPECT_EQ(rep2.decision->key, 0xfeedu);
+  EXPECT_EQ(rep2.decision->epoch, 2u);
+  EXPECT_EQ(rep2.decision->partition.to_string(),
+            decision.partition.to_string());
 }
 
 std::optional<obs::SpanRecord> find_span(
@@ -760,7 +771,8 @@ TEST(FleetTraceTest, ForwardedServeJoinsTheRouterTraceAcrossTheWire) {
   options.trace_seed = 21;
   FleetBed bed(4, options);
   const svc::PartitionRequest req = fleet::workload_request(1);
-  const NodeId owner = bed.fl.node(0).ring().owner(bed.fl.routing_key(req));
+  const NodeId owner =
+      bed.fl.node(0).ring().replicas(bed.fl.routing_key(req), 1).front();
   const NodeId entry = (owner + 1) % 4;
   int replies = 0;
   bed.fl.submit(req, entry, [&](const fleet::FleetReply&) { ++replies; });
@@ -790,7 +802,8 @@ TEST(FleetTraceTest, ForwardedServeJoinsTheRouterTraceAcrossTheWire) {
 TEST(FleetTraceTest, TracingOffRecordsNoSpansAndNoWireContext) {
   FleetBed bed(2);  // options.tracing defaults off
   const svc::PartitionRequest req = fleet::workload_request(1);
-  const NodeId owner = bed.fl.node(0).ring().owner(bed.fl.routing_key(req));
+  const NodeId owner =
+      bed.fl.node(0).ring().replicas(bed.fl.routing_key(req), 1).front();
   int replies = 0;
   bed.fl.submit(req, (owner + 1) % 2,
                 [&](const fleet::FleetReply&) { ++replies; });
@@ -815,7 +828,8 @@ TEST(FleetTelemetryTest, MergedExportsAreByteIdenticalForASeed) {
     fleet::FleetTelemetry ft(bed.fl);
     std::ostringstream trace;
     obs::write_chrome_trace(trace, ft.lanes());
-    return std::pair(ft.merged_metrics_text(), trace.str());
+    return std::pair(obs::merged_metrics_text(ft.metric_sources()),
+                     trace.str());
   };
   const auto a = run(9);
   const auto b = run(9);

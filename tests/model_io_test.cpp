@@ -42,7 +42,7 @@ TEST(ModelIoTest, RoundTripIsExact) {
   EXPECT_EQ(fit.c4, 0.00283);
   EXPECT_EQ(loaded.router_fit(0, 1)->slope, 0.0006);
   EXPECT_TRUE(loaded.has_coerce(1, 2));
-  EXPECT_FALSE(loaded.has_router(1, 2));
+  EXPECT_FALSE(loaded.router_fit(1, 2).has_value());
 }
 
 TEST(ModelIoTest, CalibratedTestbedRoundTrips) {

@@ -71,15 +71,6 @@ TEST(ObsMetricsTest, SnapshotDeltaKeepsOnlyChanges) {
   EXPECT_EQ(delta.latency_counts.at("lat"), 1u);
 }
 
-TEST(ObsMetricsTest, SnapshotTextIsNameOrdered) {
-  obs::MetricsSnapshot snap;
-  snap.counters["b"] = 2;
-  snap.counters["a"] = 1;
-  snap.latency_counts["z"] = 3;
-  EXPECT_EQ(obs::snapshot_text(snap),
-            "counter a 1\ncounter b 2\nlatency z count 3\n");
-}
-
 TEST(ObsMetricsTest, MetricsTextCoversCountersAndHistograms) {
   TelemetryRegistry reg;
   reg.counter("requests").add(3);
@@ -192,22 +183,24 @@ TEST(HistogramQuantileTest, SingleBucketSpike) {
 
 TEST(ObsSpanTest, NestingTracksDepthAndRecordsLifo) {
   TelemetryRegistry reg;
-  EXPECT_EQ(Span::depth(), 0);
+  EXPECT_FALSE(obs::current_context().valid());
   {
     Span outer(reg, "outer");
-    EXPECT_EQ(Span::depth(), 1);
+    EXPECT_EQ(obs::current_context(), outer.context());
     {
       Span inner(reg, "inner");
-      EXPECT_EQ(Span::depth(), 2);
+      EXPECT_EQ(obs::current_context(), inner.context());
     }
-    EXPECT_EQ(Span::depth(), 1);
+    EXPECT_EQ(obs::current_context(), outer.context());
   }
-  EXPECT_EQ(Span::depth(), 0);
+  EXPECT_FALSE(obs::current_context().valid());
 
   const std::vector<obs::SpanRecord> spans = reg.spans();
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].name, "inner");  // innermost ends first
   EXPECT_EQ(spans[1].name, "outer");
+  EXPECT_EQ(spans[0].parent_span_id, spans[1].span_id);
+  EXPECT_EQ(spans[1].parent_span_id, 0u);
   EXPECT_GE(spans[1].dur_us, spans[0].dur_us);
 }
 
@@ -237,11 +230,15 @@ TEST(ObsSpanTest, SimClockSpanWithoutEndAtRecordsZeroDuration) {
 
 TEST(ObsSpanTest, EndIsIdempotent) {
   TelemetryRegistry reg;
-  Span span(reg, "once");
-  span.end();
-  span.end();
-  EXPECT_EQ(reg.span_count(), 1u);
-  EXPECT_EQ(Span::depth(), 0);
+  {
+    Span span(reg, "once", SimTime::millis(1));
+    span.end_at(SimTime::millis(4));
+    span.end_at(SimTime::millis(9));  // ignored, as is the destructor's end
+  }
+  const std::vector<obs::SpanRecord> spans = reg.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_DOUBLE_EQ(spans[0].dur_us, 3000.0);
+  EXPECT_FALSE(obs::current_context().valid());
 }
 
 TEST(ObsSpanTest, DisabledRegistryRecordsNothing) {
@@ -249,7 +246,8 @@ TEST(ObsSpanTest, DisabledRegistryRecordsNothing) {
   {
     Span span(reg, "ghost");
     EXPECT_FALSE(span.active());
-    EXPECT_EQ(Span::depth(), 0);  // disabled spans never join the stack
+    // Disabled spans never join the stack.
+    EXPECT_FALSE(obs::current_context().valid());
     span.attr("k", JsonValue(1));
   }
   EXPECT_EQ(reg.span_count(), 0u);
@@ -537,27 +535,6 @@ TEST(ObsSimBridgeTest, ToleratesOrphanDeliveriesFromBoundedLogs) {
       << "the loss rides the telemetry snapshot under its canonical name";
 }
 
-TEST(ObsSimBridgeTest, LossBridgesExportSimAndTraceDrops) {
-  sim::TraceLog log(/*capacity=*/1);
-  sim::Tracer tracer = log.tracer();
-  const ProcessorRef a{0, 0}, b{1, 0};
-  tracer({sim::TraceEvent::Kind::SendInitiated, SimTime::millis(1), a, b, 8});
-  tracer({sim::TraceEvent::Kind::Delivered, SimTime::millis(2), a, b, 8});
-  tracer({sim::TraceEvent::Kind::Delivered, SimTime::millis(3), a, b, 8});
-  ASSERT_EQ(log.dropped_events(), 2u);
-
-  TelemetryRegistry reg;
-  obs::bridge_trace_loss(log, reg);
-  EXPECT_EQ(reg.counter("obs.trace.dropped").value(), 2u);
-
-  const Network net = presets::paper_testbed();
-  sim::Engine engine;
-  sim::NetSim netsim(engine, net, sim::NetSimParams{}, Rng(1));
-  obs::bridge_net_loss(netsim, reg);
-  EXPECT_EQ(reg.counter("sim.messages_dropped").value(),
-            netsim.messages_dropped());
-}
-
 // ------------------------------------------------- deterministic export
 
 TEST(ObsGoldenTest, IdenticalRunsExportByteIdenticalMetrics) {
@@ -578,16 +555,15 @@ TEST(ObsGoldenTest, IdenticalRunsExportByteIdenticalMetrics) {
     const obs::MetricsSnapshot before = global.snapshot();
     const CycleEstimator est(net, db, spec);
     (void)partition(est, snap);
-    return obs::snapshot_text(obs::snapshot_delta(before, global.snapshot()));
+    return obs::snapshot_delta(before, global.snapshot());
   };
 
-  const std::string first = run_once();
-  const std::string second = run_once();
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("counter partitioner.calls 1"), std::string::npos);
-  EXPECT_NE(first.find("counter partitioner.cost_model_evals"),
-            std::string::npos);
+  const obs::MetricsSnapshot first = run_once();
+  const obs::MetricsSnapshot second = run_once();
+  EXPECT_EQ(obs::snapshot_json(first).dump(),
+            obs::snapshot_json(second).dump());
+  EXPECT_EQ(first.counters.at("partitioner.calls"), 1u);
+  EXPECT_GT(first.counters.at("partitioner.cost_model_evals"), 0u);
 }
 
 TEST(ObsGoldenTest, ExhaustiveMetersLikeTheHeuristic) {
@@ -611,16 +587,13 @@ TEST(ObsGoldenTest, ExhaustiveMetersLikeTheHeuristic) {
   const PartitionResult result =
       exhaustive_partition(est, snap, {.threads = 2});
   global.set_enabled(false);
-  const std::string delta =
-      obs::snapshot_text(obs::snapshot_delta(before, global.snapshot()));
+  const obs::MetricsSnapshot delta =
+      obs::snapshot_delta(before, global.snapshot());
 
-  EXPECT_NE(delta.find("counter partitioner.calls 1"), std::string::npos);
-  EXPECT_NE(delta.find("counter partitioner.cost_model_evals " +
-                       std::to_string(result.evaluations)),
-            std::string::npos);
-  EXPECT_NE(delta.find("counter estimator.evaluations " +
-                       std::to_string(result.evaluations)),
-            std::string::npos);
+  EXPECT_EQ(delta.counters.at("partitioner.calls"), 1u);
+  EXPECT_EQ(delta.counters.at("partitioner.cost_model_evals"),
+            result.evaluations);
+  EXPECT_EQ(delta.counters.at("estimator.evaluations"), result.evaluations);
 
   bool found_span = false;
   const auto spans = global.spans();

@@ -7,11 +7,17 @@
 //    and matches it on two-cluster networks.
 //  * Estimator monotonicity: more bytes or more iterations never reduce
 //    the estimate.
+//  * Concurrent searches on one estimator, and the work-stealing sweep,
+//    agree with the serial search (ThreadedPartitionSearchTest: the TSan
+//    tier selects these by the name `Threaded`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <deque>
+#include <thread>
+#include <vector>
 
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
@@ -19,6 +25,7 @@
 #include "core/partitioner.hpp"
 #include "dp/rank_kernel.hpp"
 #include "exec/executor.hpp"
+#include "net/availability.hpp"
 #include "net/builder.hpp"
 #include "net/presets.hpp"
 
@@ -346,8 +353,9 @@ Network speed_skew_network() {
 }
 
 TEST(MaterializeFallback, ExtremeSpeedSkewRepairsStarvationBitwise) {
-  // At the starvation edge materialize() must take the reference path --
-  // and still agree bitwise.
+  // At the starvation edge materialize() hands out the vector the repair
+  // built, beside the fast path's cost fields -- and still agrees bitwise
+  // with the reference.
   const Network net = speed_skew_network();
   CalibrationParams params;
   params.topologies = {Topology::OneD};
@@ -1053,6 +1061,83 @@ TEST(EstimatorMonotonicity, ElapsedScalesWithIterations) {
     return est.estimate({6, 0}).t_elapsed_ms;
   };
   EXPECT_NEAR(elapsed(20), 2.0 * elapsed(10), 1e-9);
+}
+
+// Concurrency of the partition-search hot path (runs under the TSan tier:
+// suite name matches the sanitizer preset's test filter).
+TEST(ThreadedPartitionSearchTest, ConcurrentSearchesAndParallelExhaustive) {
+  const Network net = presets::paper_testbed();
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  const CalibrationResult cal = calibrate(net, params);
+  const AvailabilitySnapshot snap =
+      gather_availability(net, make_managers(net, AvailabilityPolicy{}));
+  const ComputationSpec spec = apps::make_stencil_spec(
+      apps::StencilConfig{.n = 1200, .iterations = 10, .overlap = false});
+  CycleEstimator est(net, cal.db, spec);
+
+  // One shared estimator, one scratch per thread: heuristic searches and
+  // sharded exhaustive sweeps racing on the same estimator must agree with
+  // each other and stay data-race free.
+  const PartitionResult reference = partition(est, snap);
+  const PartitionResult oracle =
+      exhaustive_partition(est, snap, {.threads = 1});
+  std::vector<std::thread> pool;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 4; ++t) {
+    pool.emplace_back([&, t] {
+      EstimatorScratch scratch;
+      for (int i = 0; i < 5; ++i) {
+        const PartitionResult r = partition(est, snap, {}, &scratch);
+        if (r.config != reference.config) mismatches.fetch_add(1);
+      }
+      const PartitionResult x =
+          exhaustive_partition(est, snap, {.threads = 2 + (t % 2)});
+      if (x.config != oracle.config) mismatches.fetch_add(1);
+    });
+  }
+  for (auto& t : pool) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Work-stealing determinism: the chunked sweep must produce a bitwise
+// identical winner (config AND T_c) at every thread count and chunk size,
+// with chaos yields injected into the claim loops to perturb the steal
+// interleavings.  Runs under the TSan tier (suite name matches the
+// sanitizer preset's test filter).
+TEST(ThreadedPartitionSearchTest, WorkStealingDeterministicAcrossThreads) {
+  Rng rng(0xD37E);
+  const Network net = presets::random_network(rng, 4, 5);
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  const CalibrationResult cal = calibrate(net, params);
+  const AvailabilitySnapshot snap =
+      gather_availability(net, make_managers(net, AvailabilityPolicy{}));
+  const ComputationSpec spec = apps::make_stencil_spec(
+      apps::StencilConfig{.n = 1200, .iterations = 10, .overlap = false});
+  CycleEstimator est(net, cal.db, spec);
+
+  const PartitionResult serial =
+      exhaustive_partition(est, snap, {.threads = 1});
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    for (const std::uint64_t chunk : {std::uint64_t{0}, std::uint64_t{8},
+                                      std::uint64_t{64}}) {
+      ExhaustiveOptions options;
+      options.threads = threads;
+      options.chunk = chunk;  // tiny chunks stress the steal protocol
+      options.chaos_yield_seed = 0x5EEDu ^ static_cast<std::uint64_t>(
+                                               threads * 131) ^ chunk;
+      const PartitionResult got = exhaustive_partition(est, snap, options);
+      EXPECT_EQ(serial.config, got.config)
+          << "threads " << threads << " chunk " << chunk;
+      EXPECT_EQ(serial.estimate.t_c_ms, got.estimate.t_c_ms)
+          << "threads " << threads << " chunk " << chunk;
+      EXPECT_EQ(serial.estimate.t_elapsed_ms, got.estimate.t_elapsed_ms)
+          << "threads " << threads << " chunk " << chunk;
+      EXPECT_EQ(serial.evaluations, got.evaluations)
+          << "threads " << threads << " chunk " << chunk;
+    }
+  }
 }
 
 }  // namespace

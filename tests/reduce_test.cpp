@@ -1,8 +1,6 @@
 // Tests for the tree-reduction application.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "apps/reduce.hpp"
 #include "core/decompose.hpp"
 #include "exec/executor.hpp"
@@ -23,36 +21,6 @@ TEST(ReduceTest, SpecUsesTreeTopology) {
   EXPECT_EQ(spec.dominant_communication().topology(), Topology::Tree);
   EXPECT_EQ(spec.dominant_communication().bytes_per_message(100), 8);
   EXPECT_EQ(spec.num_pdus(), 1000);
-}
-
-TEST(ReduceTest, DistributedSumMatchesSequential) {
-  const apps::ReduceConfig cfg{.count = 5000, .iterations = 3};
-  for (const ProcessorConfig& config :
-       {ProcessorConfig{1, 0}, ProcessorConfig{3, 2},
-        ProcessorConfig{6, 6}}) {
-    const Placement placement = contiguous_placement(testbed(), config);
-    const PartitionVector part = balanced_partition(
-        testbed(), config, clusters_by_speed(testbed()), cfg.count);
-    const auto dist =
-        apps::run_distributed_reduce(testbed(), placement, part, cfg);
-    const double expected =
-        apps::sequential_sum(apps::make_reduce_input(cfg.count, 2));
-    // Tree combination reassociates: exact to within accumulated eps.
-    EXPECT_NEAR(dist.value, expected, 1e-9 * cfg.count);
-    EXPECT_GT(dist.elapsed.as_millis(), 0.0);
-  }
-}
-
-TEST(ReduceTest, MessageCountMatchesTreeEdges) {
-  const apps::ReduceConfig cfg{.count = 4000, .iterations = 4};
-  const ProcessorConfig config{5, 0};
-  const Placement placement = contiguous_placement(testbed(), config);
-  const PartitionVector part = balanced_partition(
-      testbed(), config, clusters_by_speed(testbed()), cfg.count);
-  const auto dist =
-      apps::run_distributed_reduce(testbed(), placement, part, cfg);
-  // p-1 tree edges, one upward message each, per iteration.
-  EXPECT_EQ(dist.messages, 4u * 4u);
 }
 
 TEST(ReduceTest, ExecutorRunsTreeTopology) {

@@ -29,13 +29,8 @@
 
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
-#include "core/decompose.hpp"
-#include "exec/adaptive.hpp"
-#include "exec/executor.hpp"
-#include "exec/load.hpp"
 #include "net/presets.hpp"
 #include "sim/faults.hpp"
-#include "svc/client.hpp"
 #include "svc/service.hpp"
 #include "util/rng.hpp"
 
@@ -423,6 +418,7 @@ TEST(ServiceTest, ChaosSeedsFaultyColdPathStaysConsistent) {
     const std::vector<ChurnEvent> churn = plan.churn_events();
 
     AvailabilityFeed feed = make_feed(bed.net);
+    const AvailabilitySnapshot base = feed.read().first;
 
     // The fault schedule for the cold path itself: every 7th cold compute
     // throws (seed-rotated so different seeds fault different keys).
@@ -461,7 +457,7 @@ TEST(ServiceTest, ChaosSeedsFaultyColdPathStaysConsistent) {
           // Mid-stream, one client replays the plan's churn into the feed
           // (epoch bumps race with in-flight requests by design).
           if (c == 0 && r == kRounds / 2 && !churn.empty()) {
-            feed.apply_churn_events(bed.net, churn, SimTime::max());
+            feed.update(apply_churn(bed.net, base, churn, SimTime::max()));
           }
           const std::int64_t n = 200 + (c * kRounds + r) % 6;
           const svc::ServiceReply reply = service.query(stencil_request(n));
@@ -689,45 +685,6 @@ TEST(ServiceTest, NextPopErasesTheAnsweredJobsEntry) {
   EXPECT_NE(recompute.get().decision.get(), a_reply.get().decision.get());
   EXPECT_EQ(cold.computes(600), 2);
   EXPECT_EQ(b_reply.get().status, svc::ServiceStatus::Ok);
-}
-
-// The adaptive executor end-to-end with the service as its repartition
-// client: same network, same spec, service-backed repartitions must keep
-// the run correct and the client must answer from the service (with cache
-// hits on recurring imbalance patterns).
-TEST(ServiceTest, AdaptiveExecutorUsesServiceClient) {
-  const Testbed& bed = testbed();
-  AvailabilityFeed feed = make_feed(bed.net);
-  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil);
-  svc::AdaptiveServiceClient client(service, "stencil-1200");
-
-  const apps::StencilConfig cfg{.n = 1200, .iterations = 40,
-                                .overlap = false};
-  const ComputationSpec spec = apps::make_stencil_spec(cfg);
-  const ProcessorConfig config{6, 0};
-  const Placement placement = contiguous_placement(bed.net, config);
-  const PartitionVector initial = balanced_partition(
-      bed.net, config, clusters_by_speed(bed.net), cfg.n);
-
-  // A load step mid-run forces repartitions (same shape as bench_adaptive).
-  const LoadSchedule load =
-      LoadSchedule::step(bed.net, 0, 3, SimTime::seconds(2), 0.5);
-  ExecutionOptions exec_options;
-  exec_options.load = &load;
-  AdaptiveOptions adaptive_options{.check_interval = 5,
-                                   .imbalance_threshold = 1.2,
-                                   .pdu_bytes = 4 * cfg.n};
-  adaptive_options.client = &client;
-
-  const AdaptiveResult result = execute_adaptive(
-      bed.net, spec, placement, initial, exec_options, adaptive_options);
-
-  EXPECT_GT(result.repartitions, 0);
-  EXPECT_EQ(result.final_partition.total(), cfg.n);
-  EXPECT_EQ(client.fallbacks(), 0u);
-  // Every repartition went through the service as a Repartition request.
-  EXPECT_GE(service.metrics().counter("requests").value(),
-            static_cast<std::uint64_t>(result.repartitions));
 }
 
 // A hit keys on the feed's lock-free epoch alone; only a miss reads the
@@ -1226,26 +1183,36 @@ TEST(DecisionCacheTest, ConcurrentHitsAndOverflowingInsertsKeepKeysAndBounds) {
   }
 }
 
-// Direct unit check of the client's quantisation: rates scale to
-// quantum=1000 on the fastest rank and the returned vector preserves rank
-// count and total.
-TEST(ServiceTest, AdaptiveClientQuantisesAndPreservesTotals) {
+// A Repartition request is Eq. 3 over the quantised observed rates: the
+// reply preserves the rank count and the total, the fastest rank gets the
+// largest share, and a recurring imbalance pattern is answered from the
+// cache.
+TEST(ServiceTest, RepartitionPreservesTotalsAndRecurringPatternsHit) {
   const Testbed& bed = testbed();
   AvailabilityFeed feed = make_feed(bed.net);
   svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil);
-  svc::AdaptiveServiceClient client(service, "job-a");
 
-  const std::vector<double> rates = {4.0, 2.0, 1.0, 1.0};
-  const auto partition = client.repartition(rates, 800);
-  ASSERT_TRUE(partition.has_value());
-  EXPECT_EQ(partition->num_ranks(), 4);
-  EXPECT_EQ(partition->total(), 800);
-  // Fastest rank gets the largest share.
-  EXPECT_GT(partition->at(0), partition->at(2));
+  svc::PartitionRequest request;
+  request.kind = svc::PartitionRequest::Kind::Repartition;
+  request.spec = "job-a";
+  request.n = 800;
+  request.rate_milli = {1000, 500, 250, 250};
 
-  // Identical observed pattern: answered from the cache.
-  (void)client.repartition(rates, 800);
-  EXPECT_GE(service.cache().stats().hits, 1u);
+  const svc::ServiceReply cold = service.query(request);
+  ASSERT_EQ(cold.status, svc::ServiceStatus::Ok) << cold.error;
+  EXPECT_FALSE(cold.cache_hit);
+  const PartitionVector& partition = cold.decision->partition;
+  EXPECT_EQ(partition.num_ranks(), 4);
+  EXPECT_EQ(partition.total(), 800);
+  for (int rank = 1; rank < partition.num_ranks(); ++rank) {
+    EXPECT_GT(partition.at(0), partition.at(rank)) << rank;
+  }
+
+  const svc::ServiceReply hit = service.query(request);
+  ASSERT_EQ(hit.status, svc::ServiceStatus::Ok);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.decision.get(), cold.decision.get());
+  EXPECT_EQ(service.cache().stats().hits, 1u);
 }
 
 // Cache keys are pure functions of (request, network signature, epoch):

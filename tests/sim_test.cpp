@@ -89,7 +89,7 @@ TEST(ChannelTest, IdleChannelStartsImmediately) {
 
 TEST(ChannelTest, WireTimeMatchesBandwidth) {
   Channel ch(10e6, SimTime::zero());  // 10 Mbit/s = 0.8 us/byte
-  EXPECT_EQ(ch.wire_time(1000).as_micros(), 800.0);
+  EXPECT_EQ((ch.byte_time() * 1000).as_micros(), 800.0);
   EXPECT_EQ(ch.byte_time().as_nanos(), 800);
 }
 

@@ -12,36 +12,36 @@ namespace {
 
 TEST(ExprTest, ArithmeticAndPrecedence) {
   const ExprEnv env;
-  EXPECT_DOUBLE_EQ(evaluate_expr("1 + 2 * 3", env), 7.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("(1 + 2) * 3", env), 9.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("10 - 4 - 3", env), 3.0);  // left assoc
-  EXPECT_DOUBLE_EQ(evaluate_expr("8 / 2 / 2", env), 2.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("-3 + 5", env), 2.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("--4", env), 4.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("2.5e2", env), 250.0);
+  EXPECT_DOUBLE_EQ(parse_expr("1 + 2 * 3")->evaluate(env), 7.0);
+  EXPECT_DOUBLE_EQ(parse_expr("(1 + 2) * 3")->evaluate(env), 9.0);
+  EXPECT_DOUBLE_EQ(parse_expr("10 - 4 - 3")->evaluate(env), 3.0);  // left assoc
+  EXPECT_DOUBLE_EQ(parse_expr("8 / 2 / 2")->evaluate(env), 2.0);
+  EXPECT_DOUBLE_EQ(parse_expr("-3 + 5")->evaluate(env), 2.0);
+  EXPECT_DOUBLE_EQ(parse_expr("--4")->evaluate(env), 4.0);
+  EXPECT_DOUBLE_EQ(parse_expr("2.5e2")->evaluate(env), 250.0);
 }
 
 TEST(ExprTest, VariablesAndFunctions) {
   const ExprEnv env = {{"N", 300.0}, {"A", 50.0}};
-  EXPECT_DOUBLE_EQ(evaluate_expr("5 * N", env), 1500.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("4 * sqrt(A * A)", env), 200.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("min(N, A)", env), 50.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("max(N, A)", env), 300.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("ceil(N / 7)", env), 43.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("floor(N / 7)", env), 42.0);
-  EXPECT_DOUBLE_EQ(evaluate_expr("log2(8)", env), 3.0);
+  EXPECT_DOUBLE_EQ(parse_expr("5 * N")->evaluate(env), 1500.0);
+  EXPECT_DOUBLE_EQ(parse_expr("4 * sqrt(A * A)")->evaluate(env), 200.0);
+  EXPECT_DOUBLE_EQ(parse_expr("min(N, A)")->evaluate(env), 50.0);
+  EXPECT_DOUBLE_EQ(parse_expr("max(N, A)")->evaluate(env), 300.0);
+  EXPECT_DOUBLE_EQ(parse_expr("ceil(N / 7)")->evaluate(env), 43.0);
+  EXPECT_DOUBLE_EQ(parse_expr("floor(N / 7)")->evaluate(env), 42.0);
+  EXPECT_DOUBLE_EQ(parse_expr("log2(8)")->evaluate(env), 3.0);
 }
 
 TEST(ExprTest, Errors) {
   const ExprEnv env = {{"N", 10.0}};
-  EXPECT_THROW(evaluate_expr("N +", env), ConfigError);
-  EXPECT_THROW(evaluate_expr("(N", env), ConfigError);
-  EXPECT_THROW(evaluate_expr("N 5", env), ConfigError);
-  EXPECT_THROW(evaluate_expr("@", env), ConfigError);
-  EXPECT_THROW(evaluate_expr("M + 1", env), InvalidArgument);  // unbound
-  EXPECT_THROW(evaluate_expr("1 / 0", env), InvalidArgument);
-  EXPECT_THROW(evaluate_expr("sqrt(0 - 1)", env), InvalidArgument);
-  EXPECT_THROW(evaluate_expr("hypot(3, 4)", env), InvalidArgument);
+  EXPECT_THROW(parse_expr("N +")->evaluate(env), ConfigError);
+  EXPECT_THROW(parse_expr("(N")->evaluate(env), ConfigError);
+  EXPECT_THROW(parse_expr("N 5")->evaluate(env), ConfigError);
+  EXPECT_THROW(parse_expr("@")->evaluate(env), ConfigError);
+  EXPECT_THROW(parse_expr("M + 1")->evaluate(env), InvalidArgument);  // unbound
+  EXPECT_THROW(parse_expr("1 / 0")->evaluate(env), InvalidArgument);
+  EXPECT_THROW(parse_expr("sqrt(0 - 1)")->evaluate(env), InvalidArgument);
+  EXPECT_THROW(parse_expr("hypot(3, 4)")->evaluate(env), InvalidArgument);
 }
 
 TEST(ExprTest, ToStringRoundTrips) {

@@ -4,8 +4,9 @@
 #   scripts/tier1.sh            # Release build in build/
 #   scripts/tier1.sh asan-ubsan # ASan+UBSan build in build-asan/
 #   scripts/tier1.sh --tsan     # TSan build in build-tsan/; runs the
-#                               # service, decision-cache and concurrent
-#                               # partition-search tests (the tsan test
+#                               # service, decision-cache, concurrent
+#                               # partition-search and concurrent
+#                               # calibration tests (the tsan test
 #                               # preset filters to them) -- any reported
 #                               # race fails the tier
 #   scripts/tier1.sh --obs      # Release build, then a telemetry smoke
@@ -63,7 +64,8 @@
 #                               # known-racy fixtures must produce their
 #                               # expected NP-R diagnostics, and the
 #                               # instrumented shipped surfaces (service,
-#                               # cache, sweep, telemetry, fleet sim) must
+#                               # cache, sweep, calibration pool,
+#                               # telemetry, fleet sim) must
 #                               # report ZERO unannotated findings across
 #                               # every perturbed schedule -- any finding
 #                               # fails the tier.  test_race_macros_off

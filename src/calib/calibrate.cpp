@@ -1,9 +1,15 @@
 #include "calib/calibrate.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 #include <utility>
 
+#include "analysis/race/annotations.hpp"
 #include "topo/comm_cycle.hpp"
 #include "util/error.hpp"
+#include "util/fork_join.hpp"
 #include "util/log.hpp"
 
 namespace netpart {
@@ -21,6 +27,89 @@ double measure_delivery_ms(const Network& network,
   net.send(src, dst, bytes, [&] { delivered = engine.now(); });
   engine.run();
   return delivered.as_millis();
+}
+
+/// Benchmark one (cluster, topology) over the (p, b) grid, append its
+/// samples, and fit Eq. 1.  Each sample runs on a fresh simulator whose
+/// random stream depends only on (seed, cluster, p), so a sweep's output
+/// is independent of which thread runs it and of every other sweep.
+Eq1Fit sweep_comm(const Network& network, const CalibrationParams& params,
+                  ClusterId c, Topology topo,
+                  std::vector<CommSample>& out) {
+  const int size = network.cluster(c).size();
+  std::vector<Sample2D> samples;
+  for (int p = 2; p <= size; ++p) {
+    Placement placement;
+    for (ProcessorIndex i = 0; i < p; ++i) {
+      placement.push_back(ProcessorRef{c, i});
+    }
+    for (std::int64_t bytes : params.message_sizes) {
+      sim::Engine engine;
+      sim::NetSim net(engine, network, params.sim_params,
+                      Rng(params.seed)
+                          .stream(static_cast<std::uint64_t>(c))
+                          .stream(static_cast<std::uint64_t>(p)));
+      const CycleResult cycle = run_comm_cycles(
+          net, placement, topo, bytes, params.cycles_per_sample);
+      const double cost = cycle.elapsed_max.as_millis();
+      samples.push_back(
+          Sample2D{static_cast<double>(p), static_cast<double>(bytes), cost});
+      out.push_back(CommSample{c, topo, p, bytes, cost});
+    }
+  }
+  // A two-processor cluster yields a single p value, which cannot
+  // identify the c2/c4 terms; fall back to a line in b at that p (the
+  // only operating point the model will ever be evaluated near).
+  bool multiple_p = false;
+  for (const Sample2D& s : samples) {
+    if (s.p != samples.front().p) multiple_p = true;
+  }
+  if (multiple_p) return fit_eq1(samples);
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (const Sample2D& s : samples) {
+    xs.push_back(s.b);
+    ys.push_back(s.cost);
+  }
+  const LineFit line = fit_line(xs, ys);
+  Eq1Fit fit;
+  fit.c1 = line.intercept;
+  fit.c3 = line.slope;
+  fit.c2 = 0.0;
+  fit.c4 = 0.0;
+  fit.r2 = line.r2;
+  return fit;
+}
+
+/// One independent unit of calibration work and what it produced: the
+/// Eq. 1 sweep of (a, topology) when a == b, else the router and
+/// coercion fits of the pair (a, b).
+struct CalibrationTask {
+  ClusterId a = 0;
+  ClusterId b = 0;
+  Topology topology = Topology::OneD;
+  std::vector<CommSample> samples;
+  Eq1Fit comm;
+  LineFit router;
+  LineFit coerce;
+  std::exception_ptr error;
+};
+
+void run_task(const Network& network, const CalibrationParams& params,
+              CalibrationTask& task) {
+  try {
+    if (task.a == task.b) {
+      task.comm =
+          sweep_comm(network, params, task.a, task.topology, task.samples);
+    } else {
+      task.router = benchmark_router(network, task.a, task.b, params);
+      if (network.needs_coercion(task.a, task.b)) {
+        task.coerce = benchmark_coercion(network, task.a, task.b, params);
+      }
+    }
+  } catch (...) {
+    task.error = std::current_exception();
+  }
 }
 
 }  // namespace
@@ -86,84 +175,89 @@ LineFit benchmark_router(const Network& network, ClusterId a, ClusterId b,
 }
 
 CalibrationResult calibrate(const Network& network,
-                            const CalibrationParams& params_in) {
+                            const CalibrationParams& params) {
+  return calibrate_with_workers(
+      network, params,
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+}
+
+CalibrationResult calibrate_with_workers(const Network& network,
+                                         const CalibrationParams& params_in,
+                                         int workers) {
   CalibrationParams params = params_in;
   if (params.topologies.empty()) params.topologies = all_topologies();
   NP_REQUIRE(params.message_sizes.size() >= 2,
              "calibration needs >= 2 message sizes");
   NP_REQUIRE(params.cycles_per_sample >= 1,
              "calibration needs >= 1 cycle per sample");
+  NP_REQUIRE(workers >= 1, "calibration needs >= 1 worker");
 
-  CalibrationResult result{CostModelDb(network.num_clusters()), {}};
+  // Tasks in the serial order: every (cluster, topology) sweep, cluster-
+  // major, then every cluster pair a < b.
+  const ClusterId k = network.num_clusters();
+  std::vector<CalibrationTask> tasks;
+  for (ClusterId c = 0; c < k; ++c) {
+    if (network.cluster(c).size() < 2) continue;
+    for (Topology topo : params.topologies) {
+      CalibrationTask& sweep = tasks.emplace_back();
+      sweep.a = c;
+      sweep.b = c;
+      sweep.topology = topo;
+    }
+  }
+  for (ClusterId a = 0; a < k; ++a) {
+    for (ClusterId b = a + 1; b < k; ++b) {
+      CalibrationTask& pair = tasks.emplace_back();
+      pair.a = a;
+      pair.b = b;
+    }
+  }
 
-  for (ClusterId c = 0; c < network.num_clusters(); ++c) {
-    const int size = network.cluster(c).size();
-    if (size < 2) {
+  // Workers claim tasks off one cursor; each task writes only its own
+  // slot, so the claim order changes nothing but the wall time.
+  std::atomic<std::size_t> cursor{0};
+  const int pool = static_cast<int>(std::clamp<std::size_t>(
+      tasks.size(), 1, static_cast<std::size_t>(workers)));
+  fork_join(pool, &cursor, "calib.pool", [&](int) {
+    for (;;) {
+      NP_ATOMIC_RMW(&cursor, "calib.cursor");
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= tasks.size()) break;
+      NP_WRITE(&tasks[i], "calib.task_slot");
+      run_task(network, params, tasks[i]);
+    }
+  });
+
+  // Merge fits, samples, log lines and the first error in the serial
+  // order, so the result is bit-identical at every worker count.
+  CalibrationResult result{CostModelDb(k), {}};
+  auto task = tasks.begin();
+  for (ClusterId c = 0; c < k; ++c) {
+    if (network.cluster(c).size() < 2) {
       NP_LOG_WARN << "cluster " << c << " has a single processor; skipping "
                   << "intra-cluster communication calibration";
       continue;
     }
     for (Topology topo : params.topologies) {
-      std::vector<Sample2D> samples;
-      for (int p = 2; p <= size; ++p) {
-        Placement placement;
-        for (ProcessorIndex i = 0; i < p; ++i) {
-          placement.push_back(ProcessorRef{c, i});
-        }
-        for (std::int64_t bytes : params.message_sizes) {
-          sim::Engine engine;
-          sim::NetSim net(engine, network, params.sim_params,
-                          Rng(params.seed)
-                              .stream(static_cast<std::uint64_t>(c))
-                              .stream(static_cast<std::uint64_t>(p)));
-          const CycleResult cycle = run_comm_cycles(
-              net, placement, topo, bytes, params.cycles_per_sample);
-          const double cost = cycle.elapsed_max.as_millis();
-          samples.push_back(Sample2D{static_cast<double>(p),
-                                     static_cast<double>(bytes), cost});
-          result.samples.push_back(
-              CommSample{c, topo, p, bytes, cost});
-        }
-      }
-      // A two-processor cluster yields a single p value, which cannot
-      // identify the c2/c4 terms; fall back to a line in b at that p (the
-      // only operating point the model will ever be evaluated near).
-      bool multiple_p = false;
-      for (const Sample2D& s : samples) {
-        if (s.p != samples.front().p) multiple_p = true;
-      }
-      Eq1Fit fit;
-      if (multiple_p) {
-        fit = fit_eq1(samples);
-      } else {
-        std::vector<double> xs;
-        std::vector<double> ys;
-        for (const Sample2D& s : samples) {
-          xs.push_back(s.b);
-          ys.push_back(s.cost);
-        }
-        const LineFit line = fit_line(xs, ys);
-        fit.c1 = line.intercept;
-        fit.c3 = line.slope;
-        fit.c2 = 0.0;
-        fit.c4 = 0.0;
-        fit.r2 = line.r2;
-      }
+      NP_READ(&*task, "calib.task_slot");
+      if (task->error) std::rethrow_exception(task->error);
+      result.samples.insert(result.samples.end(), task->samples.begin(),
+                            task->samples.end());
+      const Eq1Fit& fit = task->comm;
       NP_LOG_INFO << "calibrated cluster " << c << " " << to_string(topo)
                   << ": c1=" << fit.c1 << " c2=" << fit.c2
                   << " c3=" << fit.c3 << " c4=" << fit.c4
                   << " (r2=" << fit.r2 << ")";
       result.db.set_comm(c, topo, fit);
+      ++task;
     }
   }
-
-  for (ClusterId a = 0; a < network.num_clusters(); ++a) {
-    for (ClusterId b = a + 1; b < network.num_clusters(); ++b) {
-      result.db.set_router(a, b, benchmark_router(network, a, b, params));
-      if (network.needs_coercion(a, b)) {
-        result.db.set_coerce(a, b,
-                             benchmark_coercion(network, a, b, params));
-      }
+  for (; task != tasks.end(); ++task) {
+    NP_READ(&*task, "calib.task_slot");
+    if (task->error) std::rethrow_exception(task->error);
+    result.db.set_router(task->a, task->b, task->router);
+    if (network.needs_coercion(task->a, task->b)) {
+      result.db.set_coerce(task->a, task->b, task->coerce);
     }
   }
   return result;

@@ -50,8 +50,19 @@ struct CalibrationResult {
 /// two-point synthetic sweep using a neighbour's shape is NOT attempted:
 /// a singleton cluster has no intra-cluster communication and its fit is
 /// skipped).  Router and coercion fits are produced for every cluster pair.
+///
+/// The (cluster, topology) sweeps and the cluster pairs are independent
+/// simulations, so they run as tasks on std::thread::hardware_concurrency()
+/// workers (the calling thread included), capped by the task count.  Fits,
+/// samples, log lines and the first error are merged in the serial order,
+/// so the result is bit-identical at every worker count.
 CalibrationResult calibrate(const Network& network,
                             const CalibrationParams& params = {});
+
+/// calibrate() on at most `workers` (>= 1) workers.
+CalibrationResult calibrate_with_workers(const Network& network,
+                                         const CalibrationParams& params,
+                                         int workers);
 
 /// Benchmark only T_router[C_a, C_b]: single-message delivery times across
 /// and within clusters, differenced to isolate the router, then fitted

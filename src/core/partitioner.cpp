@@ -11,6 +11,7 @@
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/fork_join.hpp"
 #include "util/log.hpp"
 
 namespace netpart {
@@ -378,28 +379,12 @@ PartitionResult exhaustive_partition(const CycleEstimator& estimator,
 
   std::vector<SweepWorker> workers(static_cast<std::size_t>(threads));
   std::atomic<std::uint64_t> cursor{0};
-  if (threads == 1) {
+  // The cursor doubles as the npracer fork/join token.
+  fork_join(threads, &cursor, "core.sweep.pool", [&](int w) {
     run_sweep_worker(estimator, snapshot, cursor, space, chunk,
-                     options.chaos_yield_seed, workers[0]);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers.size());
-    // The cursor doubles as the npracer fork/join token: worker-slot
-    // writes in the pool are ordered before the merge loop's reads only
-    // through this fork -> start ... end -> join chain.
-    NP_THREAD_FORK(&cursor, "core.sweep.pool");
-    for (auto& worker : workers) {
-      pool.emplace_back([&estimator, &snapshot, &cursor, space, chunk,
-                         &options, &worker] {
-        NP_THREAD_START(&cursor, "core.sweep.pool");
-        run_sweep_worker(estimator, snapshot, cursor, space, chunk,
-                         options.chaos_yield_seed, worker);
-        NP_THREAD_END(&cursor, "core.sweep.pool");
-      });
-    }
-    for (auto& t : pool) t.join();
-    NP_THREAD_JOIN(&cursor, "core.sweep.pool");
-  }
+                     options.chaos_yield_seed,
+                     workers[static_cast<std::size_t>(w)]);
+  });
 
   ProcessorConfig best_config;
   double best_tc = std::numeric_limits<double>::infinity();

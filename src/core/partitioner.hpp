@@ -38,8 +38,9 @@ struct PartitionOptions {
 };
 
 struct ExhaustiveOptions {
-  /// Worker threads for the product-space sweep.  0 = one per hardware
-  /// thread; 1 = serial (useful as the determinism reference).  The sweep
+  /// Workers for the product-space sweep, the calling thread included.
+  /// 0 = one per hardware thread; 1 = serial on the calling thread (useful
+  /// as the determinism reference).  The sweep
   /// is deterministic at every thread count: ties on T_c resolve to the
   /// lowest enumeration index, exactly like the serial scan.
   int threads = 0;

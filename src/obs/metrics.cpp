@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
 namespace netpart::obs {
 
@@ -69,16 +70,32 @@ struct LatencyHistogram::Merged {
   }
 };
 
-LatencyHistogram::LatencyHistogram()
-    : stripes_(std::make_unique<Stripe[]>(kMetricStripes)) {}
-
 LatencyHistogram::LatencyHistogram(double /*lo_us*/, double /*hi_us*/,
                                    std::size_t /*buckets*/)
     : LatencyHistogram() {}
 
+LatencyHistogram::~LatencyHistogram() {
+  for (std::atomic<Stripe*>& slot : stripes_) {
+    delete slot.load(std::memory_order_relaxed);
+  }
+}
+
+LatencyHistogram::Stripe* LatencyHistogram::install_stripe(std::size_t i) {
+  auto fresh = std::make_unique<Stripe>();
+  Stripe* seen = nullptr;
+  if (stripes_[i].compare_exchange_strong(seen, fresh.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return fresh.release();
+  }
+  return seen;  // another thread on this stripe published first
+}
+
 void LatencyHistogram::record(double us) {
   const std::uint64_t ns = to_ns(us);
-  Stripe& stripe = stripes_[this_thread_stripe()];
+  const std::size_t i = this_thread_stripe();
+  Stripe* published = stripes_[i].load(std::memory_order_acquire);
+  Stripe& stripe = published != nullptr ? *published : *install_stripe(i);
   stripe.buckets[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
   stripe.sum_ns.fetch_add(ns, std::memory_order_relaxed);
   std::uint64_t seen = stripe.min_ns.load(std::memory_order_relaxed);
@@ -93,8 +110,10 @@ void LatencyHistogram::record(double us) {
 
 LatencyHistogram::Merged LatencyHistogram::merged() const {
   Merged m;
-  for (std::size_t s = 0; s < kMetricStripes; ++s) {
-    const Stripe& stripe = stripes_[s];
+  for (const std::atomic<Stripe*>& slot : stripes_) {
+    const Stripe* published = slot.load(std::memory_order_acquire);
+    if (published == nullptr) continue;
+    const Stripe& stripe = *published;
     for (std::size_t i = 0; i < kBuckets; ++i) {
       const std::uint64_t c =
           stripe.buckets[i].load(std::memory_order_relaxed);

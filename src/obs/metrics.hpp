@@ -4,7 +4,7 @@
 // meter through this one vocabulary.  Callers resolve a metric once
 // (registry mutex) and then update it lock-free: a counter with one relaxed
 // add, a latency histogram with two relaxed adds and, only on a new
-// extreme, a compare-and-swap.
+// extreme (or a stripe's first record), a compare-and-swap.
 //
 // Both metric types are striped per thread: kMetricStripes cache-line-
 // aligned stripes, picked by this_thread_id(), so threads that record
@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "util/json.hpp"
@@ -80,9 +79,12 @@ struct QuantileSummary {
 /// most 1/32 of its lower bound.  40 octaves reach 2^45 ns (about 9.8 h);
 /// larger samples share the last bucket, and max stays exact.
 ///
-/// record() takes no lock, allocates nothing and divides by nothing.
-/// Count, mean (from the integer sum), min and max are exact; quantiles
-/// interpolate by rank inside their bucket, clamped to [min, max].
+/// record() takes no lock and divides by nothing.  A stripe (10.5 KB) is
+/// allocated by the first record() that lands on it and published by a
+/// compare-and-swap, so a histogram holds only the stripes its recording
+/// threads use; after that, record() allocates nothing.  Count, mean (from
+/// the integer sum), min and max are exact; quantiles interpolate by rank
+/// inside their bucket, clamped to [min, max].
 class LatencyHistogram {
  public:
   static constexpr int kSubBits = 5;
@@ -90,11 +92,14 @@ class LatencyHistogram {
   static constexpr int kOctaves = 40;
   static constexpr std::size_t kBuckets = kSub + kOctaves * kSub;
 
-  LatencyHistogram();
+  LatencyHistogram() = default;
   /// The fixed-width histogram's signature, kept for callers built before
   /// the log-linear layout; the range is ignored.
   [[deprecated("LatencyHistogram has no range; use the default constructor")]]
   LatencyHistogram(double lo_us, double hi_us, std::size_t buckets);
+  ~LatencyHistogram();
+  LatencyHistogram(const LatencyHistogram&) = delete;
+  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
   /// Negative and NaN samples record as 0.
   void record(double us);
@@ -115,9 +120,12 @@ class LatencyHistogram {
   };
   struct Merged;
 
+  /// Allocate stripe `i` and publish it, unless another thread did first.
+  Stripe* install_stripe(std::size_t i);
   Merged merged() const;
 
-  std::unique_ptr<Stripe[]> stripes_;
+  /// Null until a record() lands on the stripe.
+  std::array<std::atomic<Stripe*>, kMetricStripes> stripes_{};
 };
 
 /// Point-in-time view of a registry: counter values plus per-histogram

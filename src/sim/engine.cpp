@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
@@ -9,7 +10,25 @@ namespace netpart::sim {
 void Engine::schedule_at(SimTime at, Action action) {
   NP_REQUIRE(at >= now_, "cannot schedule events in the past");
   NP_REQUIRE(action != nullptr, "event action must be callable");
-  queue_.push(Entry{at, next_seq_++, std::move(action)});
+  if (free_slots_.empty()) {
+    if (actions_.size() == actions_.capacity()) {
+      // The three tables grow together: every slot can be pending or free
+      // at once, so neither the heap nor the free list grows on its own
+      // and step() never allocates.
+      const std::size_t capacity =
+          std::max<std::size_t>(64, 2 * actions_.capacity());
+      actions_.reserve(capacity);
+      heap_.reserve(capacity);
+      free_slots_.reserve(capacity);
+    }
+    free_slots_.push_back(static_cast<std::uint32_t>(actions_.size()));
+    actions_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  actions_[slot] = std::move(action);
+  heap_.push_back(Key{at, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void Engine::schedule_after(SimTime delay, Action action) {
@@ -24,10 +43,10 @@ SimTime Engine::run() {
 }
 
 SimTime Engine::run_until(SimTime limit) {
-  while (!queue_.empty() && queue_.top().at <= limit) {
+  while (!heap_.empty() && heap_.front().at <= limit) {
     step();
   }
-  if (now_ < limit && queue_.empty()) {
+  if (now_ < limit && heap_.empty()) {
     // Idle until the limit: time advances even with nothing to do, so
     // run_until composes with timeout-style callers.
     now_ = limit;
@@ -36,14 +55,18 @@ SimTime Engine::run_until(SimTime limit) {
 }
 
 bool Engine::step() {
-  if (queue_.empty()) return false;
-  // Move the action out before popping so re-entrant schedules are safe.
-  Entry top = std::move(const_cast<Entry&>(queue_.top()));
-  queue_.pop();
+  if (heap_.empty()) return false;
+  const Key top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  // Move the action out and free its slot before running it: the action
+  // may schedule, which can reuse the slot or grow the table.
+  Action action = std::move(actions_[top.slot]);
+  free_slots_.push_back(top.slot);
   NP_ASSERT(top.at >= now_);
   now_ = top.at;
   ++executed_;
-  top.action();
+  action();
   return true;
 }
 

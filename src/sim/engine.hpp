@@ -5,11 +5,17 @@
 // schedules.  The engine is the substrate for the network simulator and the
 // SPMD executor; it is strictly single-threaded by design (the measurement
 // instrument must be reproducible).
+//
+// Storage: the heap orders 24-byte (time, seq, slot) keys, and each action
+// lives in a slot table the key points into, so a sift never moves a
+// std::function.  Freed slots are reused, so once the table has grown to
+// the peak number of pending events, scheduling allocates nothing beyond
+// what the action itself needs (nothing for a capture of up to 16
+// trivially copyable bytes, which std::function stores inline).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/time.hpp"
@@ -40,26 +46,29 @@ class Engine {
   /// Execute a single event if one is pending.  Returns false when idle.
   bool step();
 
-  bool idle() const { return queue_.empty(); }
-  std::size_t pending() const { return queue_.size(); }
+  bool idle() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Total events executed since construction (used by overhead tests).
   std::uint64_t events_executed() const { return executed_; }
 
  private:
-  struct Entry {
+  struct Key {
     SimTime at;
     std::uint64_t seq;
-    Action action;
+    std::uint32_t slot;  ///< index into actions_
   };
+  /// Heap order: the top is the earliest (time, seq).
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Key> heap_;
+  std::vector<Action> actions_;           ///< by slot; empty when free
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -83,18 +83,19 @@ void NetSim::send(ProcessorRef src, ProcessorRef dst, std::int64_t bytes,
   const Cluster& src_cluster = network_.cluster(src.cluster);
   const Cluster& dst_cluster = network_.cluster(dst.cluster);
 
-  auto transit = std::make_shared<Transit>();
-  transit->src = src;
-  transit->dst = dst;
-  transit->bytes = bytes;
-  transit->on_delivered = std::move(on_delivered);
+  const std::uint32_t slot = open_transit();
+  Transit& t = transits_[slot];
+  t.src = src;
+  t.dst = dst;
+  t.bytes = bytes;
+  t.on_delivered = std::move(on_delivered);
   if (network_.needs_coercion(src.cluster, dst.cluster)) {
-    transit->coerce_cost = dst_cluster.type().coerce_per_byte * bytes;
+    t.coerce_cost = dst_cluster.type().coerce_per_byte * bytes;
   }
 
   // Local (same-host) messages skip the wire entirely.
   if (!(src == dst)) {
-    Leg first;
+    Leg& first = t.legs[t.num_legs++];
     first.channel = &channel(src_cluster.segment());
     first.fixed = src_cluster.type().comm_per_message;
     first.per_byte =
@@ -104,24 +105,43 @@ void NetSim::send(ProcessorRef src, ProcessorRef dst, std::int64_t bytes,
       NP_ASSERT(link.has_value());
       first.post_delay = link->delay_per_packet * fragments(bytes) +
                          link->delay_per_byte * bytes;
-      transit->legs.push_back(first);
 
       // The router contends as one additional station on the destination
       // segment, pacing at that cluster's interface speed.
-      Leg second;
+      Leg& second = t.legs[t.num_legs++];
       second.channel = &channel(dst_cluster.segment());
       second.fixed = dst_cluster.type().comm_per_message;
       second.per_byte =
           second.channel->byte_time() + dst_cluster.type().comm_per_byte;
-      transit->legs.push_back(second);
-    } else {
-      transit->legs.push_back(first);
     }
   }
 
-  trace(TraceEvent::Kind::SendInitiated, *transit, ready);
-  engine_.schedule_at(ready,
-                      [this, transit]() mutable { run_leg(transit); });
+  trace(TraceEvent::Kind::SendInitiated, t, ready);
+  engine_.schedule_at(ready, [this, slot] { run_leg(slot); });
+}
+
+std::uint32_t NetSim::open_transit() {
+  if (free_transits_.empty()) {
+    if (transits_.size() == transits_.capacity()) {
+      // Every slot can be free at once, so the free list grows with the
+      // table and returning a slot never allocates.
+      const std::size_t capacity =
+          std::max<std::size_t>(16, 2 * transits_.capacity());
+      transits_.reserve(capacity);
+      free_transits_.reserve(capacity);
+    }
+    free_transits_.push_back(static_cast<std::uint32_t>(transits_.size()));
+    transits_.emplace_back();
+  }
+  const std::uint32_t slot = free_transits_.back();
+  free_transits_.pop_back();
+  transits_[slot] = Transit{};
+  return slot;
+}
+
+void NetSim::close_transit(std::uint32_t slot) {
+  transits_[slot].on_delivered = nullptr;
+  free_transits_.push_back(slot);
 }
 
 void NetSim::trace(TraceEvent::Kind kind, const Transit& t, SimTime at) {
@@ -134,91 +154,98 @@ void NetSim::drop(const Transit& t) {
   trace(TraceEvent::Kind::MessageDropped, t, engine_.now());
 }
 
-void NetSim::run_leg(std::shared_ptr<Transit> t) {
-  if (t->next_leg >= t->legs.size()) {
-    finish_delivery(t);
+void NetSim::run_leg(std::uint32_t slot) {
+  Transit& t = transits_[slot];
+  if (t.next_leg >= t.num_legs) {
+    finish_delivery(slot);
     return;
   }
-  const std::int64_t frags = fragments(t->bytes);
-  attempt(std::move(t), frags, /*first=*/true, /*round=*/0);
+  t.frags_left = fragments(t.bytes);
+  t.first = true;
+  t.round = 0;
+  attempt(slot);
 }
 
-void NetSim::attempt(std::shared_ptr<Transit> t, std::int64_t frags,
-                     bool first, int round) {
-  NP_ASSERT(round <= params_.max_retransmit_rounds);
-  const std::int64_t attempt_bytes =
-      first ? t->bytes : std::min(t->bytes, frags * params_.mtu);
-  next_fragment(std::move(t), frags, attempt_bytes, /*lost=*/0, first,
-                round);
+void NetSim::attempt(std::uint32_t slot) {
+  Transit& t = transits_[slot];
+  NP_ASSERT(t.round <= params_.max_retransmit_rounds);
+  t.bytes_left =
+      t.first ? t.bytes : std::min(t.bytes, t.frags_left * params_.mtu);
+  t.lost = 0;
+  next_fragment(slot);
 }
 
-void NetSim::next_fragment(std::shared_ptr<Transit> t,
-                           std::int64_t frags_left, std::int64_t bytes_left,
-                           std::int64_t lost, bool first, int round) {
-  const Leg& leg = t->legs[t->next_leg];
+void NetSim::next_fragment(std::uint32_t slot) {
+  Transit& t = transits_[slot];
+  const Leg& leg = t.legs[t.next_leg];
 
-  if (frags_left == 0) {
-    if (lost == 0) {
+  if (t.frags_left == 0) {
+    if (t.lost == 0) {
       const SimTime done = engine_.now() + leg.post_delay;
-      trace(TraceEvent::Kind::LegCompleted, *t, done);
-      engine_.schedule_at(done, [this, t = std::move(t)]() mutable {
-        ++t->next_leg;
-        run_leg(std::move(t));
-      });
+      ++t.next_leg;
+      trace(TraceEvent::Kind::LegCompleted, t, done);
+      engine_.schedule_at(done, [this, slot] { run_leg(slot); });
       return;
     }
-    if (round >= params_.max_retransmit_rounds &&
+    if (t.round >= params_.max_retransmit_rounds &&
         params_.give_up_after_max_rounds) {
-      drop(*t);
+      drop(t);
+      close_transit(slot);
       return;
     }
-    NP_ASSERT(round < params_.max_retransmit_rounds);
-    retransmissions_ += static_cast<std::uint64_t>(lost);
-    engine_.schedule_after(params_.rto, [this, t = std::move(t), lost,
-                                         round] {
-      attempt(t, lost, /*first=*/false, round + 1);
-    });
+    NP_ASSERT(t.round < params_.max_retransmit_rounds);
+    retransmissions_ += static_cast<std::uint64_t>(t.lost);
+    // The retransmission attempt resends exactly the lost fragments.
+    t.frags_left = t.lost;
+    t.first = false;
+    ++t.round;
+    engine_.schedule_after(params_.rto, [this, slot] { attempt(slot); });
     return;
   }
 
-  const std::int64_t frag_bytes = std::min(bytes_left, params_.mtu);
+  const std::int64_t frag_bytes = std::min(t.bytes_left, params_.mtu);
   // The per-message fixed cost rides on the first fragment of the first
   // attempt; retransmitted fragments pay only the (small) resend cost.
-  const bool lead = first && frags_left == fragments(t->bytes);
+  const bool lead = t.first && t.frags_left == fragments(t.bytes);
   const SimTime occupancy =
-      (lead ? leg.fixed : (first ? SimTime::zero() : params_.send_initiation)) +
+      (lead ? leg.fixed
+            : (t.first ? SimTime::zero() : params_.send_initiation)) +
       leg.channel->frame_overhead() + leg.per_byte * frag_bytes;
   const ChannelGrant grant = leg.channel->reserve(engine_.now(), occupancy);
   // Draw the Bernoulli loss unconditionally so the loss pattern of the
   // surviving traffic is independent of when channels flap.
   const bool bernoulli_drop = rng_.next_bool(params_.loss_rate);
   const bool dropped = bernoulli_drop || leg.channel->down();
+  --t.frags_left;
+  t.bytes_left -= frag_bytes;
   if (dropped) {
-    trace(TraceEvent::Kind::FragmentLost, *t, grant.end);
+    ++t.lost;
+    trace(TraceEvent::Kind::FragmentLost, t, grant.end);
   }
-  engine_.schedule_at(
-      grant.end, [this, t = std::move(t), frags_left, bytes_left, frag_bytes,
-                  lost, dropped, first, round]() mutable {
-        next_fragment(std::move(t), frags_left - 1, bytes_left - frag_bytes,
-                      lost + (dropped ? 1 : 0), first, round);
-      });
+  engine_.schedule_at(grant.end, [this, slot] { next_fragment(slot); });
 }
 
-void NetSim::finish_delivery(const std::shared_ptr<Transit>& t) {
-  Host& receiver = host(t->dst);
+void NetSim::finish_delivery(std::uint32_t slot) {
+  const Transit& t = transits_[slot];
+  Host& receiver = host(t.dst);
   if (!receiver.alive()) {
     // The payload reached a dead host: nobody processes it, the delivery
     // callback never fires.  The MMPS timeout path reports the peer.
-    drop(*t);
+    drop(t);
+    close_transit(slot);
     return;
   }
   const SimTime done = receiver.reserve(
-      engine_.now(), params_.recv_processing + t->coerce_cost);
-  trace(TraceEvent::Kind::Delivered, *t, done);
-  engine_.schedule_at(done, [this, t] {
-    ++delivered_;
-    t->on_delivered();
-  });
+      engine_.now(), params_.recv_processing + t.coerce_cost);
+  trace(TraceEvent::Kind::Delivered, t, done);
+  engine_.schedule_at(done, [this, slot] { deliver(slot); });
+}
+
+void NetSim::deliver(std::uint32_t slot) {
+  DeliveryCallback on_delivered = std::move(transits_[slot].on_delivered);
+  free_transits_.push_back(slot);
+  ++delivered_;
+  on_delivered();
 }
 
 }  // namespace netpart::sim

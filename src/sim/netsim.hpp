@@ -19,9 +19,9 @@
 // after an RTO, which is how the MMPS layer above provides reliability.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -117,36 +117,51 @@ class NetSim {
     SimTime post_delay;  ///< router internal delay after this leg
   };
 
-  /// In-flight message state shared by the chained engine events.
+  /// One in-flight message, in a reused slot of transits_.  A message has
+  /// exactly one pending engine event at a time, so that event captures
+  /// only (this, slot) -- inline in std::function, no allocation -- and the
+  /// state of the current transmission attempt lives here.
   struct Transit {
-    std::vector<Leg> legs;
+    std::array<Leg, 2> legs;  ///< source segment [, destination segment]
+    std::size_t num_legs = 0;
     std::size_t next_leg = 0;
     ProcessorRef src;
     ProcessorRef dst;
     std::int64_t bytes = 0;
     SimTime coerce_cost;
     DeliveryCallback on_delivered;
+    // The current attempt on legs[next_leg].
+    std::int64_t frags_left = 0;  ///< fragments not yet transmitted
+    std::int64_t bytes_left = 0;  ///< payload bytes not yet transmitted
+    std::int64_t lost = 0;        ///< fragments lost so far
+    bool first = true;            ///< first attempt on this leg
+    int round = 0;                ///< retransmission round
   };
 
-  /// Start (or continue to) the leg at t->next_leg; called at the time the
-  /// message is ready to enter that channel.
-  void run_leg(std::shared_ptr<Transit> t);
+  /// Take a free slot (or grow the table) and reset it for a new message.
+  std::uint32_t open_transit();
+  /// Return a finished or abandoned message's slot.
+  void close_transit(std::uint32_t slot);
 
-  /// One transmission attempt of `frags` fragments on the current leg.
+  /// Start (or continue to) the leg at next_leg; called at the time the
+  /// message is ready to enter that channel.
+  void run_leg(std::uint32_t slot);
+
+  /// One transmission attempt of frags_left fragments on the current leg.
   /// Fragments reserve the channel one at a time, so concurrent messages
   /// interleave at datagram granularity -- the packet-level fairness of a
   /// shared ethernet.  Fragments lost in this attempt are retransmitted in
   /// a follow-up attempt after the RTO.
-  void attempt(std::shared_ptr<Transit> t, std::int64_t frags, bool first,
-               int round);
+  void attempt(std::uint32_t slot);
 
   /// Transmit the next fragment of the current attempt.
-  void next_fragment(std::shared_ptr<Transit> t, std::int64_t frags_left,
-                     std::int64_t bytes_left, std::int64_t lost, bool first,
-                     int round);
+  void next_fragment(std::uint32_t slot);
 
-  /// All legs done: receiver host processing, then the delivery callback.
-  void finish_delivery(const std::shared_ptr<Transit>& t);
+  /// All legs done: receiver host processing, then deliver().
+  void finish_delivery(std::uint32_t slot);
+
+  /// Free the slot, then run the delivery callback (which may send).
+  void deliver(std::uint32_t slot);
 
   std::size_t host_slot(ProcessorRef ref) const;
 
@@ -160,6 +175,8 @@ class NetSim {
   std::uint64_t delivered_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t dropped_ = 0;
+  std::vector<Transit> transits_;            ///< by slot
+  std::vector<std::uint32_t> free_transits_;
   Tracer tracer_;
 
   void trace(TraceEvent::Kind kind, const Transit& t, SimTime at);

@@ -1,14 +1,19 @@
 #include "topo/comm_cycle.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "util/error.hpp"
 
 namespace netpart {
 
 namespace {
+/// Per-cycle bookkeeping the delivery callbacks write.  It lives on the
+/// runner's stack, so each callback captures a pointer to it and its
+/// message index -- 16 trivially copyable bytes that std::function stores
+/// inline -- and delivering a message allocates nothing.  The runner
+/// drains the engine before the state goes out of scope.
 struct CycleState {
+  const sim::Engine* engine = nullptr;
   /// Completion time of each directed message of the cycle.
   std::vector<SimTime> delivered_at;
   std::size_t remaining = 0;
@@ -21,6 +26,11 @@ CycleResult run_comm_cycles(sim::NetSim& net, const Placement& placement,
   NP_REQUIRE(!placement.empty(), "placement must be non-empty");
   NP_REQUIRE(cycles >= 1, "need at least one cycle");
   NP_REQUIRE(net.engine().idle(), "engine must be idle at cycle start");
+  // Check what send() would reject before the first send: a send that
+  // threw mid-cycle would leave the earlier messages' callbacks pointing
+  // into this frame.
+  NP_REQUIRE(bytes >= 0, "bytes must be non-negative");
+  for (const ProcessorRef& ref : placement) net.host(ref);
 
   const int p = static_cast<int>(placement.size());
   const auto messages = cycle_messages(topology, p);
@@ -30,34 +40,36 @@ CycleResult run_comm_cycles(sim::NetSim& net, const Placement& placement,
   avg.elapsed_max = SimTime::zero();
   avg.elapsed_mean = SimTime::zero();
 
+  CycleState state;
+  state.engine = &net.engine();
+  std::vector<SimTime> rank_done;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     const SimTime t0 = net.engine().now();
-    auto state = std::make_shared<CycleState>();
-    state->delivered_at.assign(messages.size(), SimTime::zero());
-    state->remaining = messages.size();
+    state.delivered_at.assign(messages.size(), SimTime::zero());
+    state.remaining = messages.size();
 
     for (std::size_t m = 0; m < messages.size(); ++m) {
       const auto [from, to] = messages[m];
       net.send(placement[static_cast<std::size_t>(from)],
                placement[static_cast<std::size_t>(to)], bytes,
-               [state, m, &net] {
-                 state->delivered_at[m] = net.engine().now();
-                 NP_ASSERT(state->remaining > 0);
-                 --state->remaining;
+               [s = &state, m] {
+                 s->delivered_at[m] = s->engine->now();
+                 NP_ASSERT(s->remaining > 0);
+                 --s->remaining;
                });
     }
     net.engine().run();
-    NP_ASSERT(state->remaining == 0);
+    NP_ASSERT(state.remaining == 0);
 
     // A rank's communication completes when its last outgoing message has
     // been delivered and its last incoming message has been processed.
-    std::vector<SimTime> rank_done(placement.size(), t0);
+    rank_done.assign(placement.size(), t0);
     for (std::size_t m = 0; m < messages.size(); ++m) {
       const auto [from, to] = messages[m];
       auto& f = rank_done[static_cast<std::size_t>(from)];
       auto& t = rank_done[static_cast<std::size_t>(to)];
-      f = std::max(f, state->delivered_at[m]);
-      t = std::max(t, state->delivered_at[m]);
+      f = std::max(f, state.delivered_at[m]);
+      t = std::max(t, state.delivered_at[m]);
     }
 
     SimTime cycle_max = SimTime::zero();

@@ -32,7 +32,9 @@ struct CycleResult {
 
 /// Run `cycles` back-to-back communication cycles and return the average
 /// per-cycle result.  The simulator's engine must be idle on entry; the
-/// runner drains it before returning.
+/// runner drains it before returning.  The delivery callbacks point into
+/// the runner's frame, so if an event throws during the run, discard the
+/// simulator: it still holds the cycle's messages.
 CycleResult run_comm_cycles(sim::NetSim& net, const Placement& placement,
                             Topology topology, std::int64_t bytes,
                             int cycles = 1);

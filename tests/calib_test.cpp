@@ -1,10 +1,26 @@
 // Tests for the calibration pipeline and the cost-model database.
+// CalibrationThreadedTest matches the tsan test preset's filter, so its
+// concurrent calibrations also run under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <fstream>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "calib/calibrate.hpp"
+#include "calib/model_io.hpp"
 #include "net/builder.hpp"
 #include "net/presets.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace netpart {
 namespace {
@@ -103,6 +119,135 @@ TEST_F(CalibrationTest, SingletonClusterSkipped) {
   const CalibrationResult cal = calibrate(b.build(), params);
   EXPECT_FALSE(cal.db.has_comm(0, Topology::OneD));
   EXPECT_TRUE(cal.db.has_comm(1, Topology::OneD));
+}
+
+// --- bit-for-bit goldens ---------------------------------------------------
+//
+// tests/data/calibration/ holds, for each network below, the serial
+// calibrator's cost model (<network>.costmodel, save_cost_model text) and
+// an FNV-1a over its samples (samples.txt).  calibrate() must reproduce
+// both bit for bit at every worker count: the fits feed every decision,
+// golden and sim-time number downstream.
+
+Network service_network() {
+  Rng rng(7);
+  return presets::random_network(rng, 8, 16);
+}
+
+/// A singleton cluster: its sweeps are skipped with a warning, and its
+/// router pair still calibrates.
+Network singleton_network() {
+  NetworkBuilder b;
+  b.add_cluster("solo", presets::sparc2(), 1);
+  b.add_cluster("many", presets::sun_ipc(), 3);
+  return b.build();
+}
+
+struct GoldenNetwork {
+  const char* name;
+  Network (*build)();
+};
+
+constexpr GoldenNetwork kGoldenNetworks[] = {
+    {"paper_testbed", presets::paper_testbed},
+    {"fig1_network", presets::fig1_network},
+    {"coercion_testbed", presets::coercion_testbed},
+    {"metasystem", presets::metasystem},
+    {"service_network", service_network},
+    {"singleton", singleton_network},
+};
+
+const std::string kGoldenDir =
+    std::string(NETPART_SOURCE_DIR) + "/tests/data/calibration/";
+
+std::string read_golden(const std::string& file) {
+  std::ifstream in(kGoldenDir + file);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+struct SampleGolden {
+  std::size_t count = 0;
+  std::uint64_t fnv = 0;
+};
+
+/// samples.txt: "<network> <samples> <fnv1a hex>" per line, '#' comments.
+std::map<std::string, SampleGolden> sample_goldens() {
+  std::map<std::string, SampleGolden> goldens;
+  std::istringstream lines(read_golden("samples.txt"));
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    SampleGolden golden;
+    fields >> name >> golden.count >> std::hex >> golden.fnv;
+    goldens[name] = golden;
+  }
+  return goldens;
+}
+
+std::uint64_t samples_fnv(const std::vector<CommSample>& samples) {
+  Fnv1a h;
+  for (const CommSample& s : samples) {
+    h.i32(s.cluster)
+        .i32(static_cast<std::int32_t>(s.topology))
+        .i32(s.p)
+        .i64(s.bytes)
+        .u64(std::bit_cast<std::uint64_t>(s.cost_ms));
+  }
+  return h.value();
+}
+
+void expect_golden(const std::string& name, const CalibrationResult& got) {
+  static const std::map<std::string, SampleGolden> goldens = sample_goldens();
+  const auto it = goldens.find(name);
+  ASSERT_NE(it, goldens.end()) << name << " missing from samples.txt";
+  EXPECT_EQ(save_cost_model(got.db), read_golden(name + ".costmodel"))
+      << name;
+  EXPECT_EQ(got.samples.size(), it->second.count) << name;
+  EXPECT_EQ(samples_fnv(got.samples), it->second.fnv) << name;
+}
+
+TEST_F(CalibrationTest, MatchesTheGoldenBitForBit) {
+  for (const GoldenNetwork& g : kGoldenNetworks) {
+    expect_golden(g.name, calibrate(g.build()));
+  }
+}
+
+TEST_F(CalibrationTest, GoldenHoldsAtEveryWorkerCount) {
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (const GoldenNetwork& g : kGoldenNetworks) {
+    const Network net = g.build();
+    for (int workers : {1, 2, 3, hardware, hardware + 5}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      expect_golden(g.name, calibrate_with_workers(net, {}, workers));
+    }
+  }
+}
+
+TEST_F(CalibrationTest, TaskErrorsReachTheCaller) {
+  CalibrationParams params;
+  params.message_sizes = {64, -1};  // NetSim::send rejects it in a task
+  EXPECT_THROW(calibrate_with_workers(presets::fig1_network(), params, 4),
+               InvalidArgument);
+  EXPECT_THROW(calibrate_with_workers(presets::fig1_network(), {}, 0),
+               InvalidArgument);
+}
+
+// Two calibrations at once, each on its own worker pool: the pools share
+// nothing but the process, so each still matches its golden.
+TEST(CalibrationThreadedTest, ConcurrentCalibrationsMatchTheGolden) {
+  std::optional<CalibrationResult> testbed;
+  std::optional<CalibrationResult> meta;
+  std::thread a([&] { testbed = calibrate(presets::paper_testbed()); });
+  std::thread b([&] { meta = calibrate(presets::metasystem()); });
+  a.join();
+  b.join();
+  expect_golden("paper_testbed", *testbed);
+  expect_golden("metasystem", *meta);
 }
 
 TEST(CostModelDbTest, AbsoluteValueFixup) {

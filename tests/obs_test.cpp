@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
 #include "core/estimator.hpp"
@@ -128,6 +129,27 @@ TEST(HistogramTest, BucketsAndClamping) {
   EXPECT_EQ(huge.max_us(), 2e12);
   EXPECT_GE(huge.quantiles().p50, 1e12);
   EXPECT_LE(huge.quantiles().p99, 2e12);
+}
+
+// A histogram holds only the stripes its recording threads use: building
+// one allocates nothing, the first record() on a stripe allocates that
+// stripe, and later records on it allocate nothing.
+TEST(HistogramTest, StripesAllocateOnFirstRecord) {
+  const std::uint64_t before = heap_allocations();
+  {
+    obs::LatencyHistogram h;
+    const std::uint64_t built = heap_allocations();
+    h.record(5.0);
+    const std::uint64_t first = heap_allocations();
+    for (int i = 0; i < 100; ++i) h.record(7.0);
+    const std::uint64_t warm = heap_allocations();
+    EXPECT_EQ(built - before, 0u);
+    EXPECT_EQ(first - built, 1u);
+    EXPECT_EQ(warm - first, 0u);
+    EXPECT_EQ(h.count(), 101u);
+    EXPECT_EQ(h.min_us(), 5.0);
+    EXPECT_EQ(h.max_us(), 7.0);
+  }
 }
 
 // Quantiles interpolate by rank inside their bucket.  Over uniform samples

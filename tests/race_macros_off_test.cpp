@@ -19,11 +19,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
-#include <cstdlib>
+#include <cstdint>
 #include <mutex>
-#include <new>
+
+#include "alloc_count.hpp"
 
 static_assert(NP_RACE_ACTIVE == 0,
               "NETPART_RACE_FORCE_OFF must force the compiled-out "
@@ -56,32 +55,6 @@ constexpr int constexpr_probe() {
 static_assert(constexpr_probe() == 42,
               "compiled-out annotation macros must be constexpr-empty");
 
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-// TU-local operator new replacement: counts every heap allocation made by
-// this binary.  gtest itself allocates freely, so tests only assert on the
-// *delta* across the region under measurement.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace {
-
 TEST(RaceMacrosOffTest, ActiveFlagIsForcedOff) {
   EXPECT_EQ(NP_RACE_ACTIVE, 0);
 }
@@ -89,7 +62,7 @@ TEST(RaceMacrosOffTest, ActiveFlagIsForcedOff) {
 TEST(RaceMacrosOffTest, MacrosAllocateNothing) {
   int shared = 0;
   std::mutex mutex;
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = netpart::heap_allocations();
   for (int i = 0; i < 10000; ++i) {
     NP_GUARDED_BY(&shared, &mutex, "off.guarded");
     NP_LOCK_ACQUIRE(&mutex, "off.mutex");
@@ -107,7 +80,7 @@ TEST(RaceMacrosOffTest, MacrosAllocateNothing) {
     NP_THREAD_END(&shared, "off.pool");
     NP_THREAD_JOIN(&shared, "off.pool");
   }
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = netpart::heap_allocations();
   EXPECT_EQ(after - before, 0u);
   EXPECT_GT(shared, 0);  // keep the loop observable
 }

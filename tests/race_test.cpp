@@ -28,6 +28,7 @@
 #include "analysis/race/recorder.hpp"
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
+#include "calib/model_io.hpp"
 #include "core/partitioner.hpp"
 #include "net/presets.hpp"
 #include "obs/span.hpp"
@@ -879,6 +880,26 @@ TEST(RaceQuietGateTest, ExhaustiveSweepWorkStealing) {
         sweep.chunk = 64;  // small chunks stress the steal protocol
         sweep.chaos_yield_seed = seed;
         exhaustive_partition(estimator, snapshot, sweep);
+      },
+      options);
+  EXPECT_TRUE(result.sink.clean()) << result.sink.render_text();
+}
+
+TEST(RaceQuietGateTest, CalibrationSweepWorkers) {
+  NP_RACE_REQUIRE_ACTIVE();
+  // Four workers claim fig1's 15 sweeps and 3 router pairs off one
+  // cursor; each writes only its task slot, which the caller merges after
+  // the join.
+  const Network net = presets::fig1_network();
+  const std::string serial = save_cost_model(
+      calibrate_with_workers(net, CalibrationParams{}, 1).db);
+  ExploreOptions options;
+  options.schedules = 4;
+  const ExploreResult result = analysis::race::explore(
+      [&](std::uint64_t) {
+        const CalibrationResult pooled =
+            calibrate_with_workers(net, CalibrationParams{}, 4);
+        EXPECT_EQ(save_cost_model(pooled.db), serial);
       },
       options);
   EXPECT_TRUE(result.sink.clean()) << result.sink.render_text();

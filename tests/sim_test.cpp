@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine and the network simulator.
 #include <gtest/gtest.h>
 
+#include "alloc_count.hpp"
 #include "net/builder.hpp"
 #include "net/presets.hpp"
 #include "sim/channel.hpp"
@@ -277,6 +278,111 @@ TEST_F(NetSimTest, ParameterValidation) {
   EXPECT_THROW(sim.send(ProcessorRef{0, 0}, ProcessorRef{0, 1}, -1, [] {}),
                InvalidArgument);
   EXPECT_THROW(sim.host(ProcessorRef{9, 0}), InvalidArgument);
+}
+
+// ------------------------------------------------ event-path allocations
+//
+// Every event NetSim schedules captures (this, slot), which std::function
+// stores inline, and the engine and the simulator reuse freed slots.  So
+// once one round has grown the slot tables, a message whose callback is
+// one pointer allocates nothing -- on every path that ends a message.
+
+TEST_F(NetSimTest, WarmMessagesAllocateNothing) {
+  NetSim sim(engine_, net_, NetSimParams{}, Rng(1));
+  int delivered = 0;
+  int* count = &delivered;
+  const auto round = [&] {
+    sim.send(ProcessorRef{0, 0}, ProcessorRef{0, 1}, 240,
+             [count] { ++*count; });
+    // Four fragments across the router: two legs, two channels.
+    sim.send(ProcessorRef{0, 0}, ProcessorRef{1, 0}, 4800,
+             [count] { ++*count; });
+    sim.send(ProcessorRef{0, 2}, ProcessorRef{0, 2}, 64,
+             [count] { ++*count; });
+    engine_.run();
+  };
+  round();
+  const std::uint64_t before = heap_allocations();
+  for (int i = 0; i < 1000; ++i) round();
+  const std::uint64_t allocated = heap_allocations() - before;
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(delivered, 3003);
+  EXPECT_EQ(sim.messages_delivered(), 3003u);
+}
+
+TEST_F(NetSimTest, DeadReceiverFreesTheSlotWithoutAllocating) {
+  NetSim sim(engine_, net_, NetSimParams{}, Rng(1));
+  sim.host(ProcessorRef{1, 1}).crash();
+  int delivered = 0;
+  int* count = &delivered;
+  const auto round = [&] {
+    sim.send(ProcessorRef{0, 0}, ProcessorRef{1, 1}, 2400,
+             [count] { ++*count; });
+    engine_.run();
+    sim.send(ProcessorRef{0, 0}, ProcessorRef{1, 0}, 2400,
+             [count] { ++*count; });
+    engine_.run();
+  };
+  round();
+  const std::uint64_t before = heap_allocations();
+  // More rounds than the tables' first capacity: a slot that leaked would
+  // force a grow.
+  for (int i = 0; i < 100; ++i) round();
+  const std::uint64_t allocated = heap_allocations() - before;
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(delivered, 101);
+  EXPECT_EQ(sim.messages_dropped(), 101u);
+}
+
+TEST_F(NetSimTest, DeadSenderTakesNoSlotAndAllocatesNothing) {
+  NetSim sim(engine_, net_, NetSimParams{}, Rng(1));
+  sim.host(ProcessorRef{0, 3}).crash();
+  int delivered = 0;
+  int* count = &delivered;
+  const auto round = [&] {
+    sim.send(ProcessorRef{0, 3}, ProcessorRef{0, 1}, 480,
+             [count] { ++*count; });
+    sim.send(ProcessorRef{0, 0}, ProcessorRef{0, 1}, 480,
+             [count] { ++*count; });
+    engine_.run();
+  };
+  round();
+  const std::uint64_t before = heap_allocations();
+  for (int i = 0; i < 100; ++i) round();
+  const std::uint64_t allocated = heap_allocations() - before;
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(delivered, 101);
+  EXPECT_EQ(sim.messages_dropped(), 101u);
+}
+
+TEST_F(NetSimTest, GiveUpFreesTheSlotWithoutAllocating) {
+  NetSimParams params;
+  params.rto = SimTime::millis(1);
+  params.max_retransmit_rounds = 2;
+  params.give_up_after_max_rounds = true;
+  NetSim sim(engine_, net_, params, Rng(1));
+  int delivered = 0;
+  int* count = &delivered;
+  const auto round = [&] {
+    // A downed segment loses every fragment, so the message exhausts its
+    // retransmission rounds and is dropped.
+    sim.channel(0).set_down(true);
+    sim.send(ProcessorRef{0, 0}, ProcessorRef{0, 1}, 3000,
+             [count] { ++*count; });
+    engine_.run();
+    sim.channel(0).set_down(false);
+    sim.send(ProcessorRef{0, 0}, ProcessorRef{0, 1}, 3000,
+             [count] { ++*count; });
+    engine_.run();
+  };
+  round();
+  const std::uint64_t before = heap_allocations();
+  for (int i = 0; i < 100; ++i) round();
+  const std::uint64_t allocated = heap_allocations() - before;
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(delivered, 101);
+  EXPECT_EQ(sim.messages_dropped(), 101u);
+  EXPECT_GT(sim.retransmissions(), 0u);
 }
 
 }  // namespace

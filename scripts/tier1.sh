@@ -42,7 +42,10 @@
 #                               # bitwise == the reference estimate(),
 #                               # one scratch shared across estimators,
 #                               # and the concurrent-search and
-#                               # work-stealing determinism cases), and
+#                               # work-stealing determinism cases), the
+#                               # general partitioner's suite (its hill
+#                               # climb runs on the delta engine, and its
+#                               # winners are pinned to a golden), and
 #                               # the degenerate-input fuzz sweeps
 #   scripts/tier1.sh --lint     # Strict build (-Wshadow -Werror, preset
 #                               # `strict`) plus clang-tidy over src/ when
@@ -136,12 +139,14 @@ if [[ "$batch_stage" == 1 ]]; then
   # Focused lockdown of the batched estimator engine and the
   # work-stealing sweep: the differential tier (bitwise batch == scalar,
   # scalar == reference, a scratch shared across estimators), steal-order
-  # determinism under chaos yields, degenerate-input fuzzing, and the
-  # speedup-gate unit tests.  A subset of the release tier, for fast
-  # iteration on the engine itself.
+  # determinism under chaos yields, the general partitioner's winner
+  # golden (its climb is a delta-engine fast path), degenerate-input
+  # fuzzing, and the speedup-gate unit tests.  A subset of the release
+  # tier, for fast iteration on the engine itself.
   echo "== batched engine lockdown =="
   ./build/tests/test_property \
     --gtest_filter='*Batch*:*ParallelExhaustive*:GroupShares.*:RankKernel.*:*DeltaBitwise*:DeltaEval.*:*Materialize*:*FastPathBitwise*:SharedScratch.*:ThreadedPartitionSearchTest.*'
+  ./build/tests/test_general
   ./build/tests/test_fuzz \
     --gtest_filter='DegenerateInputs.*:*StarvationPressure*'
   ./build/tests/test_coverage \

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -16,13 +17,12 @@ namespace netpart {
 
 namespace {
 
-/// Delivery time (ms) of a single src -> dst message on a fresh simulator.
-double measure_delivery_ms(const Network& network,
-                           const CalibrationParams& params, ProcessorRef src,
+/// Delivery time (ms) of a single src -> dst message on `net`, reset to
+/// a fresh simulator's state on `stream` first.
+double measure_delivery_ms(sim::NetSim& net, Rng stream, ProcessorRef src,
                            ProcessorRef dst, std::int64_t bytes) {
-  sim::Engine engine;
-  sim::NetSim net(engine, network, params.sim_params,
-                  Rng(params.seed).stream(0xD0));
+  net.reset(stream);
+  sim::Engine& engine = net.engine();
   SimTime delivered = SimTime::zero();
   net.send(src, dst, bytes, [&] { delivered = engine.now(); });
   engine.run();
@@ -30,25 +30,27 @@ double measure_delivery_ms(const Network& network,
 }
 
 /// Benchmark one (cluster, topology) over the (p, b) grid, append its
-/// samples, and fit Eq. 1.  Each sample runs on a fresh simulator whose
-/// random stream depends only on (seed, cluster, p), so a sweep's output
-/// is independent of which thread runs it and of every other sweep.
+/// samples, and fit Eq. 1.  The sweep runs every sample on one simulator,
+/// reset before each sample to the state of a fresh one on a random
+/// stream that depends only on (seed, cluster, p), so a sweep's output is
+/// independent of which thread runs it and of every other sweep.
 Eq1Fit sweep_comm(const Network& network, const CalibrationParams& params,
                   ClusterId c, Topology topo,
                   std::vector<CommSample>& out) {
   const int size = network.cluster(c).size();
   std::vector<Sample2D> samples;
+  sim::Engine engine;
+  sim::NetSim net(engine, network, params.sim_params, Rng(params.seed));
   for (int p = 2; p <= size; ++p) {
     Placement placement;
     for (ProcessorIndex i = 0; i < p; ++i) {
       placement.push_back(ProcessorRef{c, i});
     }
+    const Rng stream = Rng(params.seed)
+                           .stream(static_cast<std::uint64_t>(c))
+                           .stream(static_cast<std::uint64_t>(p));
     for (std::int64_t bytes : params.message_sizes) {
-      sim::Engine engine;
-      sim::NetSim net(engine, network, params.sim_params,
-                      Rng(params.seed)
-                          .stream(static_cast<std::uint64_t>(c))
-                          .stream(static_cast<std::uint64_t>(p)));
+      net.reset(stream);
       const CycleResult cycle = run_comm_cycles(
           net, placement, topo, bytes, params.cycles_per_sample);
       const double cost = cycle.elapsed_max.as_millis();
@@ -151,19 +153,21 @@ LineFit benchmark_router(const Network& network, ClusterId a, ClusterId b,
   const bool can_intra_a = network.cluster(a).size() >= 2;
   const bool can_intra_b = network.cluster(b).size() >= 2;
 
+  // Every delivery runs on one simulator, reset to the same stream.
+  const Rng stream = Rng(params.seed).stream(0xD0);
+  sim::Engine engine;
+  sim::NetSim net(engine, network, params.sim_params, stream);
   std::vector<double> xs;
   std::vector<double> ys;
   for (std::int64_t bytes : params.message_sizes) {
     const double cross = measure_delivery_ms(
-        network, params, ProcessorRef{a, 0}, ProcessorRef{b, 0}, bytes);
+        net, stream, ProcessorRef{a, 0}, ProcessorRef{b, 0}, bytes);
     const double intra_a =
-        can_intra_a ? measure_delivery_ms(network, params,
-                                          ProcessorRef{a, 0},
+        can_intra_a ? measure_delivery_ms(net, stream, ProcessorRef{a, 0},
                                           ProcessorRef{a, 1}, bytes)
                     : 0.0;
     const double intra_b =
-        can_intra_b ? measure_delivery_ms(network, params,
-                                          ProcessorRef{b, 0},
+        can_intra_b ? measure_delivery_ms(net, stream, ProcessorRef{b, 0},
                                           ProcessorRef{b, 1}, bytes)
                     : 0.0;
     const double coerce_ms =
@@ -186,8 +190,12 @@ CalibrationResult calibrate_with_workers(const Network& network,
                                          int workers) {
   CalibrationParams params = params_in;
   if (params.topologies.empty()) params.topologies = all_topologies();
-  NP_REQUIRE(params.message_sizes.size() >= 2,
-             "calibration needs >= 2 message sizes");
+  // One distinct size leaves every fit in b singular.
+  const std::vector<std::int64_t>& sizes = params.message_sizes;
+  const bool distinct_sizes =
+      std::adjacent_find(sizes.begin(), sizes.end(),
+                         std::not_equal_to<>()) != sizes.end();
+  NP_REQUIRE(distinct_sizes, "calibration needs >= 2 distinct message sizes");
   NP_REQUIRE(params.cycles_per_sample >= 1,
              "calibration needs >= 1 cycle per sample");
   NP_REQUIRE(workers >= 1, "calibration needs >= 1 worker");

@@ -1,8 +1,9 @@
 // Offline benchmarking of the communication cost functions.
 //
-// For every (cluster, topology) pair the calibrator runs the same
-// communication-cycle programs the executor uses, over a grid of processor
-// counts and message sizes, and fits Eq. 1 by ordinary least squares.
+// For every (cluster, topology) pair the calibrator runs communication
+// cycles (topo/comm_cycle: the executor's neighbour sets on the same
+// simulator) over a grid of processor counts and message sizes, and fits
+// Eq. 1 by ordinary least squares.
 // Router and coercion costs are benchmarked per cluster pair.  This mirrors
 // the paper's methodology exactly; only the testbed is a simulator.
 #pragma once
@@ -17,9 +18,13 @@
 namespace netpart {
 
 struct CalibrationParams {
-  /// Message sizes (bytes) in the benchmark grid.
+  /// Message sizes (bytes) in the benchmark grid; at least two distinct.
   std::vector<std::int64_t> message_sizes = {64, 240, 480, 1200, 2400, 4800};
-  /// Cycles averaged per (p, b) sample.
+  /// Cycles averaged per (p, b) sample.  At zero loss a sample's first
+  /// cycle starts and ends with the simulator at rest, so run_comm_cycles
+  /// simulates it once and counts the other cycles as exact repeats (the
+  /// average is that cycle bit for bit); a lossy sample simulates every
+  /// cycle and averages them.
   int cycles_per_sample = 3;
   /// Topologies to calibrate; defaults to all supported.
   std::vector<Topology> topologies;
@@ -53,7 +58,9 @@ struct CalibrationResult {
 ///
 /// The (cluster, topology) sweeps and the cluster pairs are independent
 /// simulations, so they run as tasks on std::thread::hardware_concurrency()
-/// workers (the calling thread included), capped by the task count.  Fits,
+/// workers (the calling thread included), capped by the task count.  Each
+/// task runs its samples on one simulator, reset before every sample to a
+/// fresh simulator's state on that sample's random stream.  Fits,
 /// samples, log lines and the first error are merged in the serial order,
 /// so the result is bit-identical at every worker count.
 CalibrationResult calibrate(const Network& network,

@@ -16,8 +16,9 @@ namespace {
 /// Every candidate is one move away from the current configuration, so
 /// each round is one best_neighbour_move scan against the bound baseline
 /// -- validation, gather, and the weight-sum prefix are reused instead of
-/// recomputed 2K times per round.  Each probe counts one evaluation
-/// toward `budget`, checked between rounds.
+/// recomputed 2K times per round.  After the first round the scan skips
+/// the move back to the configuration just left, which cannot win.  Each
+/// probe counts one evaluation toward `budget`, checked between rounds.
 double hill_climb(const CycleEstimator& estimator,
                   const AvailabilitySnapshot& snapshot,
                   ProcessorConfig& config, std::uint64_t budget,
@@ -25,14 +26,16 @@ double hill_climb(const CycleEstimator& estimator,
   ++*evaluations;
   double current =
       estimator.bind_delta(config, scratch.delta, scratch).t_c_ms;
+  NeighbourMove last;
   while (*evaluations < budget) {
     const NeighbourMove move =
-        best_neighbour_move(estimator, snapshot, current, scratch);
+        best_neighbour_move(estimator, snapshot, current, scratch, last);
     *evaluations += move.probes;
     if (move.cluster < 0) break;
     estimator.commit_delta(move.cluster, move.delta, scratch.delta);
     config[static_cast<std::size_t>(move.cluster)] += move.delta;
     current = move.t_c_ms;
+    last = move;
   }
   return current;
 }
@@ -42,7 +45,8 @@ double hill_climb(const CycleEstimator& estimator,
 NeighbourMove best_neighbour_move(const CycleEstimator& estimator,
                                   const AvailabilitySnapshot& snapshot,
                                   double baseline_t_c_ms,
-                                  EstimatorScratch& scratch) {
+                                  EstimatorScratch& scratch,
+                                  const NeighbourMove& arrived_by) {
   DeltaScratch& d = scratch.delta;
   NeighbourMove best;
   best.t_c_ms = baseline_t_c_ms;
@@ -51,6 +55,10 @@ NeighbourMove best_neighbour_move(const CycleEstimator& estimator,
       const int moved = d.config[c] + delta;
       if (moved < 0 || moved > snapshot.available[c]) continue;
       if (d.total_p + delta == 0) continue;
+      if (static_cast<ClusterId>(c) == arrived_by.cluster &&
+          delta == -arrived_by.delta) {
+        continue;
+      }
       const double value =
           estimator.estimate_delta(static_cast<ClusterId>(c), delta, d,
                                    scratch)

@@ -47,10 +47,17 @@ struct NeighbourMove {
 /// when it beats the best so far by more than 1e-12, so ties keep the
 /// earlier probe.  general_partition's climb and the adaptive executor's
 /// repair scoring (evaluate_config_recovery) share this scan.
+///
+/// A climb passes the move that reached the baseline as `arrived_by`, and
+/// the scan skips its reverse: the configuration the climb just left lost
+/// to the baseline by more than 1e-12, and estimate_delta is bitwise a
+/// pure function of the configuration, so probing it again can never win.
+/// The default (cluster -1) skips nothing.
 NeighbourMove best_neighbour_move(const CycleEstimator& estimator,
                                   const AvailabilitySnapshot& snapshot,
                                   double baseline_t_c_ms,
-                                  EstimatorScratch& scratch);
+                                  EstimatorScratch& scratch,
+                                  const NeighbourMove& arrived_by = {});
 
 /// Multi-start local search over the full configuration space.  Never
 /// returns a configuration worse than the locality heuristic's (it is one

@@ -36,6 +36,15 @@ void Engine::schedule_after(SimTime delay, Action action) {
   schedule_at(now_ + delay, std::move(action));
 }
 
+void Engine::reset() {
+  heap_.clear();
+  actions_.clear();
+  free_slots_.clear();
+  now_ = SimTime::zero();
+  next_seq_ = 0;
+  executed_ = 0;
+}
+
 SimTime Engine::run() {
   while (step()) {
   }

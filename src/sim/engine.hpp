@@ -49,8 +49,15 @@ class Engine {
   bool idle() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
 
-  /// Total events executed since construction (used by overhead tests).
+  /// Total events executed since construction or the last reset() (used
+  /// by overhead tests, and to count the cycles a run simulated).
   std::uint64_t events_executed() const { return executed_; }
+
+  /// Restore the state of a freshly built engine: nothing pending (queued
+  /// actions are destroyed unrun), clock and insertion sequence at zero,
+  /// no events executed.  The slot tables keep their capacity, so a reset
+  /// engine schedules up to its earlier peak without allocating.
+  void reset();
 
  private:
   struct Key {

@@ -44,6 +44,41 @@ Channel& NetSim::channel(SegmentId id) {
   return channels_[static_cast<std::size_t>(id)];
 }
 
+bool NetSim::at_rest() const {
+  if (!engine_.idle() || free_transits_.size() != transits_.size() ||
+      params_.loss_rate != 0.0 || tracer_) {
+    return false;
+  }
+  const SimTime now = engine_.now();
+  for (const Host& h : hosts_) {
+    if (!h.alive() || h.slowdown() != 1.0 || h.busy_until() > now) {
+      return false;
+    }
+  }
+  for (const Channel& ch : channels_) {
+    if (ch.down() || ch.degradation() != 1.0 || ch.busy_until() > now) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void NetSim::reset(Rng rng) {
+  engine_.reset();
+  rng_ = rng;
+  for (std::size_t s = 0; s < channels_.size(); ++s) {
+    const Segment& seg = network_.segment(static_cast<SegmentId>(s));
+    channels_[s] = Channel(seg.bandwidth_bps, seg.frame_overhead);
+  }
+  std::fill(hosts_.begin(), hosts_.end(), Host{});
+  delivered_ = 0;
+  retransmissions_ = 0;
+  dropped_ = 0;
+  transits_.clear();
+  free_transits_.clear();
+  tracer_ = nullptr;
+}
+
 std::int64_t NetSim::fragments(std::int64_t bytes) const {
   NP_REQUIRE(bytes >= 0, "bytes must be non-negative");
   if (bytes == 0) return 1;

@@ -97,6 +97,25 @@ class NetSim {
   /// Number of messages abandoned (dead host, retransmit cap).
   std::uint64_t messages_dropped() const { return dropped_; }
 
+  /// True when traffic sent from now on replays, shifted in time, what the
+  /// same traffic sent at any other at-rest moment does: the engine is
+  /// idle and no message is in flight; loss_rate == 0, so the random
+  /// stream is never drawn; no tracer is installed; every host is alive at
+  /// slowdown 1 and every channel up at degradation 1; and each is free by
+  /// engine().now().  Sim time is integer ns and hosts and channels are
+  /// busy-until resources, so every reservation then starts where it would
+  /// on a fresh simulator, offset by now().  run_comm_cycles relies on
+  /// this to stop simulating identical cycles.
+  bool at_rest() const;
+
+  /// Restore exactly the state of a freshly built simulator on `rng`.  The
+  /// engine is reset too (a pending event belongs to one of this
+  /// simulator's messages, and is dropped unrun); hosts and channels are
+  /// free, alive and at rate 1 again; the counters are zero; and no tracer
+  /// is installed.  The slot tables keep their capacity, so traffic that
+  /// fits the tables' peak so far runs after a reset without allocating.
+  void reset(Rng rng);
+
   /// Install a message-lifecycle observer (see sim/trace.hpp); pass
   /// nullptr to disable.  The tracer must outlive the simulator.
   void set_tracer(Tracer tracer) { tracer_ = std::move(tracer); }

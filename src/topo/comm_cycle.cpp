@@ -44,6 +44,7 @@ CycleResult run_comm_cycles(sim::NetSim& net, const Placement& placement,
   state.engine = &net.engine();
   std::vector<SimTime> rank_done;
   for (int cycle = 0; cycle < cycles; ++cycle) {
+    const bool started_at_rest = net.at_rest();
     const SimTime t0 = net.engine().now();
     state.delivered_at.assign(messages.size(), SimTime::zero());
     state.remaining = messages.size();
@@ -80,10 +81,23 @@ CycleResult run_comm_cycles(sim::NetSim& net, const Placement& placement,
       cycle_max = std::max(cycle_max, elapsed);
       cycle_sum += elapsed;
     }
+    const SimTime cycle_mean = SimTime::nanos(
+        cycle_sum.as_nanos() / static_cast<std::int64_t>(placement.size()));
     avg.elapsed_max += cycle_max;
-    avg.elapsed_mean +=
-        SimTime::nanos(cycle_sum.as_nanos() /
-                       static_cast<std::int64_t>(placement.size()));
+    avg.elapsed_mean += cycle_mean;
+
+    // A cycle that started and ended at rest is what every later cycle
+    // replays, shifted in time (NetSim::at_rest), so the rest of the run
+    // adds up without simulating it.
+    const int left = cycles - 1 - cycle;
+    if (left > 0 && started_at_rest && net.at_rest()) {
+      for (std::size_t r = 0; r < placement.size(); ++r) {
+        avg.per_rank[r] += (rank_done[r] - t0) * left;
+      }
+      avg.elapsed_max += cycle_max * left;
+      avg.elapsed_mean += cycle_mean * left;
+      break;
+    }
   }
 
   const auto div = [cycles](SimTime t) {

@@ -14,10 +14,13 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "calib/calibrate.hpp"
 #include "calib/model_io.hpp"
 #include "net/builder.hpp"
 #include "net/presets.hpp"
+#include "sim/netsim.hpp"
+#include "topo/comm_cycle.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -143,9 +146,21 @@ Network singleton_network() {
   return b.build();
 }
 
+CalibrationParams default_params() { return {}; }
+
+/// Lossy links: fragments are lost and retransmitted, so the cycles of a
+/// sample differ and every one is simulated from its sample's stream.
+CalibrationParams lossy_params() {
+  CalibrationParams params;
+  params.sim_params.loss_rate = 0.05;
+  params.sim_params.rto = SimTime::millis(2);
+  return params;
+}
+
 struct GoldenNetwork {
   const char* name;
   Network (*build)();
+  CalibrationParams (*params)() = default_params;
 };
 
 constexpr GoldenNetwork kGoldenNetworks[] = {
@@ -155,6 +170,7 @@ constexpr GoldenNetwork kGoldenNetworks[] = {
     {"metasystem", presets::metasystem},
     {"service_network", service_network},
     {"singleton", singleton_network},
+    {"lossy_testbed", presets::paper_testbed, lossy_params},
 };
 
 const std::string kGoldenDir =
@@ -212,7 +228,7 @@ void expect_golden(const std::string& name, const CalibrationResult& got) {
 
 TEST_F(CalibrationTest, MatchesTheGoldenBitForBit) {
   for (const GoldenNetwork& g : kGoldenNetworks) {
-    expect_golden(g.name, calibrate(g.build()));
+    expect_golden(g.name, calibrate(g.build(), g.params()));
   }
 }
 
@@ -223,7 +239,8 @@ TEST_F(CalibrationTest, GoldenHoldsAtEveryWorkerCount) {
     const Network net = g.build();
     for (int workers : {1, 2, 3, hardware, hardware + 5}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      expect_golden(g.name, calibrate_with_workers(net, {}, workers));
+      expect_golden(g.name,
+                    calibrate_with_workers(net, g.params(), workers));
     }
   }
 }
@@ -237,17 +254,146 @@ TEST_F(CalibrationTest, TaskErrorsReachTheCaller) {
                InvalidArgument);
 }
 
-// Two calibrations at once, each on its own worker pool: the pools share
+TEST_F(CalibrationTest, GridNeedsTwoDistinctMessageSizes) {
+  // One distinct size leaves every fit in b singular; that is the
+  // caller's mistake, rejected before any task runs.
+  for (const std::vector<std::int64_t>& sizes :
+       {std::vector<std::int64_t>{64, 64},
+        std::vector<std::int64_t>{0, 0, 0}, std::vector<std::int64_t>{64},
+        std::vector<std::int64_t>{}}) {
+    CalibrationParams params;
+    params.message_sizes = sizes;
+    EXPECT_THROW(calibrate_with_workers(presets::fig1_network(), params, 2),
+                 InvalidArgument)
+        << sizes.size() << " sizes";
+  }
+  CalibrationParams repeated;
+  repeated.topologies = {Topology::OneD};
+  repeated.message_sizes = {64, 64, 240};
+  EXPECT_NO_THROW(
+      calibrate_with_workers(presets::fig1_network(), repeated, 2));
+}
+
+// --- the at-rest shortcut ---------------------------------------------------
+//
+// Each sample of a sweep, re-run the way calibrate() runs it: on one
+// simulator reset to the sample's stream.  Counting the engine's events
+// shows how many cycles run_comm_cycles simulated.
+
+struct SampleRun {
+  const Network& network;
+  const CalibrationParams& params;
+  sim::Engine engine;
+  sim::NetSim net;
+
+  SampleRun(const Network& n, const CalibrationParams& p)
+      : network(n), params(p), net(engine, n, p.sim_params, Rng(p.seed)) {}
+
+  /// Events executed by `cycles` cycles of the sample (c, topo, p, bytes).
+  std::uint64_t events(ClusterId c, Topology topo, int p, std::int64_t bytes,
+                       int cycles, bool traced) {
+    net.reset(Rng(params.seed)
+                  .stream(static_cast<std::uint64_t>(c))
+                  .stream(static_cast<std::uint64_t>(p)));
+    if (traced) net.set_tracer([](const sim::TraceEvent&) {});
+    Placement placement;
+    for (ProcessorIndex i = 0; i < p; ++i) {
+      placement.push_back(ProcessorRef{c, i});
+    }
+    run_comm_cycles(net, placement, topo, bytes, cycles);
+    return engine.events_executed();
+  }
+
+  /// Calls `check(c, topo, p, bytes)` for every sample of the sweeps.
+  template <typename Check>
+  void each_sample(Check check) {
+    for (ClusterId c = 0; c < network.num_clusters(); ++c) {
+      for (Topology topo : all_topologies()) {
+        for (int p = 2; p <= network.cluster(c).size(); ++p) {
+          for (std::int64_t bytes : params.message_sizes) {
+            check(c, topo, p, bytes);
+          }
+        }
+      }
+    }
+  }
+};
+
+TEST_F(CalibrationTest, EveryLosslessSampleSimulatesOneCycle) {
+  for (const GoldenNetwork& g : kGoldenNetworks) {
+    const CalibrationParams params = g.params();
+    if (params.sim_params.loss_rate > 0.0) continue;
+    ASSERT_GT(params.cycles_per_sample, 1);
+    const Network net = g.build();
+    SampleRun run(net, params);
+    std::size_t samples = 0;
+    std::size_t repeated = 0;
+    run.each_sample([&](ClusterId c, Topology topo, int p,
+                        std::int64_t bytes) {
+      ++samples;
+      const std::uint64_t one = run.events(c, topo, p, bytes, 1, false);
+      const std::uint64_t all =
+          run.events(c, topo, p, bytes, params.cycles_per_sample, false);
+      if (all != one) ++repeated;
+    });
+    EXPECT_EQ(samples, sample_goldens().at(g.name).count) << g.name;
+    EXPECT_EQ(repeated, 0u) << g.name << ": of " << samples << " samples";
+  }
+}
+
+TEST_F(CalibrationTest, EveryLossySampleSimulatesEveryCycle) {
+  // A tracer makes run_comm_cycles simulate every cycle; a lossy sample
+  // must execute exactly the events its traced run does.
+  const CalibrationParams params = lossy_params();
+  const Network net = presets::paper_testbed();
+  SampleRun run(net, params);
+  std::size_t shortcut = 0;
+  std::size_t lost = 0;
+  run.each_sample([&](ClusterId c, Topology topo, int p,
+                      std::int64_t bytes) {
+    const std::uint64_t untraced =
+        run.events(c, topo, p, bytes, params.cycles_per_sample, false);
+    if (run.net.retransmissions() > 0) ++lost;
+    const std::uint64_t traced =
+        run.events(c, topo, p, bytes, params.cycles_per_sample, true);
+    if (untraced != traced) ++shortcut;
+  });
+  EXPECT_GT(lost, 0u) << "no sample lost a fragment";
+  EXPECT_EQ(shortcut, 0u);
+}
+
+TEST_F(CalibrationTest, ServiceNetworkCalibrationAllocationsAreRatcheted) {
+  // One single-worker calibrate() of the e2e service network allocated
+  // 67,614 times when every sample built its own simulator and simulated
+  // every cycle; each task now reuses one reset simulator and a lossless
+  // sample simulates one cycle.  Tightening the bound is allowed;
+  // loosening it is not.
+  constexpr std::uint64_t kBound = 45208;
+  const Network net = service_network();
+  calibrate_with_workers(net, {}, 1);  // first-use statics
+  const std::uint64_t before = heap_allocations();
+  const CalibrationResult cal = calibrate_with_workers(net, {}, 1);
+  const std::uint64_t allocated = heap_allocations() - before;
+  EXPECT_EQ(cal.samples.size(), 2250u);
+  EXPECT_LE(allocated, kBound);
+}
+
+// Calibrations at once, each on its own worker pool: the pools share
 // nothing but the process, so each still matches its golden.
 TEST(CalibrationThreadedTest, ConcurrentCalibrationsMatchTheGolden) {
   std::optional<CalibrationResult> testbed;
   std::optional<CalibrationResult> meta;
+  std::optional<CalibrationResult> lossy;
   std::thread a([&] { testbed = calibrate(presets::paper_testbed()); });
   std::thread b([&] { meta = calibrate(presets::metasystem()); });
+  std::thread c(
+      [&] { lossy = calibrate(presets::paper_testbed(), lossy_params()); });
   a.join();
   b.join();
+  c.join();
   expect_golden("paper_testbed", *testbed);
   expect_golden("metasystem", *meta);
+  expect_golden("lossy_testbed", *lossy);
 }
 
 TEST(CostModelDbTest, AbsoluteValueFixup) {

@@ -1,6 +1,12 @@
 // Tests for the general (multi-start local search) partitioner.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "apps/gauss.hpp"
+#include "apps/particles.hpp"
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
 #include "core/general.hpp"
@@ -116,6 +122,75 @@ TEST(GeneralPartitionerTest, RespectsAvailability) {
   AvailabilitySnapshot none;
   none.available = {0, 0};
   EXPECT_THROW(general_partition(est, none), InvalidArgument);
+}
+
+// The winners of a seeded problem set, recorded before the climb stopped
+// re-scoring the configuration it had just left: skipping that probe
+// saves evaluations and must change no winner's configuration or T_c
+// bits.
+ComputationSpec golden_spec(std::uint64_t seed) {
+  const int n = 300 + 150 * static_cast<int>(seed);
+  switch (seed % 4) {
+    case 0:
+      return stencil(n);
+    case 1:
+      return apps::make_stencil_spec(
+          apps::StencilConfig{.n = n, .iterations = 10, .overlap = true});
+    case 2:
+      return apps::make_gauss_spec(apps::GaussConfig{.n = n / 4});
+    default:
+      return apps::make_particle_spec(
+          apps::ParticleConfig{.count = 8 * n, .iterations = 10});
+  }
+}
+
+struct GoldenWinner {
+  ProcessorConfig config;
+  std::uint64_t t_c_bits;
+};
+
+TEST(GeneralPartitionerTest, WinnersMatchTheGolden) {
+  // Problem `seed`: random_network(Rng(seed), 4 + seed % 5, 10), fitted
+  // for 1-D and broadcast, each cluster offering 1..size processors drawn
+  // from the same Rng, and golden_spec(seed).
+  const std::vector<GoldenWinner> golden = {
+    {{2, 3, 2, 2, 3}, 0x403f438e4f0ef62eull},
+    {{0, 0, 0, 1, 0, 0}, 0x4011570a3d70a3d7ull},
+    {{2, 1, 1, 0, 3, 0, 1}, 0x4013954e6379c376ull},
+    {{2, 3, 2, 2, 2, 3, 2, 5}, 0x405c30b5d8d2045bull},
+    {{1, 3, 6, 2}, 0x4066923126e978d5ull},
+    {{0, 2, 0, 0, 0}, 0x402056f336f49f92ull},
+    {{1, 3, 1, 1, 3, 3}, 0x401df9f1e6a12ae6ull},
+    {{1, 3, 1, 2, 4, 4, 1}, 0x4077fb1934473899ull},
+    {{2, 1, 3, 3, 5, 4, 5, 3}, 0x4067430c49ba5e35ull},
+    {{0, 0, 2, 0}, 0x4026eb4b6afbc955ull},
+    {{2, 1, 2, 4, 1}, 0x402359104556daaeull},
+    {{3, 2, 5, 3, 4, 3}, 0x4081630b7338ec03ull},
+    {{5, 1, 2, 7, 7, 2, 1}, 0x407439851eb851ecull},
+    {{0, 1, 0, 0, 0, 0, 0, 0}, 0x4038000000000000ull},
+    {{1, 3, 3, 2}, 0x40244ddc05b42d66ull},
+    {{3, 6, 2, 7, 3}, 0x408551ed2b5d247full},
+  };
+  for (std::uint64_t seed = 1; seed <= golden.size(); ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const Network net = presets::random_network(
+        rng, 4 + static_cast<int>(seed % 5), 10);
+    CalibrationParams params;
+    params.topologies = {Topology::OneD, Topology::Broadcast};
+    const CostModelDb db = calibrate(net, params).db;
+    AvailabilitySnapshot snap;
+    for (const Cluster& c : net.clusters()) {
+      snap.available.push_back(static_cast<int>(rng.next_int(1, c.size())));
+    }
+    const ComputationSpec spec = golden_spec(seed);
+    const CycleEstimator est(net, db, spec);
+    const PartitionResult r = general_partition(est, snap);
+    const GoldenWinner& want = golden[seed - 1];
+    EXPECT_EQ(r.config, want.config);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.estimate.t_c_ms), want.t_c_bits)
+        << r.estimate.t_c_ms;
+  }
 }
 
 }  // namespace

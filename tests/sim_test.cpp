@@ -1,6 +1,10 @@
 // Unit tests for the discrete-event engine and the network simulator.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <vector>
+
 #include "alloc_count.hpp"
 #include "net/builder.hpp"
 #include "net/presets.hpp"
@@ -59,6 +63,36 @@ TEST(EngineTest, RunUntilLeavesLaterEventsQueued) {
   EXPECT_EQ(e.pending(), 1u);
   e.run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(EngineTest, ResetRestoresAFreshEngine) {
+  Engine e;
+  int fired = 0;
+  for (int i = 0; i < 100; ++i) {
+    e.schedule_at(SimTime::millis(i), [&fired] { ++fired; });
+  }
+  e.run_until(SimTime::millis(49));
+  ASSERT_EQ(e.pending(), 50u);
+  e.reset();
+  EXPECT_TRUE(e.idle());
+  EXPECT_EQ(e.now(), SimTime::zero());
+  EXPECT_EQ(e.events_executed(), 0u);
+  e.run();
+  EXPECT_EQ(fired, 50);  // the queued actions were dropped unrun
+
+  // Ties still break by insertion order, and the kept tables schedule
+  // without allocating.
+  std::vector<int> order;
+  order.reserve(8);
+  std::vector<int>* out = &order;
+  const std::uint64_t before = heap_allocations();
+  for (int i = 0; i < 8; ++i) {
+    e.schedule_at(SimTime::millis(1), [out, i] { out->push_back(i); });
+  }
+  e.run();
+  EXPECT_EQ(heap_allocations() - before, 0u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(e.events_executed(), 8u);
 }
 
 TEST(EngineTest, RejectsPastEvents) {
@@ -383,6 +417,156 @@ TEST_F(NetSimTest, GiveUpFreesTheSlotWithoutAllocating) {
   EXPECT_EQ(delivered, 101);
   EXPECT_EQ(sim.messages_dropped(), 101u);
   EXPECT_GT(sim.retransmissions(), 0u);
+}
+
+// ------------------------------------------------------ reset and at_rest
+//
+// A traffic sample: an intra-cluster message whose delivery sends a reply
+// across the router, a 4-fragment message across the router, and a
+// self-send.  Every callback captures 16 bytes, so a warm sample allocates
+// nothing.
+
+void run_sample(NetSim& sim, std::array<SimTime, 4>& delivered) {
+  NetSim* s = &sim;
+  SimTime* at = delivered.data();
+  sim.send(ProcessorRef{0, 0}, ProcessorRef{0, 1}, 240, [s, at] {
+    at[0] = s->engine().now();
+    s->send(ProcessorRef{0, 1}, ProcessorRef{1, 2}, 1500,
+            [s, at] { at[3] = s->engine().now(); });
+  });
+  sim.send(ProcessorRef{0, 2}, ProcessorRef{1, 0}, 4800,
+           [s, at] { at[1] = s->engine().now(); });
+  sim.send(ProcessorRef{1, 3}, ProcessorRef{1, 3}, 64,
+           [s, at] { at[2] = s->engine().now(); });
+  sim.engine().run();
+}
+
+/// Everything a sample leaves observable.
+struct Observed {
+  std::array<SimTime, 4> delivered{};
+  std::vector<TraceEvent> trace;
+  std::uint64_t messages = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t events = 0;
+  SimTime end;
+};
+
+void observe(NetSim& sim, Observed& out) {
+  sim.set_tracer([&out](const TraceEvent& ev) { out.trace.push_back(ev); });
+  run_sample(sim, out.delivered);
+  out.messages = sim.messages_delivered();
+  out.retransmissions = sim.retransmissions();
+  out.dropped = sim.messages_dropped();
+  out.events = sim.engine().events_executed();
+  out.end = sim.engine().now();
+}
+
+void expect_same(const Observed& want, const Observed& got) {
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.retransmissions, want.retransmissions);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.end, want.end);
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t i = 0; i < want.trace.size(); ++i) {
+    const TraceEvent& a = want.trace[i];
+    const TraceEvent& b = got.trace[i];
+    EXPECT_TRUE(a.kind == b.kind && a.at == b.at && a.src == b.src &&
+                a.dst == b.dst && a.bytes == b.bytes)
+        << "trace event " << i << ": " << TraceEvent::kind_name(b.kind)
+        << " at " << b.at << ", want " << TraceEvent::kind_name(a.kind)
+        << " at " << a.at;
+  }
+}
+
+TEST_F(NetSimTest, ResetMatchesAFreshSimulator) {
+  NetSimParams lossy;
+  lossy.loss_rate = 0.3;
+  lossy.rto = SimTime::millis(1);
+  for (const NetSimParams& params : {NetSimParams{}, lossy}) {
+    SCOPED_TRACE("loss_rate=" + std::to_string(params.loss_rate));
+    Engine fresh_engine;
+    NetSim fresh(fresh_engine, net_, params, Rng(5));
+    Observed want;
+    observe(fresh, want);
+    if (params.loss_rate > 0.0) {
+      ASSERT_GT(want.retransmissions, 0u) << "the sample lost nothing";
+    }
+
+    // A used simulator on another stream: faults, a tracer, and a message
+    // still in flight.
+    Engine engine;
+    NetSim sim(engine, net_, params, Rng(77));
+    std::array<SimTime, 4> ignored{};
+    run_sample(sim, ignored);
+    sim.host(ProcessorRef{0, 4}).crash();
+    sim.host(ProcessorRef{1, 1}).set_slowdown(2.0);
+    sim.channel(0).set_degradation(3.0);
+    sim.channel(1).set_down(true);
+    sim.set_tracer([](const TraceEvent&) {});
+    sim.send(ProcessorRef{0, 0}, ProcessorRef{1, 0}, 9000, [] {});
+    engine.run_until(engine.now() + SimTime::micros(100));
+    ASSERT_FALSE(engine.idle());
+
+    sim.reset(Rng(5));
+    EXPECT_TRUE(engine.idle());
+    EXPECT_EQ(engine.now(), SimTime::zero());
+    EXPECT_EQ(engine.events_executed(), 0u);
+    EXPECT_EQ(sim.at_rest(), params.loss_rate == 0.0);
+    Observed got;
+    observe(sim, got);
+    expect_same(want, got);
+
+    // Once the tables have grown, a reset sample allocates nothing.
+    std::array<SimTime, 4> warm{};
+    const std::uint64_t before = heap_allocations();
+    sim.reset(Rng(5));
+    run_sample(sim, warm);
+    EXPECT_EQ(heap_allocations() - before, 0u);
+    EXPECT_EQ(warm, want.delivered);
+    EXPECT_EQ(sim.retransmissions(), want.retransmissions);
+  }
+}
+
+TEST_F(NetSimTest, AtRestNeedsEveryConditionOfTheShortcut) {
+  // After a sample every host and channel it reserved is free by now():
+  // at rest, unless one condition fails.
+  const auto at_rest_after = [&](const std::function<void(NetSim&)>& disturb,
+                                 NetSimParams params = {}) {
+    Engine engine;
+    NetSim sim(engine, net_, params, Rng(1));
+    std::array<SimTime, 4> delivered{};
+    run_sample(sim, delivered);
+    disturb(sim);
+    return sim.at_rest();
+  };
+  const SimTime us = SimTime::micros(1);
+  EXPECT_TRUE(at_rest_after([](NetSim&) {}));
+  EXPECT_TRUE(at_rest_after([](NetSim& s) {
+    // Free exactly at now() counts as free.
+    s.host(ProcessorRef{1, 5}).reserve(s.engine().now(), SimTime::zero());
+  }));
+  NetSimParams lossy;
+  lossy.loss_rate = 0.01;
+  EXPECT_FALSE(at_rest_after([](NetSim&) {}, lossy));
+  EXPECT_FALSE(at_rest_after(
+      [](NetSim& s) { s.set_tracer([](const TraceEvent&) {}); }));
+  EXPECT_FALSE(at_rest_after(
+      [&](NetSim& s) { s.engine().schedule_after(us, [] {}); }));
+  EXPECT_FALSE(at_rest_after([&](NetSim& s) {
+    s.host(ProcessorRef{1, 5}).reserve(s.engine().now(), us);
+  }));
+  EXPECT_FALSE(at_rest_after(
+      [&](NetSim& s) { s.channel(1).reserve(s.engine().now(), us); }));
+  EXPECT_FALSE(
+      at_rest_after([](NetSim& s) { s.host(ProcessorRef{0, 2}).crash(); }));
+  EXPECT_FALSE(at_rest_after(
+      [](NetSim& s) { s.host(ProcessorRef{0, 2}).set_slowdown(1.5); }));
+  EXPECT_FALSE(at_rest_after([](NetSim& s) { s.channel(0).set_down(true); }));
+  EXPECT_FALSE(
+      at_rest_after([](NetSim& s) { s.channel(0).set_degradation(2.0); }));
 }
 
 }  // namespace

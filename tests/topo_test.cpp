@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "net/builder.hpp"
@@ -235,6 +236,116 @@ TEST_F(PlacementTest, BroadcastRootBearsTheLoad) {
   for (const SimTime t : r.per_rank) {
     EXPECT_LE(t, r.per_rank[0]);
   }
+}
+
+// ------------------------------------------------- the at-rest shortcut
+//
+// The engine's event count shows how many cycles a run simulated: every
+// cycle of a lossless run executes the same events, so a run that
+// simulated k cycles executes k times what a one-cycle run does.
+
+struct CycleRun {
+  CycleResult result;
+  std::uint64_t events = 0;
+};
+
+/// `cycles` cycles on a fresh simulator that `prepare` may disturb first.
+CycleRun run_cycles(const Network& net, const Placement& placement,
+                    Topology topo, std::int64_t bytes, int cycles,
+                    const sim::NetSimParams& params = {},
+                    const std::function<void(sim::NetSim&)>& prepare = {}) {
+  sim::Engine engine;
+  sim::NetSim sim(engine, net, params, Rng(3));
+  if (prepare) prepare(sim);
+  CycleRun run;
+  run.result = run_comm_cycles(sim, placement, topo, bytes, cycles);
+  run.events = engine.events_executed();
+  return run;
+}
+
+void expect_same_result(const CycleResult& want, const CycleResult& got) {
+  EXPECT_EQ(got.per_rank, want.per_rank);
+  EXPECT_EQ(got.elapsed_max, want.elapsed_max);
+  EXPECT_EQ(got.elapsed_mean, want.elapsed_mean);
+}
+
+/// A tracer observes every event, so it makes every cycle simulate.
+void trace_everything(sim::NetSim& sim) {
+  sim.set_tracer([](const sim::TraceEvent&) {});
+}
+
+TEST_F(PlacementTest, CommCycleAtRestMatchesTheTracedRunBitForBit) {
+  Placement intra;
+  for (int i = 0; i < 6; ++i) intra.push_back(ProcessorRef{0, i});
+  const Placement spanning = contiguous_placement(net_, {4, 3});
+  constexpr int kCycles = 5;
+  for (const Placement& placement : {intra, spanning}) {
+    for (Topology topo : all_topologies()) {
+      for (const std::int64_t bytes : {64, 2400, 9000}) {
+        SCOPED_TRACE(to_string(topo) + " p=" +
+                     std::to_string(placement.size()) +
+                     " bytes=" + std::to_string(bytes));
+        const CycleRun one = run_cycles(net_, placement, topo, bytes, 1);
+        const CycleRun shortcut =
+            run_cycles(net_, placement, topo, bytes, kCycles);
+        const CycleRun traced = run_cycles(net_, placement, topo, bytes,
+                                           kCycles, {}, trace_everything);
+        expect_same_result(traced.result, shortcut.result);
+        expect_same_result(one.result, shortcut.result);
+        EXPECT_EQ(shortcut.events, one.events);
+        EXPECT_EQ(traced.events, kCycles * one.events);
+      }
+    }
+  }
+}
+
+TEST_F(PlacementTest, CommCycleSimulatesEveryCycleUnderLossTracerOrBusyHost) {
+  Placement intra;
+  for (int i = 0; i < 6; ++i) intra.push_back(ProcessorRef{0, i});
+  constexpr int kCycles = 4;
+  constexpr std::int64_t kBytes = 2400;
+  const auto run = [&](const sim::NetSimParams& params,
+                       const std::function<void(sim::NetSim&)>& prepare) {
+    return run_cycles(net_, intra, Topology::OneD, kBytes, kCycles, params,
+                      prepare);
+  };
+  const CycleRun one = run_cycles(net_, intra, Topology::OneD, kBytes, 1);
+
+  EXPECT_EQ(run({}, trace_everything).events, kCycles * one.events);
+
+  // Lossy: every cycle draws from the stream.  The run executes exactly
+  // the events of its traced twin, and retransmissions add events.
+  sim::NetSimParams lossy;
+  lossy.loss_rate = 0.2;
+  lossy.rto = SimTime::millis(1);
+  const CycleRun lossy_run = run(lossy, {});
+  const CycleRun lossy_traced = run(lossy, trace_everything);
+  EXPECT_EQ(lossy_run.events, lossy_traced.events);
+  expect_same_result(lossy_traced.result, lossy_run.result);
+  EXPECT_GT(lossy_run.events, kCycles * one.events);
+
+  // A host outside the placement, busy past every cycle's end: the
+  // simulator is never at rest, though every cycle repeats the first.
+  const CycleRun bystander = run({}, [](sim::NetSim& s) {
+    s.host(ProcessorRef{1, 0}).reserve(SimTime::zero(), SimTime::seconds(60));
+  });
+  EXPECT_EQ(bystander.events, kCycles * one.events);
+  expect_same_result(one.result, bystander.result);
+
+  // A rank's host busy at the start: the first cycle waits for it; the
+  // second starts and ends at rest, so the last two add up unsimulated.
+  const auto busy_rank = [](sim::NetSim& s) {
+    s.host(ProcessorRef{0, 3}).reserve(SimTime::zero(), SimTime::millis(100));
+  };
+  const CycleRun late = run({}, busy_rank);
+  const CycleRun late_traced = run({}, [&](sim::NetSim& s) {
+    busy_rank(s);
+    trace_everything(s);
+  });
+  expect_same_result(late_traced.result, late.result);
+  EXPECT_EQ(late.events, 2 * one.events);
+  EXPECT_EQ(late_traced.events, kCycles * one.events);
+  EXPECT_GT(late.result.elapsed_max, one.result.elapsed_max);
 }
 
 }  // namespace

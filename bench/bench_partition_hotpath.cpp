@@ -9,17 +9,18 @@
 //   * batched -- ns per evaluation through estimate_batch (the SoA lane
 //     engine the exhaustive sweep and start scoring run on), plus bitwise
 //     agreement of every lane against estimate_into.
-//   * delta -- ns per +-1-move probe through estimate_delta (the engine
-//     the hill climb runs on), plus bitwise agreement of every probe
-//     against a from-scratch estimate_into of the moved configuration.
-//   * alloc -- heap allocations per steady-state fast/batched/delta
+//   * moves -- ns per move through estimate_moves, one round of every
+//     legal +-1 move off a baseline per rep (the hill climb's unit of
+//     work), plus bitwise agreement of every move against a from-scratch
+//     estimate_into of the moved configuration.
+//   * alloc -- heap allocations per steady-state fast/batched/move
 //     evaluation, counted by a global operator-new hook in this binary.
 //     The contract is exactly zero once the scratch has warmed up.
 //   * search -- full partition() searches per second with one long-lived
 //     scratch, single- and multi-threaded (each thread owns its scratch;
 //     the estimator is shared read-only).
 //   * general -- full general_partition() searches per second (multi-start
-//     + delta-driven hill climb) with one long-lived scratch.
+//     + move-round hill climb) with one long-lived scratch.
 //   * exhaustive -- the work-stealing product-space sweep, serial vs 4
 //     threads, on a wider availability space; the configurations must
 //     match exactly (the merge is deterministic at every thread count).
@@ -255,7 +256,7 @@ int run(const Config& args) {
 
   // --- batched: the SoA lane engine ------------------------------------
   // Bitwise agreement first: every lane of every batch width (full lanes
-  // and the scalar remainder) must reproduce estimate_into exactly.
+  // and a partial tail group) must reproduce estimate_into exactly.
   std::vector<FastEstimate> batch_out(configs.size());
   bool batched_bitwise = true;
   constexpr auto kL = static_cast<std::size_t>(BatchScratch::kLanes);
@@ -294,56 +295,58 @@ int run(const Config& args) {
                .set("speedup_vs_fast", fast_ns / batched_ns)
                .set("bitwise_match", batched_bitwise));
 
-  // --- delta: the incremental +/-1 path the hill climb runs on ----------
-  // Bind a baseline once, then score alternating +1/-1 moves against it --
-  // the exact access pattern of a climb probing a neighbourhood.  Bitwise
-  // agreement with estimate_into on the moved configuration is asserted
-  // here for every probe of the first pass (the property tier covers
-  // randomised sequences).
-  DeltaScratch delta_scratch;
-  bool delta_bitwise = true;
-  std::vector<std::pair<ClusterId, int>> probes;  // valid +/-1 moves
-  {
-    const ProcessorConfig& baseline = configs[0];
-    const int total = config_total(baseline);
-    estimator.bind_delta(baseline, delta_scratch, scratch);
-    ProcessorConfig moved = baseline;
-    for (std::size_t c = 0; c < baseline.size(); ++c) {
-      for (const int delta : {+1, -1}) {
-        const int p = baseline[c] + delta;
-        if (p < 0 || p > bed.snap.available[c]) continue;
-        if (total + delta == 0) continue;
-        probes.emplace_back(static_cast<ClusterId>(c), delta);
-        const FastEstimate d = estimator.estimate_delta(
-            static_cast<ClusterId>(c), delta, delta_scratch, scratch);
-        moved = baseline;
-        moved[c] = p;
-        const FastEstimate f = estimator.estimate_into(moved, scratch);
-        delta_bitwise = delta_bitwise && d.t_comp_ms == f.t_comp_ms &&
-                        d.t_comm_ms == f.t_comm_ms &&
-                        d.t_overlap_ms == f.t_overlap_ms &&
-                        d.t_c_ms == f.t_c_ms;
-      }
+  // --- moves: the hill climb's rounds ------------------------------------
+  // Every legal +/-1 move off one baseline, scored as one estimate_moves
+  // round per rep -- the exact access pattern of a climb probing a
+  // neighbourhood.  Bitwise agreement with estimate_into on the moved
+  // configuration is checked for every move of the round (the property
+  // tier covers random walks).
+  const ProcessorConfig& baseline = configs[0];
+  std::vector<ConfigMove> moves;
+  for (std::size_t c = 0; c < baseline.size(); ++c) {
+    for (const int delta : {+1, -1}) {
+      const int p = baseline[c] + delta;
+      if (p < 0 || p > bed.snap.available[c]) continue;
+      if (config_total(baseline) + delta == 0) continue;
+      moves.push_back({static_cast<ClusterId>(c), delta});
     }
   }
-  std::int64_t delta_evals = 0;
-  const double delta_ns = min_window_ns_per_op(
+  std::vector<FastEstimate> move_out(moves.size());
+  bool moves_bitwise = true;
+  estimator.estimate_moves(baseline, moves.data(), moves.size(),
+                           move_out.data(), scratch);
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    ProcessorConfig moved = baseline;
+    moved[static_cast<std::size_t>(moves[i].cluster)] += moves[i].delta;
+    const FastEstimate f = estimator.estimate_into(moved, scratch);
+    moves_bitwise = moves_bitwise && move_out[i].t_comp_ms == f.t_comp_ms &&
+                    move_out[i].t_comm_ms == f.t_comm_ms &&
+                    move_out[i].t_overlap_ms == f.t_overlap_ms &&
+                    move_out[i].t_c_ms == f.t_c_ms;
+  }
+  const auto round_size = static_cast<std::int64_t>(moves.size());
+  const auto score_rounds = [&](std::int64_t rounds) {
+    for (std::int64_t r = 0; r < rounds; ++r) {
+      estimator.estimate_moves(baseline, moves.data(), moves.size(),
+                               move_out.data(), scratch);
+      sink += move_out[0].t_c_ms;
+    }
+  };
+  // Window reps round up to whole rounds.
+  std::int64_t move_evals = 0;
+  const double moves_ns = min_window_ns_per_op(
       eval_reps, kWindows, [&](std::int64_t reps) {
-        for (std::int64_t i = 0; i < reps; ++i) {
-          const auto& [c, delta] =
-              probes[static_cast<std::size_t>(i) % probes.size()];
-          sink +=
-              estimator.estimate_delta(c, delta, delta_scratch, scratch)
-                  .t_c_ms;
-        }
-        delta_evals += reps;
+        const std::int64_t rounds = (reps + round_size - 1) / round_size;
+        score_rounds(rounds);
+        move_evals += rounds * round_size;
       });
-  root.set("delta",
+  root.set("moves",
            JsonValue::object()
-               .set("evals", delta_evals)
-               .set("delta_ns_per_eval", delta_ns)
-               .set("speedup_vs_fast", fast_ns / delta_ns)
-               .set("bitwise_match", delta_bitwise));
+               .set("evals", move_evals)
+               .set("round_size", round_size)
+               .set("ns_per_move", moves_ns)
+               .set("speedup_vs_fast", fast_ns / moves_ns)
+               .set("bitwise_match", moves_bitwise));
 
   // --- alloc: the zero-allocation contract ------------------------------
   // The scratch is warm (the loops above).  Every allocation between the
@@ -372,17 +375,12 @@ int run(const Config& args) {
   const std::uint64_t batched_allocs =
       g_allocations.load(std::memory_order_relaxed) - batch_allocs_before;
 
-  // Same contract for the delta path (its staging warmed up at bind).
-  const std::uint64_t delta_allocs_before =
+  // Same contract for move rounds (warmed up by the section above).
+  const std::uint64_t moves_allocs_before =
       g_allocations.load(std::memory_order_relaxed);
-  for (std::int64_t i = 0; i < alloc_evals; ++i) {
-    const auto& [c, delta] =
-        probes[static_cast<std::size_t>(i) % probes.size()];
-    sink += estimator.estimate_delta(c, delta, delta_scratch, scratch)
-                .t_c_ms;
-  }
-  const std::uint64_t delta_allocs =
-      g_allocations.load(std::memory_order_relaxed) - delta_allocs_before;
+  score_rounds(alloc_evals / round_size + 1);
+  const std::uint64_t moves_allocs =
+      g_allocations.load(std::memory_order_relaxed) - moves_allocs_before;
 
   // For contrast: allocations of one reference evaluation (vector
   // materialisation and friends).
@@ -397,7 +395,7 @@ int run(const Config& args) {
                .set("fast_evals", alloc_evals)
                .set("fast_allocations", fast_allocs)
                .set("batched_allocations", batched_allocs)
-               .set("delta_allocations", delta_allocs)
+               .set("moves_allocations", moves_allocs)
                .set("allocations_per_eval",
                     static_cast<double>(fast_allocs) /
                         static_cast<double>(alloc_evals))
@@ -621,7 +619,7 @@ int run(const Config& args) {
   // measure the hypervisor, not the code.  `pass` is the AND over gates
   // that ran; `gates_skipped` lists the rest with reasons.
   const bool zero_alloc =
-      fast_allocs == 0 && batched_allocs == 0 && delta_allocs == 0;
+      fast_allocs == 0 && batched_allocs == 0 && moves_allocs == 0;
   const bool preflight_zero = validate_allocs == 0 && preflight_evals == 0;
   const bool service_hit_zero_alloc = service_hit_allocs == 0;
   // Allocations over the 10,000 cold misses may not rise above what the
@@ -645,7 +643,7 @@ int run(const Config& args) {
   bench::GateSet gates;
   gates.require("bitwise_match", bitwise);
   gates.require("batched_bitwise_match", batched_bitwise);
-  gates.require("delta_bitwise_match", delta_bitwise);
+  gates.require("moves_bitwise_match", moves_bitwise);
   gates.require("zero_alloc_per_eval", zero_alloc);
   gates.require("preflight_zero_cost", preflight_zero);
   gates.require("service_hit_zero_alloc", service_hit_zero_alloc);
@@ -679,7 +677,7 @@ int run(const Config& args) {
            JsonValue::object()
                .set("bitwise_match", bitwise)
                .set("batched_bitwise_match", batched_bitwise)
-               .set("delta_bitwise_match", delta_bitwise)
+               .set("moves_bitwise_match", moves_bitwise)
                .set("zero_alloc_per_eval", zero_alloc)
                .set("preflight_zero_cost", preflight_zero)
                .set("service_hit_zero_alloc", service_hit_zero_alloc)
@@ -697,7 +695,7 @@ int run(const Config& args) {
   table.add_row({"reference ns/eval", format_double(ref_ns, 1)});
   table.add_row({"fast ns/eval", format_double(fast_ns, 1)});
   table.add_row({"batched ns/eval", format_double(batched_ns, 1)});
-  table.add_row({"delta ns/eval", format_double(delta_ns, 1)});
+  table.add_row({"moves ns/move", format_double(moves_ns, 1)});
   table.add_row({"eval speedup", format_double(eval_speedup, 2) + "x"});
   table.add_row({"allocations/eval (fast, steady state)",
                   format_double(static_cast<double>(fast_allocs) /
@@ -709,7 +707,7 @@ int run(const Config& args) {
   table.add_row({"bitwise fast == reference", bitwise ? "yes" : "NO"});
   table.add_row(
       {"bitwise batched == fast", batched_bitwise ? "yes" : "NO"});
-  table.add_row({"bitwise delta == fast", delta_bitwise ? "yes" : "NO"});
+  table.add_row({"bitwise moves == fast", moves_bitwise ? "yes" : "NO"});
   table.add_row({"preflight gate zero-cost", preflight_zero ? "yes" : "NO"});
   table.add_row({"service hit allocations (10k warm hits)",
                  std::to_string(service_hit_allocs)});
@@ -726,11 +724,11 @@ int run(const Config& args) {
     // gates were skipped), so any failure is a contract violation.
     std::fprintf(stderr,
                  "bench_partition_hotpath --smoke FAILED: bitwise=%d "
-                 "batched_bitwise=%d delta_bitwise=%d zero_alloc=%d "
+                 "batched_bitwise=%d moves_bitwise=%d zero_alloc=%d "
                  "preflight_zero=%d service_hit_allocations=%llu "
                  "service_miss_allocations=%llu (max %llu) "
                  "exhaustive_match=%d\n",
-                 bitwise, batched_bitwise, delta_bitwise, zero_alloc,
+                 bitwise, batched_bitwise, moves_bitwise, zero_alloc,
                  preflight_zero,
                  static_cast<unsigned long long>(service_hit_allocs),
                  static_cast<unsigned long long>(service_miss_allocs),

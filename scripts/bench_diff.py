@@ -53,7 +53,7 @@ METRICS = [
     (("eval", "reference_ns_per_eval"), "reference ns/eval", "down"),
     (("eval", "fast_ns_per_eval"), "fast ns/eval", "down"),
     (("batched", "batched_ns_per_eval"), "batched ns/eval", "down"),
-    (("delta", "delta_ns_per_eval"), "delta ns/eval", "down"),
+    (("moves", "ns_per_move"), "moves ns/move", "down"),
     (("general", "searches_per_sec"), "general searches/sec", "up"),
     (("search", "single_thread_per_sec"), "search evals/sec", "up"),
     (("exhaustive", "speedup"), "exhaustive speedup", "up"),

@@ -44,8 +44,10 @@
 #                               # and the concurrent-search and
 #                               # work-stealing determinism cases), the
 #                               # general partitioner's suite (its hill
-#                               # climb runs on the delta engine, and its
-#                               # winners are pinned to a golden), and
+#                               # climb scores each round as one
+#                               # estimate_moves call, whose move-round
+#                               # tier runs here too, and its winners are
+#                               # pinned to a golden), and
 #                               # the degenerate-input fuzz sweeps
 #   scripts/tier1.sh --lint     # Strict build (-Wshadow -Werror, preset
 #                               # `strict`) plus clang-tidy over src/ when
@@ -139,8 +141,10 @@ if [[ "$batch_stage" == 1 ]]; then
   # Focused lockdown of the batched estimator engine and the
   # work-stealing sweep: the differential tier (bitwise batch == scalar,
   # scalar == reference, a scratch shared across estimators), steal-order
-  # determinism under chaos yields, the general partitioner's winner
-  # golden (its climb is a delta-engine fast path), degenerate-input
+  # determinism under chaos yields, the move-round tier
+  # (*DeltaBitwise*, DeltaEval.*: estimate_moves lanes bitwise ==
+  # estimate_into), the general partitioner's winner golden (its climb
+  # scores each round through estimate_moves), degenerate-input
   # fuzzing, and the speedup-gate unit tests.  A subset of the release
   # tier, for fast iteration on the engine itself.
   echo "== batched engine lockdown =="

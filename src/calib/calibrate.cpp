@@ -17,6 +17,15 @@ namespace netpart {
 
 namespace {
 
+/// The grid check every public calibration entry point runs first: one
+/// distinct message size leaves every fit in b singular.
+void require_distinct_sizes(const CalibrationParams& params) {
+  const std::vector<std::int64_t>& sizes = params.message_sizes;
+  NP_REQUIRE(std::adjacent_find(sizes.begin(), sizes.end(),
+                                std::not_equal_to<>()) != sizes.end(),
+             "calibration needs >= 2 distinct message sizes");
+}
+
 /// Delivery time (ms) of a single src -> dst message on `net`, reset to
 /// a fresh simulator's state on `stream` first.
 double measure_delivery_ms(sim::NetSim& net, Rng stream, ProcessorRef src,
@@ -119,6 +128,7 @@ void run_task(const Network& network, const CalibrationParams& params,
 LineFit benchmark_coercion(const Network& network, ClusterId a, ClusterId b,
                            const CalibrationParams& params) {
   NP_REQUIRE(a != b, "coercion benchmark needs two distinct clusters");
+  require_distinct_sizes(params);
   std::vector<double> xs;
   std::vector<double> ys;
   if (!network.needs_coercion(a, b)) {
@@ -143,6 +153,7 @@ LineFit benchmark_coercion(const Network& network, ClusterId a, ClusterId b,
 LineFit benchmark_router(const Network& network, ClusterId a, ClusterId b,
                          const CalibrationParams& params) {
   NP_REQUIRE(a != b, "router benchmark needs two distinct clusters");
+  require_distinct_sizes(params);
   const LineFit coerce = benchmark_coercion(network, a, b, params);
 
   // cross = init + occ_a + router + occ_b + recv (+ coerce); subtracting
@@ -190,12 +201,7 @@ CalibrationResult calibrate_with_workers(const Network& network,
                                          int workers) {
   CalibrationParams params = params_in;
   if (params.topologies.empty()) params.topologies = all_topologies();
-  // One distinct size leaves every fit in b singular.
-  const std::vector<std::int64_t>& sizes = params.message_sizes;
-  const bool distinct_sizes =
-      std::adjacent_find(sizes.begin(), sizes.end(),
-                         std::not_equal_to<>()) != sizes.end();
-  NP_REQUIRE(distinct_sizes, "calibration needs >= 2 distinct message sizes");
+  require_distinct_sizes(params);
   NP_REQUIRE(params.cycles_per_sample >= 1,
              "calibration needs >= 1 cycle per sample");
   NP_REQUIRE(workers >= 1, "calibration needs >= 1 worker");

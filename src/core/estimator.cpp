@@ -1,6 +1,7 @@
 #include "core/estimator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "dp/rank_kernel.hpp"
@@ -99,10 +100,6 @@ CycleEstimator::CycleEstimator(const Network& network, const CostModelDb& db,
                      .as_millis() *
                  ops_per_pdu_;
     cc.capacity = network.cluster(c).size();
-  }
-  for (std::size_t i = 0; i < cluster_order_.size(); ++i) {
-    clusters_[static_cast<std::size_t>(cluster_order_[i])].order_pos =
-        static_cast<int>(i);
   }
   if (!spec.communication_phases().empty()) {
     dominant_comm_ = &spec.dominant_communication();
@@ -304,12 +301,14 @@ FastEstimate CycleEstimator::eq6_estimate(double t_comp,
 
 // The lane kernels.  Stage A gathers one configuration's active groups to
 // offset `base` of the lane buffers (group_w/p/c, placement order) with
-// their Eq. 3 weight sum; Stage B (B1-B3) scores them.  estimate_lanes
-// runs each kernel across all lanes before starting the next
-// (stage-major); estimate_into runs all four on lane 0, and estimate_delta
-// Stage B on its spliced lane 0.  Force-inlined, so each lane loop
-// compiles as if the body were written out in place.
+// their Eq. 3 weight sum -- from the configuration (gather_lane) or from a
+// move round's baseline (splice_move); Stage B (B1-B3) scores them.
+// run_lanes runs each kernel across all lanes of a group before starting
+// the next (stage-major); estimate_into runs all four on lane 0.
+// Force-inlined, so each lane loop compiles as if the body were written
+// out in place.
 
+template <bool kSpliceIndex>
 [[gnu::always_inline]] inline CycleEstimator::LaneGroups
 CycleEstimator::gather_lane(const ProcessorConfig& config, BatchScratch& batch,
                             std::size_t base) const {
@@ -321,6 +320,8 @@ CycleEstimator::gather_lane(const ProcessorConfig& config, BatchScratch& batch,
   double* gw = &batch.group_w[base];
   int* gp = &batch.group_p[base];
   ClusterId* gc = &batch.group_c[base];
+  double* prefix = &batch.share_frac[base];
+  std::int64_t* splice = &batch.ranks_before[base];
   int groups = 0;
   int total = 0;
   double sum = 0.0;
@@ -329,6 +330,11 @@ CycleEstimator::gather_lane(const ProcessorConfig& config, BatchScratch& batch,
     const int p = cfg[c];
     NP_REQUIRE(p >= 0 && p <= cc[c].capacity,
                "configuration exceeds cluster capacity");
+    if constexpr (kSpliceIndex) {
+      // An idle cluster writes the prefix the next active group reads.
+      prefix[groups] = sum;
+      splice[c] = groups;
+    }
     // Branch-free compaction: always store, advance only on p > 0 (an
     // idle cluster's slot is overwritten by the next active one).  p == 0
     // is data-dependent -- a skip branch here mispredicts constantly.
@@ -343,6 +349,60 @@ CycleEstimator::gather_lane(const ProcessorConfig& config, BatchScratch& batch,
     for (int i = 0; i < p; ++i) sum += w;
   }
   require_ranks_fit(num_pdus_, total);
+  return {groups, total, sum};
+}
+
+[[gnu::always_inline]] inline CycleEstimator::LaneGroups
+CycleEstimator::splice_move(const ProcessorConfig& baseline,
+                            const LaneGroups& gathered, ConfigMove move,
+                            BatchScratch& batch, std::size_t spare,
+                            std::size_t base) const {
+  const auto ci = static_cast<std::size_t>(move.cluster);
+  NP_REQUIRE(ci < clusters_.size(), "cluster id out of range");
+  const int moved_p = baseline[ci] + move.delta;
+  NP_REQUIRE(moved_p >= 0 && moved_p <= clusters_[ci].capacity,
+             "configuration exceeds cluster capacity");
+  const int total = gathered.total + move.delta;
+  require_ranks_fit(num_pdus_, total);
+
+  // Groups strictly before the moved cluster in placement order are the
+  // baseline's, byte for byte; the Eq. 3 weight-sum chain resumes from the
+  // baseline's partial at the splice point, so the full sum is the exact
+  // double a from-scratch gather of the moved configuration produces.
+  const double* bw = &batch.group_w[spare];
+  const int* bp = &batch.group_p[spare];
+  const ClusterId* bc = &batch.group_c[spare];
+  double* lw = &batch.group_w[base];
+  int* lp = &batch.group_p[base];
+  ClusterId* lc = &batch.group_c[base];
+  const auto j = static_cast<int>(batch.ranks_before[spare + ci]);
+  for (int g = 0; g < j; ++g) {
+    lw[g] = bw[g];
+    lp[g] = bp[g];
+    lc[g] = bc[g];
+  }
+  int groups = j;
+  double sum = j < gathered.groups
+                   ? batch.share_frac[spare + static_cast<std::size_t>(j)]
+                   : gathered.weight_sum;
+  if (moved_p > 0) {
+    const double w = clusters_[ci].inv_s;
+    lw[groups] = w;
+    lp[groups] = moved_p;
+    lc[groups] = move.cluster;
+    ++groups;
+    for (int i = 0; i < moved_p; ++i) sum += w;
+  }
+  for (int g = j + static_cast<int>(baseline[ci] > 0); g < gathered.groups;
+       ++g) {
+    const double w = bw[g];
+    const int p = bp[g];
+    lw[groups] = w;
+    lp[groups] = p;
+    lc[groups] = bc[g];
+    ++groups;
+    for (int i = 0; i < p; ++i) sum += w;
+  }
   return {groups, total, sum};
 }
 
@@ -483,66 +543,72 @@ CycleEstimator::gather_lane(const ProcessorConfig& config, BatchScratch& batch,
   return worst + penalty;
 }
 
-void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
-                                    FastEstimate* out,
-                                    EstimatorScratch& scratch) const {
+template <typename Gather, typename Replay>
+void CycleEstimator::run_lanes(std::size_t count, FastEstimate* out,
+                               EstimatorScratch& scratch, const Gather& gather,
+                               const Replay& replay) const {
   BatchScratch& batch = scratch.batch;
   constexpr int kLanes = BatchScratch::kLanes;
   const auto k = static_cast<std::size_t>(network_.num_clusters());
+  for (std::size_t first = 0; first < count; first += kLanes) {
+    const int n = static_cast<int>(
+        std::min(count - first, static_cast<std::size_t>(kLanes)));
+    FastEstimate* lane_out = out + first;
 
-  // Stage A: one gather per lane.  Integer work plus the weight-sum chain;
-  // the float-heavy stages follow stage-major.
-  int lane_groups[kLanes];
-  int lane_total[kLanes];
-  double weight_sum[kLanes];
-  for (int lane = 0; lane < kLanes; ++lane) {
-    const LaneGroups g =
-        gather_lane(configs[lane], batch, static_cast<std::size_t>(lane) * k);
-    lane_groups[lane] = g.groups;
-    lane_total[lane] = g.total;
-    weight_sum[lane] = g.weight_sum;
-  }
+    // Stage A: one gather per lane.  Integer work plus the weight-sum
+    // chain; the float-heavy stages follow stage-major.
+    int lane_groups[kLanes];
+    int lane_total[kLanes];
+    double weight_sum[kLanes];
+    for (int lane = 0; lane < n; ++lane) {
+      const LaneGroups g = gather(first + static_cast<std::size_t>(lane),
+                                  static_cast<std::size_t>(lane) * k);
+      lane_groups[lane] = g.groups;
+      lane_total[lane] = g.total;
+      weight_sum[lane] = g.weight_sum;
+    }
 
-  // Stage B runs stage-major through the lane kernels: all lanes advance
-  // through each small stage together, so the per-lane dependency chains
-  // (share divisions, rank tiebreaks, the Eq. 4/5 max folds) sit side by
-  // side inside the out-of-order window.  Lane-major Stage B -- one lane's
-  // full ~hundred-instruction chain retiring before the next lane starts
-  // -- leaves the window holding a single serial chain and measures ~40%
-  // slower on the hotpath bench.
-  std::int64_t lane_remainder[kLanes];
-  double lane_tcomp[kLanes];
-  unsigned starved_mask = 0;
-  for (int lane = 0; lane < kLanes; ++lane) {
-    lane_remainder[lane] =
-        lane_shares(batch, static_cast<std::size_t>(lane) * k,
-                    lane_groups[lane], lane_total[lane], weight_sum[lane]);
-  }
-  for (int lane = 0; lane < kLanes; ++lane) {
-    const bool starved =
-        lane_extras(batch, static_cast<std::size_t>(lane) * k,
-                    lane_groups[lane], lane_remainder[lane], lane_tcomp[lane]);
-    starved_mask |= static_cast<unsigned>(starved) << lane;
-  }
-  // Starved lanes skip B3 -- their shares are invalid.
-  int scored = 0;
-  for (int lane = 0; lane < kLanes; ++lane) {
-    if (((starved_mask >> lane) & 1u) != 0) continue;
-    const double t_comm =
-        lane_comm(batch, static_cast<std::size_t>(lane) * k,
-                  lane_groups[lane], lane_total[lane]);
-    out[lane] = eq6_estimate(lane_tcomp[lane], t_comm);
-    ++scored;
-  }
-  scratch.evaluations += static_cast<std::uint64_t>(scored);
-  scratch.batch_evaluations += static_cast<std::uint64_t>(scored);
+    // Stage B runs stage-major through the lane kernels: all lanes advance
+    // through each small stage together, so the per-lane dependency chains
+    // (share divisions, rank tiebreaks, the Eq. 4/5 max folds) sit side by
+    // side inside the out-of-order window.  Lane-major Stage B -- one
+    // lane's full ~hundred-instruction chain retiring before the next lane
+    // starts -- leaves the window holding a single serial chain and
+    // measures ~40% slower on the hotpath bench.
+    std::int64_t lane_remainder[kLanes];
+    double lane_tcomp[kLanes];
+    unsigned starved_mask = 0;
+    for (int lane = 0; lane < n; ++lane) {
+      lane_remainder[lane] =
+          lane_shares(batch, static_cast<std::size_t>(lane) * k,
+                      lane_groups[lane], lane_total[lane], weight_sum[lane]);
+    }
+    for (int lane = 0; lane < n; ++lane) {
+      const bool starved = lane_extras(
+          batch, static_cast<std::size_t>(lane) * k, lane_groups[lane],
+          lane_remainder[lane], lane_tcomp[lane]);
+      starved_mask |= static_cast<unsigned>(starved) << lane;
+    }
+    // Starved lanes skip B3 -- their shares are invalid.
+    int scored = 0;
+    for (int lane = 0; lane < n; ++lane) {
+      if (((starved_mask >> lane) & 1u) != 0) continue;
+      const double t_comm =
+          lane_comm(batch, static_cast<std::size_t>(lane) * k,
+                    lane_groups[lane], lane_total[lane]);
+      lane_out[lane] = eq6_estimate(lane_tcomp[lane], t_comm);
+      ++scored;
+    }
+    scratch.evaluations += static_cast<std::uint64_t>(scored);
+    scratch.batch_evaluations += static_cast<std::uint64_t>(scored);
 
-  // Starved lanes (extreme speed skew, rare): the closed form cannot
-  // reproduce the donor-stealing repair, so replay through the scalar
-  // path, which counts itself.
-  for (int lane = 0; starved_mask != 0 && lane < kLanes; ++lane) {
-    if (((starved_mask >> lane) & 1u) != 0) {
-      out[lane] = estimate_into(configs[lane], scratch);
+    // Starved lanes (extreme speed skew, rare): the closed form cannot
+    // reproduce the donor-stealing repair, so replay through the scalar
+    // path, which counts itself.  It runs on lane 0, whose group is done.
+    for (; starved_mask != 0; starved_mask &= starved_mask - 1) {
+      const auto lane =
+          static_cast<std::size_t>(std::countr_zero(starved_mask));
+      lane_out[lane] = replay(first + lane);
     }
   }
 }
@@ -550,139 +616,38 @@ void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
 void CycleEstimator::estimate_batch(const ProcessorConfig* configs,
                                     std::size_t count, FastEstimate* out,
                                     EstimatorScratch& scratch) const {
-  constexpr auto lanes = static_cast<std::size_t>(BatchScratch::kLanes);
-  grow_scratch(scratch.batch, lanes);
-  std::size_t i = 0;
-  for (; i + lanes <= count; i += lanes) {
-    estimate_lanes(configs + i, out + i, scratch);
-  }
-  // Scalar remainder lane: fewer candidates than a lane group is left.
-  for (; i < count; ++i) {
-    out[i] = estimate_into(configs[i], scratch);
-  }
+  grow_scratch(scratch.batch, BatchScratch::kLanes);
+  run_lanes(
+      count, out, scratch,
+      [&](std::size_t i, std::size_t base) {
+        return gather_lane(configs[i], scratch.batch, base);
+      },
+      [&](std::size_t i) { return estimate_into(configs[i], scratch); });
 }
 
-void CycleEstimator::rebuild_delta_cache(DeltaScratch& d) const {
-  d.group_w.clear();
-  d.group_p.clear();
-  d.group_c.clear();
-  d.prefix_w.clear();
-  int total = 0;
-  double sum = 0.0;
-  for (ClusterId c : cluster_order_) {
-    const int p = d.config[static_cast<std::size_t>(c)];
-    if (p == 0) continue;
-    const double w = clusters_[static_cast<std::size_t>(c)].inv_s;
-    d.prefix_w.push_back(sum);
-    d.group_w.push_back(w);
-    d.group_p.push_back(p);
-    d.group_c.push_back(c);
-    // Eq. 3 weight sum: rank-major repeated adds, so every prefix is the
-    // exact double the from-scratch gather reaches at that group.
-    for (int i = 0; i < p; ++i) sum += w;
-    total += p;
-  }
-  d.prefix_w.push_back(sum);
-  d.total_p = total;
-}
-
-FastEstimate CycleEstimator::bind_delta(const ProcessorConfig& config,
-                                        DeltaScratch& d,
-                                        EstimatorScratch& scratch) const {
-  // estimate_into validates and counts the baseline evaluation.
-  const FastEstimate out = estimate_into(config, scratch);
-  d.config = config;
-  d.bound_id = binding_id_;
-  rebuild_delta_cache(d);
-  return out;
-}
-
-FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
-                                            DeltaScratch& d,
-                                            EstimatorScratch& scratch) const {
-  NP_REQUIRE(d.bound_id == binding_id_,
-             "delta scratch is not bound to this estimator "
-             "(call bind_delta first)");
+void CycleEstimator::estimate_moves(const ProcessorConfig& baseline,
+                                    const ConfigMove* moves, std::size_t count,
+                                    FastEstimate* out,
+                                    EstimatorScratch& scratch) const {
+  if (count == 0) return;
+  // The baseline lives in a spare lane after the kLanes scored ones, so
+  // one gather serves every lane group of the round.
   BatchScratch& batch = scratch.batch;
-  grow_scratch(batch, 1);
-  const auto k = static_cast<std::size_t>(network_.num_clusters());
-  const auto ci = static_cast<std::size_t>(cluster);
-  NP_REQUIRE(ci < k, "cluster id out of range");
-  const int moved_p = d.config[ci] + delta;
-  NP_REQUIRE(moved_p >= 0 && moved_p <= clusters_[ci].capacity,
-             "configuration exceeds cluster capacity");
-  const int total = d.total_p + delta;
-  require_ranks_fit(num_pdus_, total);
-
-  // Patched gather into the lane engine's lane 0: groups strictly before
-  // the moved cluster in placement order are the baseline's, byte for
-  // byte; the Eq. 3 weight-sum chain resumes from the cached partial at
-  // the splice point, so the full sum is the exact double a from-scratch
-  // gather of the moved configuration produces.
-  const int baseline_groups = static_cast<int>(d.group_c.size());
-  const int pos = clusters_[ci].order_pos;
-  int j = 0;
-  while (j < baseline_groups &&
-         clusters_[static_cast<std::size_t>(d.group_c[j])].order_pos < pos) {
-    ++j;
-  }
-  const bool was_active = j < baseline_groups && d.group_c[j] == cluster;
-  double* lw = batch.group_w.data();
-  int* lp = batch.group_p.data();
-  ClusterId* lc = batch.group_c.data();
-  for (int g = 0; g < j; ++g) {
-    lw[g] = d.group_w[static_cast<std::size_t>(g)];
-    lp[g] = d.group_p[static_cast<std::size_t>(g)];
-    lc[g] = d.group_c[static_cast<std::size_t>(g)];
-  }
-  int groups = j;
-  double sum = d.prefix_w[static_cast<std::size_t>(j)];
-  if (moved_p > 0) {
-    const double w = clusters_[ci].inv_s;
-    lw[groups] = w;
-    lp[groups] = moved_p;
-    lc[groups] = cluster;
-    ++groups;
-    for (int i = 0; i < moved_p; ++i) sum += w;
-  }
-  for (int g = j + (was_active ? 1 : 0); g < baseline_groups; ++g) {
-    const double w = d.group_w[static_cast<std::size_t>(g)];
-    const int p = d.group_p[static_cast<std::size_t>(g)];
-    lw[groups] = w;
-    lp[groups] = p;
-    lc[groups] = d.group_c[static_cast<std::size_t>(g)];
-    ++groups;
-    for (int i = 0; i < p; ++i) sum += w;
-  }
-
-  // Stage B on the spliced lane, through the lane engine's own kernels.
-  const std::int64_t remainder = lane_shares(batch, 0, groups, total, sum);
-  double t_comp = 0.0;
-  if (lane_extras(batch, 0, groups, remainder, t_comp)) {
-    // Starvation repair (extreme speed skew, rare): the closed form cannot
-    // reproduce the donor-stealing loop; replay the moved configuration
-    // through the scalar path, which counts itself.
-    d.moved = d.config;
-    d.moved[ci] = moved_p;
-    return estimate_into(d.moved, scratch);
-  }
-  ++scratch.evaluations;
-  ++scratch.delta_evaluations;
-  return eq6_estimate(t_comp, lane_comm(batch, 0, groups, total));
-}
-
-void CycleEstimator::commit_delta(ClusterId cluster, int delta,
-                                  DeltaScratch& d) const {
-  NP_REQUIRE(d.bound_id == binding_id_,
-             "delta scratch is not bound to this estimator "
-             "(call bind_delta first)");
-  const auto ci = static_cast<std::size_t>(cluster);
-  NP_REQUIRE(ci < d.config.size(), "cluster id out of range");
-  const int moved_p = d.config[ci] + delta;
-  NP_REQUIRE(moved_p >= 0 && moved_p <= clusters_[ci].capacity,
-             "configuration exceeds cluster capacity");
-  d.config[ci] = moved_p;
-  rebuild_delta_cache(d);
+  grow_scratch(batch, BatchScratch::kLanes + 1);
+  const std::size_t spare = static_cast<std::size_t>(BatchScratch::kLanes) *
+                            static_cast<std::size_t>(network_.num_clusters());
+  const LaneGroups gathered = gather_lane<true>(baseline, batch, spare);
+  run_lanes(
+      count, out, scratch,
+      [&](std::size_t i, std::size_t base) {
+        return splice_move(baseline, gathered, moves[i], batch, spare, base);
+      },
+      [&](std::size_t i) {
+        batch.moved = baseline;
+        batch.moved[static_cast<std::size_t>(moves[i].cluster)] +=
+            moves[i].delta;
+        return estimate_into(batch.moved, scratch);
+      });
 }
 
 double CycleEstimator::cluster_cost_ms(ClusterId c, double bytes,

@@ -11,7 +11,8 @@
 // using only the program callbacks and the offline-calibrated cost model --
 // no network activity happens at estimation time.
 //
-// Four evaluation paths over one closed form of Eqs. 3 and 4:
+// The reference path and three fast paths, all three on one lane engine
+// over one closed form of Eqs. 3 and 4:
 //
 //   * estimate() -- the reference path: materialises the full Eq. 3
 //     partition vector and scans it rank by rank, allocating on every
@@ -19,38 +20,34 @@
 //     searches' winners come from materialize() (the fast path's cost
 //     fields plus the vector expanded from lane 0's shares, or the vector
 //     starvation repair built for those fields).
-//   * estimate_into() -- the scalar fast path: the active clusters are
-//     gathered into lane 0 of the scratch's BatchScratch by the lane
-//     engine's Stage A gather and scored by its kernels (B1, the Eq. 3
-//     divisions; B2, the largest-remainder extras and the Eq. 4 maximum;
-//     B3, the Eq. 1/2/5 T_comm fold).  A balanced partition hands a
-//     homogeneous cluster only the floor or ceiling of its ideal share, so
-//     no per-rank vector exists and a steady-state evaluation allocates
+//   * estimate_into() -- one configuration on lane 0 of the scratch's
+//     BatchScratch: the lane engine's Stage A gather, then its kernels (B1,
+//     the Eq. 3 divisions; B2, the largest-remainder extras and the Eq. 4
+//     maximum; B3, the Eq. 1/2/5 T_comm fold).  A balanced partition hands
+//     a homogeneous cluster only the floor or ceiling of its ideal share,
+//     so no per-rank vector exists and a steady-state evaluation allocates
 //     nothing.  B3 reads the cost model's own flat tables, so a cold
 //     request's new estimator is scored without binding anything to the
 //     scratch.  Bitwise identical to estimate(), whose T_comm fold
 //     (comm_cost_ms) shares no code with B3 -- the property tier asserts
 //     this.
-//   * estimate_batch() -- the batched engine the searches hammer: up to
-//     BatchScratch::kLanes candidate configurations advance through each
-//     evaluation stage together over struct-of-arrays scratch, so the
-//     long dependent float chains (the Eq. 3 weight sum above all) run as
-//     independent per-lane chains the hardware can overlap.  A batch that
-//     is not a whole number of lanes finishes on a scalar remainder lane
-//     (estimate_into).  Every lane is bitwise identical to estimate_into()
-//     -- the differential property tier asserts this across batch sizes.
-//   * estimate_delta() -- the incremental path the hill climb and the
-//     adaptive repartition scorer run on: a configuration one +/-1 move
-//     away from a cached baseline (bind_delta) is scored by reusing the
-//     baseline's validation, active-group gather, and weight-sum prefix,
-//     then running the Eq. 3 shares and the Eq. 4/5 folds through the
-//     same Stage B kernels estimate_batch()'s lanes use.  Bitwise
-//     identical to estimate_into() on the moved configuration.
+//   * estimate_batch() -- many configurations: up to BatchScratch::kLanes
+//     of them advance through each stage together over struct-of-arrays
+//     scratch, so the long dependent float chains (the Eq. 3 weight sum
+//     above all) run as independent per-lane chains the hardware can
+//     overlap.  A batch that is not a whole number of lane groups ends on
+//     one partial group.
+//   * estimate_moves() -- a round of moves off one baseline, the hill
+//     climb's and the adaptive repair scorer's unit of work: the baseline
+//     is validated and gathered once, with the weight-sum prefix at every
+//     active-group boundary, and each move is spliced into its own lane
+//     from that gather, then the round is scored like a batch.
 //
+// Every fast path is bitwise identical to estimate_into() -- the property
+// tiers assert this across batch shapes and random move walks.
 // estimate_into() borrows lane 0, so it runs only between lane groups.
-// Every caller does: the starved-lane replay and the batch remainder run
-// after the lanes are scored, the delta path's starved fallback after its
-// own lane-0 kernels, and ClusterObjective between whole batches.
+// Every caller does: the starved-lane replays run after their group is
+// scored, and ClusterObjective between whole batches.
 #pragma once
 
 #include <atomic>
@@ -98,7 +95,8 @@ struct FastEstimate {
 /// filled them.  Buffers only grow -- a new estimator on a warm scratch
 /// allocates nothing unless it needs more room -- so steady-state
 /// evaluations perform zero heap allocations.  estimate_into() runs on
-/// lane 0.
+/// lane 0; estimate_moves() keeps its baseline in one spare lane after
+/// the kLanes scored ones.
 struct BatchScratch {
   /// Lane width: candidate configurations evaluated per SoA pass.  The
   /// per-lane dependent chains (Eq. 3 weight sum, share divisions) are
@@ -112,7 +110,7 @@ struct BatchScratch {
   static constexpr int kLanes = 16;
 
   // SoA lane state (lane-major, stride = cluster count).  Scalar per-lane
-  // values (group counts, totals, weight sums) live on estimate_lanes()'s
+  // values (group counts, totals, weight sums) live on run_lanes()'s
   // stack; only the variable-length per-group state needs heap room.
   std::vector<double> group_w;     ///< active-group Eq. 3 weights
   std::vector<int> group_p;        ///< active-group processor counts
@@ -146,47 +144,16 @@ struct BatchScratch {
   };
   std::vector<DirectSlot> bytes_direct;  ///< by A_i; > num_pdus slots
   std::vector<HashedSlot> bytes_hashed;  ///< 1 << kBytesMemoBits slots
+
+  /// A starved move's configuration, staged for its estimate_into replay.
+  ProcessorConfig moved;
 };
 
-/// Cached baseline for CycleEstimator::estimate_delta(): one evaluated
-/// configuration plus the gather-stage state a single +/-1 rescoring can
-/// reuse.  A move changes the Eq. 3 weight sum, hence every group's ideal
-/// share -- so the divisions and the rank kernel must rerun -- but the
-/// validation scan, the active-group gather, and the weight-sum prefix up
-/// to the moved cluster are pure functions of the baseline and are served
-/// from this cache.  Bound to one (estimator, baseline) pair via
-/// bind_delta(); rebind after the estimator or the baseline changes by any
-/// path other than commit_delta().
-struct DeltaScratch {
-  /// Estimator the cache belongs to (CycleEstimator::binding_id();
-  /// 0 = unbound).
-  std::uint64_t bound_id = 0;
-
-  ProcessorConfig config;  ///< the cached baseline configuration
-  int total_p = 0;         ///< config_total(config)
-
-  // Active groups of the baseline in placement (rank-major) order -- the
-  // gather pass estimate_into performs per evaluation, done once here.
-  std::vector<double> group_w;
-  std::vector<int> group_p;
-  std::vector<ClusterId> group_c;
-
-  /// Eq. 3 weight-sum partials: prefix_w[g] is the sum over the ranks of
-  /// groups 0..g-1 in the exact rank-major repeated-add order (float
-  /// addition is not associative; resuming the chain at the moved group
-  /// from this partial reproduces the from-scratch sum bitwise).
-  /// prefix_w[groups] is the full baseline sum.
-  std::vector<double> prefix_w;
-
-  // The moved configuration's groups are spliced into lane 0 of the
-  // owning EstimatorScratch's BatchScratch and scored there by the lane
-  // engine's Stage B kernels; steady-state delta evaluations allocate
-  // nothing.
-
-  /// Staging for the starvation fallback (the rare configuration the
-  /// closed form cannot serve replays through estimate_into on this
-  /// buffer, keeping the fallback allocation-free too).
-  ProcessorConfig moved;
+/// One move off a baseline configuration: cluster `cluster` gains `delta`
+/// processors (loses them when negative).
+struct ConfigMove {
+  ClusterId cluster = 0;
+  int delta = 0;
 };
 
 /// Reusable buffers for CycleEstimator::estimate_into() /
@@ -202,17 +169,11 @@ struct EstimatorScratch {
   /// evaluations() plus the batched `estimator.evaluations` counter.
   std::uint64_t evaluations = 0;
 
-  /// Of `evaluations`, how many ran through estimate_batch()'s lane engine
-  /// (the scalar remainder lane and starve fallbacks count as plain
-  /// fast-path evaluations).  Drivers fold the delta into the
+  /// Of `evaluations`, how many estimate_batch() and estimate_moves()
+  /// scored in lanes (starved lanes replay through estimate_into and count
+  /// as plain fast-path evaluations).  Drivers fold the delta into the
   /// `estimator.batch_evals` telemetry counter.
   std::uint64_t batch_evaluations = 0;
-
-  /// Of `evaluations`, how many ran through estimate_delta()'s patched
-  /// single-lane path (the starvation fallback replays through
-  /// estimate_into and counts as a plain fast-path evaluation).  Drivers
-  /// fold the delta into the `estimator.delta_evals` telemetry counter.
-  std::uint64_t delta_evaluations = 0;
 
   std::vector<double> objective_cache;  ///< ClusterObjective memo (NaN=empty)
 
@@ -221,14 +182,11 @@ struct EstimatorScratch {
   /// workers above all -- reuses warm lane buffers without new plumbing.
   BatchScratch batch;
 
-  /// Delta-evaluation baseline cache (see DeltaScratch).  Embedded so the
-  /// hill climb and the adaptive repartition scorer reuse warm buffers
-  /// through the scratch they already hold.
-  DeltaScratch delta;
-
   /// Candidate/result staging for batched search drivers (start-set
-  /// assembly, linear-scan prefills).  Reused across searches.
+  /// assembly, linear-scan prefills, move rounds).  Reused across
+  /// searches.
   std::vector<ProcessorConfig> batch_configs;
+  std::vector<ConfigMove> batch_moves;
   std::vector<FastEstimate> batch_results;
 };
 
@@ -269,8 +227,8 @@ class CycleEstimator {
                              EstimatorScratch& scratch) const;
 
   /// Evaluate `count` configurations through the lane-parallel engine:
-  /// whole groups of BatchScratch::kLanes advance through the SoA stages
-  /// together, the remainder finishes on a scalar lane (estimate_into).
+  /// groups of up to BatchScratch::kLanes advance through the SoA stages
+  /// together, the last one partial when `count` is not a multiple.
   /// out[i] is bitwise identical to estimate_into(configs[i], scratch) on
   /// every cost field, for every batch size including 0 and 1.
   /// Allocation-free once `scratch` has warmed up against this estimator.
@@ -278,36 +236,26 @@ class CycleEstimator {
   void estimate_batch(const ProcessorConfig* configs, std::size_t count,
                       FastEstimate* out, EstimatorScratch& scratch) const;
 
-  /// Cache `config` as `d`'s delta baseline and return its estimate
-  /// (bitwise estimate_into; counts one evaluation).  Subsequent
-  /// estimate_delta()/commit_delta() calls against `d` are valid until the
-  /// estimator or the baseline changes by any other path.
-  FastEstimate bind_delta(const ProcessorConfig& config, DeltaScratch& d,
-                          EstimatorScratch& scratch) const;
-
-  /// Score baseline-with-one-move -- the configuration equal to `d`'s
-  /// baseline except cluster `cluster` gains `delta` processors -- without
-  /// touching the baseline.  Bitwise identical to estimate_into() on the
-  /// moved configuration (the property tier asserts this across randomised
-  /// move sequences), at a fraction of the cost: validation, the
-  /// active-group gather, and the weight-sum prefix before the moved
-  /// cluster come from the cache; only the share divisions, the rank
-  /// kernel, and the Eq. 4/5 folds rerun.  Throws InvalidArgument exactly
-  /// where estimate_into would (capacity exceeded, nothing selected, more
-  /// ranks than PDUs).  Moves that empty or activate a cluster are
-  /// supported; a move the closed form cannot serve (starvation repair)
-  /// replays through estimate_into transparently.
-  FastEstimate estimate_delta(ClusterId cluster, int delta, DeltaScratch& d,
-                              EstimatorScratch& scratch) const;
-
-  /// Apply a move to `d`'s cached baseline: the baseline becomes the moved
-  /// configuration and the gather cache is refreshed.  No evaluation is
-  /// performed (the caller already holds the move's estimate from
-  /// estimate_delta).
-  void commit_delta(ClusterId cluster, int delta, DeltaScratch& d) const;
+  /// Score a round of moves off `baseline`: out[i] is bitwise identical
+  /// to estimate_into() on `baseline` with moves[i] applied, on every cost
+  /// field, and each move counts one evaluation.  The baseline is
+  /// validated and gathered once; each move's lane copies the baseline's
+  /// groups before the moved cluster and resumes the Eq. 3 weight-sum
+  /// chain from the baseline's prefix there, then the lanes are scored
+  /// like estimate_batch()'s.  `baseline` must be a configuration
+  /// estimate_into() accepts; a move throws InvalidArgument exactly where
+  /// estimate_into() would on the moved configuration (capacity exceeded,
+  /// nothing selected, more ranks than PDUs), and for a cluster id out of
+  /// range.  Moves of any size, including ones that empty or activate a
+  /// cluster, are supported; a move the closed form cannot serve
+  /// (starvation repair) replays through estimate_into.  count == 0 is a
+  /// no-op.  Allocation-free once `scratch` has warmed up.
+  void estimate_moves(const ProcessorConfig& baseline, const ConfigMove* moves,
+                      std::size_t count, FastEstimate* out,
+                      EstimatorScratch& scratch) const;
 
   /// Process-unique identity (never 0): the stamp on the bytes memo slots
-  /// this estimator fills, and DeltaScratch::bound_id.
+  /// this estimator fills.
   std::uint64_t binding_id() const { return binding_id_; }
 
   /// Clusters ordered fastest-first; partition vectors and placements are
@@ -349,25 +297,42 @@ class CycleEstimator {
   /// the bytes memo this spec uses.  Allocates only when the scratch needs
   /// more room than any estimator before gave it.
   void grow_scratch(BatchScratch& batch, std::size_t lanes) const;
-  /// One full lane group (BatchScratch::kLanes configurations) through the
-  /// SoA stages; lanes the closed form cannot serve divert to
-  /// estimate_into.
-  void estimate_lanes(const ProcessorConfig* configs, FastEstimate* out,
-                      EstimatorScratch& scratch) const;
   /// One lane's active groups: count, ranks and Eq. 3 weight sum.
   struct LaneGroups {
     int groups = 0;
     int total = 0;
     double weight_sum = 0.0;
   };
+  /// The lane engine's driver, shared by estimate_batch and
+  /// estimate_moves: `count` candidates in groups of up to
+  /// BatchScratch::kLanes lanes.  gather(i, base) is Stage A for candidate
+  /// i into the lane at offset `base`; Stage B then runs stage-major over
+  /// the group's lanes, and replay(i) scores a lane the closed form cannot
+  /// serve.
+  template <typename Gather, typename Replay>
+  void run_lanes(std::size_t count, FastEstimate* out,
+                 EstimatorScratch& scratch, const Gather& gather,
+                 const Replay& replay) const;
   // The lane kernels, force-inlined in estimator.cpp and shared by
-  // estimate_lanes, evaluate_groups and (Stage B) estimate_delta.  Each
-  // works on one lane whose `groups` active groups (`total` ranks) sit at
-  // offset `base` of batch's lane buffers.
+  // run_lanes and evaluate_groups.  Each works on one lane whose `groups`
+  // active groups (`total` ranks) sit at offset `base` of batch's lane
+  // buffers.
   /// Stage A: validate `config` (validate_config's checks and messages,
   /// then Eq. 3's rank-count preconditions) and gather its active groups
-  /// in placement order.
+  /// in placement order.  A move round's baseline (kSpliceIndex) also
+  /// keeps, in its lane's share_frac, the weight-sum prefix at each
+  /// active-group boundary and, in its ranks_before, each cluster's
+  /// splice index: the number of active groups placed before it.
+  template <bool kSpliceIndex = false>
   LaneGroups gather_lane(const ProcessorConfig& config, BatchScratch& batch,
+                         std::size_t base) const;
+  /// Stage A for one move off the baseline gathered at offset `spare`:
+  /// validate the moved cluster, copy the baseline's groups before it,
+  /// resume the weight-sum chain from the prefix there, and gather the
+  /// rest into the lane at `base`.
+  LaneGroups splice_move(const ProcessorConfig& baseline,
+                         const LaneGroups& gathered, ConfigMove move,
+                         BatchScratch& batch, std::size_t spare,
                          std::size_t base) const;
   /// B1: Eq. 3 floor shares and fractions; returns the leftover PDUs.
   std::int64_t lane_shares(BatchScratch& batch, std::size_t base, int groups,
@@ -382,9 +347,6 @@ class CycleEstimator {
                    int total) const;
   /// Eq. 6: the fast paths' result from T_comp and T_comm.
   FastEstimate eq6_estimate(double t_comp, double t_comm) const;
-  /// Rebuild `d`'s gather cache (active groups, weight-sum prefixes) from
-  /// d.config.
-  void rebuild_delta_cache(DeltaScratch& d) const;
   /// The reference path's Eq. 1/2/5 fold, through the cost model's checked
   /// accessors.  No fast path calls it.
   double comm_cost_ms(const ProcessorConfig& config,
@@ -403,7 +365,6 @@ class CycleEstimator {
     double inv_s = 0.0;    ///< Eq. 3 weight 1/S_i (flop seconds)
     double comp_ms = 0.0;  ///< Eq. 4 prefix s_ms * ops_per_pdu
     int capacity = 0;      ///< cluster size (validation)
-    int order_pos = 0;     ///< index in cluster_order_
     bool has_fit = false;  ///< dominant-topology comm fit present
   };
 

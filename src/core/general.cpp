@@ -14,25 +14,22 @@ namespace {
 /// Hill-climb from `config` with +/-1 moves until a local minimum; returns
 /// the local minimum's objective value and mutates `config` in place.
 /// Every candidate is one move away from the current configuration, so
-/// each round is one best_neighbour_move scan against the bound baseline
-/// -- validation, gather, and the weight-sum prefix are reused instead of
-/// recomputed 2K times per round.  After the first round the scan skips
-/// the move back to the configuration just left, which cannot win.  Each
-/// probe counts one evaluation toward `budget`, checked between rounds.
+/// each round is one best_neighbour_move scan off it.  After the first
+/// round the scan skips the move back to the configuration just left,
+/// which cannot win.  Each probe counts one evaluation toward `budget`,
+/// checked between rounds.
 double hill_climb(const CycleEstimator& estimator,
                   const AvailabilitySnapshot& snapshot,
                   ProcessorConfig& config, std::uint64_t budget,
                   std::uint64_t* evaluations, EstimatorScratch& scratch) {
   ++*evaluations;
-  double current =
-      estimator.bind_delta(config, scratch.delta, scratch).t_c_ms;
+  double current = estimator.estimate_into(config, scratch).t_c_ms;
   NeighbourMove last;
   while (*evaluations < budget) {
-    const NeighbourMove move =
-        best_neighbour_move(estimator, snapshot, current, scratch, last);
+    const NeighbourMove move = best_neighbour_move(
+        estimator, snapshot, config, current, scratch, last);
     *evaluations += move.probes;
     if (move.cluster < 0) break;
-    estimator.commit_delta(move.cluster, move.delta, scratch.delta);
     config[static_cast<std::size_t>(move.cluster)] += move.delta;
     current = move.t_c_ms;
     last = move;
@@ -44,31 +41,38 @@ double hill_climb(const CycleEstimator& estimator,
 
 NeighbourMove best_neighbour_move(const CycleEstimator& estimator,
                                   const AvailabilitySnapshot& snapshot,
+                                  const ProcessorConfig& baseline,
                                   double baseline_t_c_ms,
                                   EstimatorScratch& scratch,
                                   const NeighbourMove& arrived_by) {
-  DeltaScratch& d = scratch.delta;
-  NeighbourMove best;
-  best.t_c_ms = baseline_t_c_ms;
-  for (std::size_t c = 0; c < d.config.size(); ++c) {
+  std::vector<ConfigMove>& moves = scratch.batch_moves;
+  moves.clear();
+  const int total = config_total(baseline);
+  for (std::size_t c = 0; c < baseline.size(); ++c) {
     for (const int delta : {+1, -1}) {
-      const int moved = d.config[c] + delta;
+      const int moved = baseline[c] + delta;
       if (moved < 0 || moved > snapshot.available[c]) continue;
-      if (d.total_p + delta == 0) continue;
+      if (total + delta == 0) continue;
       if (static_cast<ClusterId>(c) == arrived_by.cluster &&
           delta == -arrived_by.delta) {
         continue;
       }
-      const double value =
-          estimator.estimate_delta(static_cast<ClusterId>(c), delta, d,
-                                   scratch)
-              .t_c_ms;
-      ++best.probes;
-      if (value < best.t_c_ms - 1e-12) {
-        best.t_c_ms = value;
-        best.cluster = static_cast<ClusterId>(c);
-        best.delta = delta;
-      }
+      moves.push_back({static_cast<ClusterId>(c), delta});
+    }
+  }
+  std::vector<FastEstimate>& scores = scratch.batch_results;
+  if (scores.size() < moves.size()) scores.resize(moves.size());
+  estimator.estimate_moves(baseline, moves.data(), moves.size(),
+                           scores.data(), scratch);
+
+  NeighbourMove best;
+  best.t_c_ms = baseline_t_c_ms;
+  best.probes = moves.size();
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    if (scores[i].t_c_ms < best.t_c_ms - 1e-12) {
+      best.t_c_ms = scores[i].t_c_ms;
+      best.cluster = moves[i].cluster;
+      best.delta = moves[i].delta;
     }
   }
   return best;
@@ -87,7 +91,6 @@ PartitionResult general_partition(const CycleEstimator& estimator,
   EstimatorScratch local_scratch;
   EstimatorScratch& sc = scratch != nullptr ? *scratch : local_scratch;
   const std::uint64_t batch_evals_before = sc.batch_evaluations;
-  const std::uint64_t delta_evals_before = sc.delta_evaluations;
 
   // Deterministic starting points, staged in the scratch's reusable
   // config buffer (assignment into a retained ProcessorConfig reuses its
@@ -159,11 +162,8 @@ PartitionResult general_partition(const CycleEstimator& estimator,
       telemetry.counter("estimator.evaluations");
   static obs::Counter& batch_evals_counter =
       telemetry.counter("estimator.batch_evals");
-  static obs::Counter& delta_evals_counter =
-      telemetry.counter("estimator.delta_evals");
   evals_counter.add(evaluations + 1);
   batch_evals_counter.add(sc.batch_evaluations - batch_evals_before);
-  delta_evals_counter.add(sc.delta_evaluations - delta_evals_before);
   CycleEstimate winner = estimator.materialize(best_config, sc);
   Placement placement =
       contiguous_placement(net, best_config, estimator.cluster_order());

@@ -32,39 +32,40 @@ struct GeneralPartitionOptions {
   std::uint64_t max_evaluations = 100000;
 };
 
-/// The best single +/-1 move off the baseline bound in `scratch.delta`.
+/// The best single +/-1 move off a baseline configuration.
 struct NeighbourMove {
   ClusterId cluster = -1;  ///< -1 when no move improves on the baseline
   int delta = 0;
   double t_c_ms = 0.0;       ///< the move's T_c; the baseline's when none
-  std::uint64_t probes = 0;  ///< legal moves scored through estimate_delta
+  std::uint64_t probes = 0;  ///< legal moves scored
 };
 
-/// Score every legal +/-1 move off the baseline bound in `scratch.delta`
-/// (whose T_c is `baseline_t_c_ms`) through estimate_delta: clusters
-/// ascending, +1 before -1, skipping moves below zero, above
-/// `snapshot.available`, or to an empty configuration.  A move is kept only
-/// when it beats the best so far by more than 1e-12, so ties keep the
-/// earlier probe.  general_partition's climb and the adaptive executor's
-/// repair scoring (evaluate_config_recovery) share this scan.
+/// Score every legal +/-1 move off `baseline` (whose T_c is
+/// `baseline_t_c_ms`) in one CycleEstimator::estimate_moves round, probed
+/// in this order: clusters ascending, +1 before -1, skipping moves below
+/// zero, above `snapshot.available`, or to an empty configuration.  A move
+/// is kept only when it beats the best so far by more than 1e-12, so ties
+/// keep the earlier probe.  general_partition's climb and the adaptive
+/// executor's repair scoring (evaluate_config_recovery) share this scan.
 ///
 /// A climb passes the move that reached the baseline as `arrived_by`, and
 /// the scan skips its reverse: the configuration the climb just left lost
-/// to the baseline by more than 1e-12, and estimate_delta is bitwise a
+/// to the baseline by more than 1e-12, and estimate_moves is bitwise a
 /// pure function of the configuration, so probing it again can never win.
 /// The default (cluster -1) skips nothing.
 NeighbourMove best_neighbour_move(const CycleEstimator& estimator,
                                   const AvailabilitySnapshot& snapshot,
+                                  const ProcessorConfig& baseline,
                                   double baseline_t_c_ms,
                                   EstimatorScratch& scratch,
                                   const NeighbourMove& arrived_by = {});
 
 /// Multi-start local search over the full configuration space.  Never
 /// returns a configuration worse than the locality heuristic's (it is one
-/// of the starting points).  Each start's +/-1 neighbourhood is scored
-/// through the estimator's delta path (estimate_delta against the current
-/// climb position), so a probe costs a fraction of a from-scratch
-/// evaluation.  Pass a long-lived `scratch` to reuse warm buffers across
+/// of the starting points).  Each climb round scores the current
+/// position's whole +/-1 neighbourhood as one estimate_moves round, so
+/// the baseline is gathered once per round and the moves share lane
+/// groups.  Pass a long-lived `scratch` to reuse warm buffers across
 /// searches (the bench and service drivers do); nullptr uses a call-local
 /// one.
 PartitionResult general_partition(

@@ -20,7 +20,7 @@
 //     (frac, index) keys through a 5-comparator sorting network written as
 //     predicated swaps.  The source has no branch, but the object code
 //     does: in the Release build (GCC 12.2, -O3) the network's fraction
-//     compares inside CycleEstimator::estimate_lanes are `comisd` followed
+//     compares inside CycleEstimator::run_lanes are `comisd` followed
 //     by `ja`/`jbe` (objdump -d of estimator.cpp.o), so a mistrained
 //     predictor can still cost here.  The network replaced the old
 //     quadratic compare loop, the dominant term of the batched per-eval

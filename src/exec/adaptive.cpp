@@ -253,11 +253,10 @@ ConfigRecoveryReport evaluate_config_recovery(
     const CycleEstimator& estimator, const AvailabilitySnapshot& snapshot,
     const ProcessorConfig& achieved, const ExhaustiveOptions& options) {
   ConfigRecoveryReport report;
-  // The achieved configuration is scored once, as the delta baseline of
-  // the repair below: bind_delta's estimate is bitwise estimate()'s.
+  // The achieved configuration is scored once, as the baseline of the
+  // repair round below: estimate_into's estimate is bitwise estimate()'s.
   EstimatorScratch scratch;
-  report.achieved_t_c_ms =
-      estimator.bind_delta(achieved, scratch.delta, scratch).t_c_ms;
+  report.achieved_t_c_ms = estimator.estimate_into(achieved, scratch).t_c_ms;
   const PartitionResult oracle =
       exhaustive_partition(estimator, snapshot, options);
   report.oracle_t_c_ms = oracle.estimate.t_c_ms;
@@ -267,10 +266,10 @@ ConfigRecoveryReport evaluate_config_recovery(
       report.achieved_t_c_ms / std::max(report.oracle_t_c_ms, 1e-12);
 
   // Local +/-1 repair off the achieved configuration: one round of the
-  // general partitioner's climb, 2K delta probes against the bound
-  // baseline instead of 2K from-scratch evaluations.
+  // general partitioner's climb, its 2K moves scored in one estimate_moves
+  // round off the achieved configuration.
   const NeighbourMove move = best_neighbour_move(
-      estimator, snapshot, report.achieved_t_c_ms, scratch);
+      estimator, snapshot, achieved, report.achieved_t_c_ms, scratch);
   report.local_best_t_c_ms = move.t_c_ms;
   report.local_best_config = achieved;
   report.locally_optimal = move.cluster < 0;

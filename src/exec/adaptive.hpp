@@ -79,8 +79,8 @@ struct ConfigRecoveryReport {
   ProcessorConfig oracle_config;
   std::uint64_t oracle_evaluations = 0;  ///< sweep size (cost of the oracle)
 
-  // Local +/-1 repair, scored through the estimator's delta path with the
-  // achieved configuration as the bound baseline.  One move is the unit of
+  // Local +/-1 repair, scored as one estimate_moves round with the
+  // achieved configuration as its baseline.  One move is the unit of
   // migration-cost-aware adaptation (a repartition that moves one
   // processor's worth of PDUs), so "does any single move help, and how
   // much" is the cheap signal the adaptive loop can act on without paying

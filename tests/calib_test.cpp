@@ -256,7 +256,12 @@ TEST_F(CalibrationTest, TaskErrorsReachTheCaller) {
 
 TEST_F(CalibrationTest, GridNeedsTwoDistinctMessageSizes) {
   // One distinct size leaves every fit in b singular; that is the
-  // caller's mistake, rejected before any task runs.
+  // caller's mistake, rejected by every public entry point before any
+  // benchmark runs -- the per-pair benchmarks too, on a same-format pair
+  // (paper testbed) and on one that needs coercion.
+  const Network paper = presets::paper_testbed();
+  const Network mixed = presets::coercion_testbed();
+  ASSERT_TRUE(mixed.needs_coercion(0, 1));
   for (const std::vector<std::int64_t>& sizes :
        {std::vector<std::int64_t>{64, 64},
         std::vector<std::int64_t>{0, 0, 0}, std::vector<std::int64_t>{64},
@@ -266,12 +271,22 @@ TEST_F(CalibrationTest, GridNeedsTwoDistinctMessageSizes) {
     EXPECT_THROW(calibrate_with_workers(presets::fig1_network(), params, 2),
                  InvalidArgument)
         << sizes.size() << " sizes";
+    for (const Network* net : {&paper, &mixed}) {
+      EXPECT_THROW(benchmark_router(*net, 0, 1, params), InvalidArgument)
+          << sizes.size() << " sizes";
+      EXPECT_THROW(benchmark_coercion(*net, 0, 1, params), InvalidArgument)
+          << sizes.size() << " sizes";
+    }
   }
   CalibrationParams repeated;
   repeated.topologies = {Topology::OneD};
   repeated.message_sizes = {64, 64, 240};
   EXPECT_NO_THROW(
       calibrate_with_workers(presets::fig1_network(), repeated, 2));
+  for (const Network* net : {&paper, &mixed}) {
+    EXPECT_NO_THROW(benchmark_router(*net, 0, 1, repeated));
+    EXPECT_NO_THROW(benchmark_coercion(*net, 0, 1, repeated));
+  }
 }
 
 // --- the at-rest shortcut ---------------------------------------------------

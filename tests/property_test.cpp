@@ -21,8 +21,9 @@
 
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
+#include "alloc_count.hpp"
 #include "core/decompose.hpp"
-#include "core/partitioner.hpp"
+#include "core/general.hpp"
 #include "dp/rank_kernel.hpp"
 #include "exec/executor.hpp"
 #include "net/availability.hpp"
@@ -389,9 +390,9 @@ TEST_P(RandomNetworkProperties, ParallelExhaustiveMatchesSerial) {
 
 TEST_P(RandomNetworkProperties, BatchBitwiseMatchesScalarAcrossSizes) {
   // Differential lockdown of the lane engine: for every batch size that
-  // exercises a distinct code path -- a lone config (scalar remainder
-  // only), one lane short of a full batch, exactly kLanes, one past
-  // (full batch + remainder tail), and a multi-batch run -- every result
+  // exercises a distinct code path -- a lone config (one partial lane
+  // group), one lane short of a full group, exactly kLanes, one past
+  // (a full group + a one-lane tail), and a multi-group run -- every result
   // must be bitwise identical to estimate_into() on every cost field.
   Rng rng(GetParam().seed ^ 0xBA7C);
   const Network net =
@@ -446,7 +447,8 @@ TEST_P(RandomNetworkProperties, BatchBitwiseMatchesScalarAcrossSizes) {
             << i;
       }
       // The two paths must also agree on the evaluation count they
-      // record; only full lanes may be attributed to the batch engine.
+      // record; only lanes the closed form served may be attributed to the
+      // batch engine.
       EXPECT_EQ(batch_scratch.evaluations, scalar_scratch.evaluations);
       EXPECT_LE(batch_scratch.batch_evaluations,
                 batch_scratch.evaluations);
@@ -455,8 +457,8 @@ TEST_P(RandomNetworkProperties, BatchBitwiseMatchesScalarAcrossSizes) {
 }
 
 TEST(BatchEngine, RemainderOnlyTailAndEmptyBatch) {
-  // count < kLanes never touches the lane engine's full-batch path; count
-  // == 0 must be a no-op.  Both still bitwise-match the scalar engine.
+  // count < kLanes runs as one partial lane group; count == 0 must be a
+  // no-op.  Both still bitwise-match the scalar engine.
   const Network net = presets::paper_testbed();
   CalibrationParams params;
   params.topologies = {Topology::OneD};
@@ -479,8 +481,8 @@ TEST(BatchEngine, RemainderOnlyTailAndEmptyBatch) {
     EXPECT_EQ(want.t_elapsed_ms, got[i].t_elapsed_ms) << "i " << i;
   }
   EXPECT_EQ(scratch.evaluations, 3u);
-  // A sub-lane-width tail is scalar work by definition.
-  EXPECT_EQ(scratch.batch_evaluations, 0u);
+  // A sub-lane-width tail runs as one partial lane group.
+  EXPECT_EQ(scratch.batch_evaluations, 3u);
 }
 
 /// One cluster per group, in group order, with a flop time of 1/w ms: each
@@ -710,111 +712,143 @@ TEST(GroupShares, StarvationEdges) {
             kLanes);
 }
 
+// --- delta evaluation: move rounds off a baseline ------------------------
+//
+// estimate_moves scores a round of moves off one baseline configuration.
+// Every lane must be bitwise estimate_into on the moved configuration, the
+// round must count one evaluation per move (a batch evaluation unless the
+// moved configuration starves and replays), and a move must throw where
+// estimate_into would.
+
 class DeltaEvalProperties : public RandomNetworkProperties {};
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, DeltaEvalProperties,
     ::testing::Values(RandomNetCase{11, 2}, RandomNetCase{12, 3},
-                      RandomNetCase{13, 4}, RandomNetCase{14, 5}),
+                      RandomNetCase{13, 4}, RandomNetCase{14, 5},
+                      // Wide enough that a round spans two lane groups.
+                      RandomNetCase{15, 9}, RandomNetCase{16, 10},
+                      RandomNetCase{17, 11}, RandomNetCase{18, 12}),
     [](const auto& test_info) {
       return "seed" + std::to_string(test_info.param.seed) + "_k" +
              std::to_string(test_info.param.clusters);
     });
 
-/// Walks random +/-1 move sequences on `net` for each (n, overlap) stencil
-/// spec and checks every legal estimate_delta() probe against
-/// estimate_into() on the moved configuration, bitwise on every cost
-/// field, including moves that empty a cluster and moves that activate
-/// one.  Each probe counts one evaluation on the scratch, and one delta
-/// evaluation unless the moved configuration starves (the closed form
-/// refuses it and the probe replays through estimate_into).  Adds the
-/// starved probes to `starved`.
-void walk_delta_moves(const Network& net, const CostModelDb& db,
+/// A random non-empty configuration of `net`.
+ProcessorConfig random_nonempty_config(const Network& net, Rng& rng) {
+  ProcessorConfig config(static_cast<std::size_t>(net.num_clusters()), 0);
+  while (config_total(config) == 0) {
+    for (ClusterId c = 0; c < net.num_clusters(); ++c) {
+      config[static_cast<std::size_t>(c)] =
+          static_cast<int>(rng.next_int(0, net.cluster(c).size()));
+    }
+  }
+  return config;
+}
+
+ProcessorConfig apply_move(ProcessorConfig config, ConfigMove move) {
+  config[static_cast<std::size_t>(move.cluster)] += move.delta;
+  return config;
+}
+
+/// A round off `baseline`: per cluster +1, -1 and one move of a random
+/// size (0 included, up to emptying or filling the cluster), skipping
+/// moves that leave the cluster's range, empty the configuration, or
+/// select more ranks than `pdus`.
+std::vector<ConfigMove> random_round(const Network& net,
+                                     const ProcessorConfig& baseline,
+                                     std::int64_t pdus, Rng& rng) {
+  const int total = config_total(baseline);
+  std::vector<ConfigMove> moves;
+  for (ClusterId c = 0; c < net.num_clusters(); ++c) {
+    const int p = baseline[static_cast<std::size_t>(c)];
+    const int size = net.cluster(c).size();
+    const int any = static_cast<int>(rng.next_int(0, size)) - p;
+    for (const int delta : {+1, -1, any}) {
+      if (p + delta < 0 || p + delta > size || total + delta == 0 ||
+          total + delta > pdus) {
+        continue;
+      }
+      moves.push_back({c, delta});
+    }
+  }
+  return moves;
+}
+
+/// Scores `moves` off `baseline` in one estimate_moves round on `scratch`
+/// and checks every lane bitwise against estimate_into on the moved
+/// configuration, and the round's evaluation and batch-evaluation counts.
+/// Adds the moves whose configuration starves to `starved`.
+void expect_round_matches(const Network& net, const CycleEstimator& est,
+                          std::int64_t pdus, const ProcessorConfig& baseline,
+                          const std::vector<ConfigMove>& moves,
+                          EstimatorScratch& scratch, const std::string& where,
+                          int& starved) {
+  std::vector<FastEstimate> got(moves.size());
+  const std::uint64_t evals_before = scratch.evaluations;
+  const std::uint64_t batch_before = scratch.batch_evaluations;
+  est.estimate_moves(baseline, moves.data(), moves.size(), got.data(),
+                     scratch);
+  EstimatorScratch ref_scratch;
+  int round_starved = 0;
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    const ProcessorConfig moved = apply_move(baseline, moves[i]);
+    const FastEstimate want = est.estimate_into(moved, ref_scratch);
+    const std::string at = where + " move " + std::to_string(i) + " c " +
+                           std::to_string(moves[i].cluster) + " delta " +
+                           std::to_string(moves[i].delta);
+    ASSERT_EQ(want.t_comp_ms, got[i].t_comp_ms) << at;
+    ASSERT_EQ(want.t_comm_ms, got[i].t_comm_ms) << at;
+    ASSERT_EQ(want.t_overlap_ms, got[i].t_overlap_ms) << at;
+    ASSERT_EQ(want.t_c_ms, got[i].t_c_ms) << at;
+    ASSERT_EQ(want.t_elapsed_ms, got[i].t_elapsed_ms) << at;
+    round_starved += starves(net, est, moved, pdus) ? 1 : 0;
+  }
+  ASSERT_EQ(scratch.evaluations, evals_before + moves.size()) << where;
+  ASSERT_EQ(scratch.batch_evaluations,
+            batch_before + moves.size() -
+                static_cast<std::uint64_t>(round_starved))
+      << where;
+  starved += round_starved;
+}
+
+/// Walks random move rounds on `net` for each (n, overlap) stencil spec:
+/// every round is checked by expect_round_matches, then one of its moves,
+/// picked at random, becomes the next baseline.  Adds the starved moves to
+/// `starved` and raises `widest` to the largest round.
+void walk_move_rounds(const Network& net, const CostModelDb& db,
                       Rng& config_rng,
                       const std::vector<std::pair<int, bool>>& stencils,
-                      const std::string& label, int& starved) {
+                      const std::string& label, int& starved,
+                      std::size_t& widest) {
   for (const auto& [n, overlap] : stencils) {
     const ComputationSpec spec = apps::make_stencil_spec(
         apps::StencilConfig{.n = n, .iterations = 10, .overlap = overlap});
     CycleEstimator est(net, db, spec);
     EstimatorScratch scratch;
-    DeltaScratch& d = scratch.delta;
-    EstimatorScratch ref_scratch;
-
-    // Random non-empty starting configuration.
-    ProcessorConfig config(static_cast<std::size_t>(net.num_clusters()),
-                           0);
-    int total = 0;
-    while (total == 0) {
-      for (ClusterId c = 0; c < net.num_clusters(); ++c) {
-        config[static_cast<std::size_t>(c)] = static_cast<int>(
-            config_rng.next_int(0, net.cluster(c).size()));
-        total += config[static_cast<std::size_t>(c)];
-      }
-    }
-    const FastEstimate bound = est.bind_delta(config, d, scratch);
-    const FastEstimate bound_ref = est.estimate_into(config, ref_scratch);
-    ASSERT_EQ(bound.t_c_ms, bound_ref.t_c_ms);
-
-    for (int move = 0; move < 60; ++move) {
-      // Probe every legal +/-1 around the current baseline.
-      std::vector<std::pair<ClusterId, int>> legal;
-      for (ClusterId c = 0; c < net.num_clusters(); ++c) {
-        const auto ci = static_cast<std::size_t>(c);
-        for (const int delta : {+1, -1}) {
-          const int moved = config[ci] + delta;
-          if (moved < 0 || moved > net.cluster(c).size()) continue;
-          if (total + delta == 0) continue;
-          legal.emplace_back(c, delta);
-          const std::uint64_t evals_before = scratch.evaluations;
-          const std::uint64_t delta_before = scratch.delta_evaluations;
-          const FastEstimate got =
-              est.estimate_delta(c, delta, d, scratch);
-          ProcessorConfig moved_config = config;
-          moved_config[ci] = moved;
-          const FastEstimate want =
-              est.estimate_into(moved_config, ref_scratch);
-          const bool starves_here = starves(net, est, moved_config, n);
-          starved += starves_here ? 1 : 0;
-          const auto where = [&] {
-            return label + " n " + std::to_string(n) + " move " +
-                   std::to_string(move) + " c " + std::to_string(c) +
-                   " delta " + std::to_string(delta);
-          };
-          ASSERT_EQ(want.t_comp_ms, got.t_comp_ms) << where();
-          ASSERT_EQ(want.t_comm_ms, got.t_comm_ms) << where();
-          ASSERT_EQ(want.t_overlap_ms, got.t_overlap_ms) << where();
-          ASSERT_EQ(want.t_c_ms, got.t_c_ms) << where();
-          ASSERT_EQ(want.t_elapsed_ms, got.t_elapsed_ms) << where();
-          ASSERT_EQ(scratch.evaluations, evals_before + 1) << where();
-          ASSERT_EQ(scratch.delta_evaluations,
-                    delta_before + (starves_here ? 0 : 1))
-              << where();
-        }
-      }
-      ASSERT_FALSE(legal.empty());
-      // Commit a random legal move and keep walking.
-      const auto& [cc, cd] =
-          legal[static_cast<std::size_t>(config_rng.next_int(
-              0, static_cast<std::int64_t>(legal.size()) - 1))];
-      est.commit_delta(cc, cd, d);
-      config[static_cast<std::size_t>(cc)] += cd;
-      total += cd;
-      // After a commit the new baseline must itself score bitwise.
-      const FastEstimate rebased = est.estimate_delta(cc, 0, d, scratch);
-      const FastEstimate rebased_ref =
-          est.estimate_into(config, ref_scratch);
-      ASSERT_EQ(rebased.t_c_ms, rebased_ref.t_c_ms)
-          << label << " move " << move;
+    ProcessorConfig baseline = random_nonempty_config(net, config_rng);
+    for (int round = 0; round < 40; ++round) {
+      const std::vector<ConfigMove> moves =
+          random_round(net, baseline, n, config_rng);
+      ASSERT_FALSE(moves.empty());
+      widest = std::max(widest, moves.size());
+      ASSERT_NO_FATAL_FAILURE(expect_round_matches(
+          net, est, n, baseline, moves, scratch,
+          label + " n " + std::to_string(n) + " round " +
+              std::to_string(round),
+          starved));
+      baseline = apply_move(
+          baseline, moves[static_cast<std::size_t>(config_rng.next_int(
+                        0, static_cast<std::int64_t>(moves.size()) - 1))]);
     }
   }
 }
 
 TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
-  // The delta engine's contract: estimate_delta(c, +/-1) returns the
-  // exact FastEstimate estimate_into() computes for the moved
-  // configuration -- bitwise on every cost field -- across randomized
-  // single-move sequences.
+  // estimate_moves' contract: every lane of a round is the exact
+  // FastEstimate estimate_into() computes for the moved configuration --
+  // bitwise on every cost field -- across random walks of moves of any
+  // size, including moves that empty or refill a cluster.
   Rng rng(GetParam().seed ^ 0xDE17A);
   const Network net =
       presets::random_network(rng, GetParam().clusters, 6);
@@ -823,81 +857,175 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
   const CalibrationResult cal = calibrate(net, params);
   Rng config_rng = rng.stream(4);
   int starved = 0;
-  walk_delta_moves(net, cal.db, config_rng, {{300, false}, {1200, true}},
-                   "seed " + std::to_string(GetParam().seed), starved);
+  std::size_t widest = 0;
+  walk_move_rounds(net, cal.db, config_rng, {{300, false}, {1200, true}},
+                   "seed " + std::to_string(GetParam().seed), starved,
+                   widest);
+  if (GetParam().clusters >= 9) {
+    EXPECT_GT(widest, static_cast<std::size_t>(BatchScratch::kLanes));
+  }
 }
 
 TEST(DeltaEval, ExtremeSpeedSkewStarvedMovesReplayBitwise) {
   // The speed-skewed network at the starvation edge (num_PDUs at most a
   // few above the 12 processors): moves whose closed form starves a rank
   // must replay through estimate_into, bitwise, counted as a plain
-  // evaluation rather than a delta one.
+  // evaluation rather than a batch one.
   const Network net = speed_skew_network();
   CalibrationParams params;
   params.topologies = {Topology::OneD};
   const CalibrationResult cal = calibrate(net, params);
   Rng config_rng(0xDE5C);
   int starved = 0;
-  ASSERT_NO_FATAL_FAILURE(walk_delta_moves(
+  std::size_t widest = 0;
+  ASSERT_NO_FATAL_FAILURE(walk_move_rounds(
       net, cal.db, config_rng, {{12, false}, {14, true}, {20, false}},
-      "skew", starved));
+      "skew", starved, widest));
   EXPECT_GT(starved, 0) << "no probed move reached starvation repair";
 }
 
+/// The paper testbed (two clusters of 6) under a 1-D stencil of `n` PDUs.
+struct TestbedRound {
+  Network net = presets::paper_testbed();
+  CalibrationResult cal = calibrate(net, [] {
+    CalibrationParams params;
+    params.topologies = {Topology::OneD};
+    return params;
+  }());
+  ComputationSpec spec;
+  CycleEstimator est;
+
+  explicit TestbedRound(int n)
+      : spec(apps::make_stencil_spec(
+            apps::StencilConfig{.n = n, .iterations = 10, .overlap = false})),
+        est(net, cal.db, spec) {}
+};
+
 TEST(DeltaEval, EmptyAndRefillCluster) {
   // The splice cases the randomized walk may or may not hit, pinned
-  // deterministically: removing the last processor of a cluster (its
+  // deterministically: removing the last processors of a cluster (its
   // group vanishes from the gather) and re-activating an empty cluster
-  // (a group is inserted), both bitwise against from-scratch.
-  const Network net = presets::paper_testbed();
-  CalibrationParams params;
-  params.topologies = {Topology::OneD};
-  const CalibrationResult cal = calibrate(net, params);
-  const ComputationSpec spec = apps::make_stencil_spec(
-      apps::StencilConfig{.n = 600, .iterations = 10, .overlap = false});
-  CycleEstimator est(net, cal.db, spec);
+  // (a group is inserted), by one processor and by several.
+  const TestbedRound t(600);
   EstimatorScratch scratch;
-  DeltaScratch& d = scratch.delta;
-  EstimatorScratch ref_scratch;
-
-  est.bind_delta({1, 1}, d, scratch);
-  const FastEstimate drained = est.estimate_delta(0, -1, d, scratch);
-  const FastEstimate drained_ref = est.estimate_into({0, 1}, ref_scratch);
-  EXPECT_EQ(drained.t_c_ms, drained_ref.t_c_ms);
-  EXPECT_EQ(drained.t_comm_ms, drained_ref.t_comm_ms);
-
-  est.commit_delta(0, -1, d);  // baseline now {0, 1}
-  const FastEstimate refilled = est.estimate_delta(0, +1, d, scratch);
-  const FastEstimate refilled_ref = est.estimate_into({1, 1}, ref_scratch);
-  EXPECT_EQ(refilled.t_c_ms, refilled_ref.t_c_ms);
-  EXPECT_EQ(refilled.t_comm_ms, refilled_ref.t_comm_ms);
-
-  // Draining the only remaining cluster must be rejected, and the
-  // capacity edge must hold on the high side too.
-  EXPECT_THROW(est.estimate_delta(1, -1, d, scratch), Error);
-  est.commit_delta(0, +1, d);  // baseline {1, 1}
-  EXPECT_THROW(est.estimate_delta(0, net.cluster(0).size(), d, scratch),
-               Error);
+  int starved = 0;
+  for (const auto& [baseline, move] :
+       std::vector<std::pair<ProcessorConfig, ConfigMove>>{
+           {{1, 1}, {0, -1}},
+           {{0, 1}, {0, +1}},
+           {{3, 2}, {0, -3}},
+           {{0, 2}, {0, +6}},
+           {{4, 1}, {1, -1}},
+           {{4, 0}, {1, +5}}}) {
+    ASSERT_NO_FATAL_FAILURE(expect_round_matches(
+        t.net, t.est, 600, baseline, {move}, scratch, "splice", starved));
+  }
+  EXPECT_EQ(starved, 0);
 }
 
-TEST(DeltaEval, CountsEvaluationsAndRequiresBinding) {
-  const Network net = presets::paper_testbed();
+TEST(DeltaEval, CountsEvaluationsAndRequiresAValidBaseline) {
+  const TestbedRound t(600);
+  EstimatorScratch scratch;
+  FastEstimate out;
+  // The baseline must be a configuration estimate_into accepts, even when
+  // the moved one would be: nothing is counted for a rejected round.
+  const ConfigMove add{0, +1};
+  EXPECT_THROW(t.est.estimate_moves({7, 0}, &add, 1, &out, scratch),
+               InvalidArgument);
+  EXPECT_THROW(t.est.estimate_moves({0, 0}, &add, 1, &out, scratch),
+               InvalidArgument);
+  EXPECT_EQ(scratch.evaluations, 0u);
+  // An empty round is a no-op.
+  t.est.estimate_moves({3, 2}, nullptr, 0, nullptr, scratch);
+  EXPECT_EQ(scratch.evaluations, 0u);
+
+  const std::vector<ConfigMove> moves = {{0, +1}, {1, -1}};
+  std::vector<FastEstimate> got(moves.size());
+  t.est.estimate_moves({3, 2}, moves.data(), moves.size(), got.data(),
+                       scratch);
+  EXPECT_EQ(scratch.evaluations, 2u);
+  EXPECT_EQ(scratch.batch_evaluations, 2u);
+}
+
+TEST(DeltaEval, MovesThrowWhereEstimateIntoThrows) {
+  // 8 PDUs on two clusters of 6: every rejection estimate_into makes on
+  // the moved configuration is reachable by one move.
+  const TestbedRound t(8);
+  EstimatorScratch scratch;
+  FastEstimate out;
+  struct Case {
+    const char* what;
+    ProcessorConfig baseline;
+    ConfigMove move;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"over capacity", {3, 2}, {0, +4}},
+           {"below zero", {3, 2}, {1, -3}},
+           {"empty configuration", {1, 0}, {0, -1}},
+           {"more ranks than PDUs", {3, 2}, {1, +4}}}) {
+    EXPECT_THROW(t.est.estimate_into(apply_move(c.baseline, c.move), scratch),
+                 InvalidArgument)
+        << c.what;
+    EXPECT_THROW(t.est.estimate_moves(c.baseline, &c.move, 1, &out, scratch),
+                 InvalidArgument)
+        << c.what;
+  }
+  for (const ClusterId bad : {ClusterId{-1}, ClusterId{2}}) {
+    const ConfigMove move{bad, +1};
+    EXPECT_THROW(t.est.estimate_moves({3, 2}, &move, 1, &out, scratch),
+                 InvalidArgument)
+        << "cluster " << bad;
+  }
+  // The edges themselves are legal: a full cluster, every PDU one rank.
+  int starved = 0;
+  ASSERT_NO_FATAL_FAILURE(expect_round_matches(
+      t.net, t.est, 8, {3, 2}, {{0, +3}, {1, +3}, {0, -3}}, scratch, "edges",
+      starved));
+
+  // A bad move past the first lane group rejects the whole round, and the
+  // scratch scores the next round correctly.
+  std::vector<ConfigMove> round(BatchScratch::kLanes + 1, ConfigMove{0, +1});
+  round.push_back({1, +4});
+  std::vector<FastEstimate> got(round.size());
+  EXPECT_THROW(t.est.estimate_moves({3, 2}, round.data(), round.size(),
+                                    got.data(), scratch),
+               InvalidArgument);
+  round.pop_back();
+  ASSERT_NO_FATAL_FAILURE(expect_round_matches(t.net, t.est, 8, {3, 2}, round,
+                                               scratch, "after", starved));
+}
+
+TEST(DeltaEval, WarmRoundAllocatesNothing) {
+  // The climb's contract: once the scratch has scored a round, later
+  // rounds -- two lane groups wide here, and the climb's own scan over
+  // them -- allocate nothing.
+  Rng rng(0xA110C);
+  const Network net = presets::random_network(rng, 10, 6);
   CalibrationParams params;
   params.topologies = {Topology::OneD};
   const CalibrationResult cal = calibrate(net, params);
   const ComputationSpec spec = apps::make_stencil_spec(
-      apps::StencilConfig{.n = 600, .iterations = 10, .overlap = false});
-  CycleEstimator est(net, cal.db, spec);
+      apps::StencilConfig{.n = 1200, .iterations = 10, .overlap = false});
+  const CycleEstimator est(net, cal.db, spec);
+  AvailabilitySnapshot snap;
+  for (const Cluster& c : net.clusters()) snap.available.push_back(c.size());
+  const ProcessorConfig baseline = random_nonempty_config(net, rng);
+  const std::vector<ConfigMove> moves = random_round(net, baseline, 1200, rng);
+  ASSERT_GT(moves.size(), static_cast<std::size_t>(BatchScratch::kLanes));
+  std::vector<FastEstimate> got(moves.size());
   EstimatorScratch scratch;
-  DeltaScratch& d = scratch.delta;
-  EXPECT_THROW(est.estimate_delta(0, 1, d, scratch), Error);
+  const double t_c = est.estimate_into(baseline, scratch).t_c_ms;
+  est.estimate_moves(baseline, moves.data(), moves.size(), got.data(),
+                     scratch);
+  best_neighbour_move(est, snap, baseline, t_c, scratch);
 
-  est.bind_delta({3, 2}, d, scratch);
-  const std::uint64_t evals_after_bind = scratch.evaluations;
-  est.estimate_delta(0, 1, d, scratch);
-  est.estimate_delta(1, -1, d, scratch);
-  EXPECT_EQ(scratch.evaluations, evals_after_bind + 2);
-  EXPECT_GE(scratch.delta_evaluations, 0u);
+  const std::uint64_t before = heap_allocations();
+  for (int round = 0; round < 10; ++round) {
+    est.estimate_moves(baseline, moves.data(), moves.size(), got.data(),
+                       scratch);
+    best_neighbour_move(est, snap, baseline, t_c, scratch);
+  }
+  EXPECT_EQ(heap_allocations() - before, 0u);
 }
 
 /// Every cost field of a fast-path result against the reference.
@@ -990,7 +1118,7 @@ TEST(SharedScratch, AlternatingEstimatorsMatchAFreshReference) {
                                fresh.estimate(config), where + " into");
     }
 
-    // One full lane group plus a scalar remainder.
+    // One full lane group plus a partial one.
     std::vector<ProcessorConfig> configs;
     while (configs.size() < kBatch) configs.push_back(random_config());
     std::vector<FastEstimate> got(kBatch);
@@ -1001,22 +1129,25 @@ TEST(SharedScratch, AlternatingEstimatorsMatchAFreshReference) {
     }
 
     const ProcessorConfig baseline = random_config();
-    expect_cost_fields_equal(est.bind_delta(baseline, scratch.delta, scratch),
-                             fresh.estimate(baseline), where + " bind");
+    std::vector<ConfigMove> moves;
     for (ClusterId cl = 0; cl < net.num_clusters(); ++cl) {
       for (const int delta : {+1, -1}) {
-        ProcessorConfig moved = baseline;
-        moved[static_cast<std::size_t>(cl)] += delta;
+        const ProcessorConfig moved = apply_move(baseline, {cl, delta});
         const int p = moved[static_cast<std::size_t>(cl)];
         if (p < 0 || p > net.cluster(cl).size() || config_total(moved) == 0) {
           continue;
         }
-        expect_cost_fields_equal(
-            est.estimate_delta(cl, delta, scratch.delta, scratch),
-            fresh.estimate(moved),
-            where + " delta c " + std::to_string(cl) + " " +
-                std::to_string(delta));
+        moves.push_back({cl, delta});
       }
+    }
+    std::vector<FastEstimate> scored(moves.size());
+    est.estimate_moves(baseline, moves.data(), moves.size(), scored.data(),
+                       scratch);
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      expect_cost_fields_equal(
+          scored[i], fresh.estimate(apply_move(baseline, moves[i])),
+          where + " move c " + std::to_string(moves[i].cluster) + " " +
+              std::to_string(moves[i].delta));
     }
 
     const ProcessorConfig winner = random_config();

@@ -57,6 +57,8 @@
 #                               # (every code npracer can emit must be
 #                               # documented in DESIGN.md §14), plus
 #                               # bench_diff.py's unit tests, plus the
+#                               # sampling profiler's symbolizer tests
+#                               # (scripts/profile/), plus the
 #                               # reach census (scripts/reach_census.py:
 #                               # every library function is kept by a
 #                               # shipped binary or allowlisted with a
@@ -87,7 +89,12 @@
 #                               # checked-in BENCH_fleet.json changes only
 #                               # when regenerated on purpose, with
 #                               # ./build/bench/bench_fleet --smoke from
-#                               # the repository root
+#                               # the repository root; then two
+#                               # simulated outputs must match byte for
+#                               # byte: a fresh bench_faults artifact
+#                               # against BENCH_faults.json, and the stdout
+#                               # of fleetd nodes=3 requests=120 crash=2
+#                               # against tests/data/fleetd/
 #
 # The release tier always ends with two gates:
 #   * npcheck over specs/ and the network presets -- the shipped artifacts
@@ -188,6 +195,17 @@ if [[ "$fleet_stage" == 1 ]]; then
   smoke_json="$(mktemp)"
   ./build/bench/bench_fleet --smoke --json-out "$smoke_json" >/dev/null
   rm -f "$smoke_json"
+  echo "== simulated outputs, byte for byte =="
+  # Both outputs are sim-time only and the simulator is seeded, so a byte
+  # that moves is a change to what was simulated: the fault bench against
+  # its checked-in artifact, and fleetd's crash scenario against a golden
+  # recorded before the event engine's queue and action storage changed.
+  faults_json="$(mktemp)"
+  ./build/bench/bench_faults json_out="$faults_json" >/dev/null
+  cmp "$faults_json" BENCH_faults.json
+  rm -f "$faults_json"
+  ./build/src/apps/fleetd nodes=3 requests=120 crash=2 |
+    cmp - tests/data/fleetd/nodes3_requests120_crash2.txt
   echo "fleet tier ok"
   exit 0
 fi
@@ -225,6 +243,8 @@ if [[ "$lint_stage" == 1 ]]; then
   scripts/check_race_codes.sh
   echo "== bench_diff unit tests =="
   python3 scripts/test_bench_diff.py
+  echo "== sampling profiler unit tests =="
+  python3 scripts/profile/test_symbolize.py
   echo "== reach census unit tests =="
   python3 scripts/test_reach_census.py
   echo "== reach census =="

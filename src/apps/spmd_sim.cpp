@@ -38,7 +38,7 @@ SimTime SpmdSim::charge(int rank, double ms) {
       .reserve(engine_.now(), SimTime::millis(ms));
 }
 
-void SpmdSim::after_sends(int rank, sim::Engine::Action next) {
+void SpmdSim::after_sends(int rank, sim::Action next) {
   const SimTime ready = net_.host(host_of(rank)).busy_until();
   engine_.schedule_at(std::max(ready, engine_.now()), std::move(next));
 }

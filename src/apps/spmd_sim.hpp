@@ -60,7 +60,7 @@ class SpmdSim {
 
   /// Run `next` once `rank`'s host has initiated the sends issued so far
   /// (now, when they already are).
-  void after_sends(int rank, sim::Engine::Action next);
+  void after_sends(int rank, sim::Action next);
 
   /// A rank has run its last step: the run's elapsed time is the latest
   /// time this is called.

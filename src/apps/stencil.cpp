@@ -243,8 +243,7 @@ class StencilRunner {
 
   /// Relax owned global rows [glo, ghi) into `next`, charging host time at
   /// 5 flops per point, then invoke the continuation.
-  void compute_rows(RankState& rs, int glo, int ghi,
-                    std::function<void()> done) {
+  void compute_rows(RankState& rs, int glo, int ghi, sim::Action done) {
     glo = std::max(glo, rs.lo);
     ghi = std::min(ghi, rs.hi);
     int updated = 0;

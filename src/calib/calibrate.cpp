@@ -42,27 +42,35 @@ double measure_delivery_ms(sim::NetSim& net, Rng stream, ProcessorRef src,
 /// samples, and fit Eq. 1.  The sweep runs every sample on one simulator,
 /// reset before each sample to the state of a fresh one on a random
 /// stream that depends only on (seed, cluster, p), so a sweep's output is
-/// independent of which thread runs it and of every other sweep.
+/// independent of which thread runs it and of every other sweep.  Each p
+/// builds its cycle's message list once, and its message sizes reuse it.
 Eq1Fit sweep_comm(const Network& network, const CalibrationParams& params,
                   ClusterId c, Topology topo,
                   std::vector<CommSample>& out) {
   const int size = network.cluster(c).size();
+  const std::size_t grid =
+      static_cast<std::size_t>(size - 1) * params.message_sizes.size();
   std::vector<Sample2D> samples;
+  samples.reserve(grid);
+  out.reserve(out.size() + grid);
   sim::Engine engine;
   sim::NetSim net(engine, network, params.sim_params, Rng(params.seed));
+  // Rank i runs on processor i: the placement of p ranks is the first p
+  // entries, grown one processor per p.
+  Placement placement;
+  placement.reserve(static_cast<std::size_t>(size));
+  placement.push_back(ProcessorRef{c, 0});
   for (int p = 2; p <= size; ++p) {
-    Placement placement;
-    for (ProcessorIndex i = 0; i < p; ++i) {
-      placement.push_back(ProcessorRef{c, i});
-    }
+    placement.push_back(ProcessorRef{c, p - 1});
+    CommCycle cycle(topo, p);
     const Rng stream = Rng(params.seed)
                            .stream(static_cast<std::uint64_t>(c))
                            .stream(static_cast<std::uint64_t>(p));
     for (std::int64_t bytes : params.message_sizes) {
       net.reset(stream);
-      const CycleResult cycle = run_comm_cycles(
-          net, placement, topo, bytes, params.cycles_per_sample);
-      const double cost = cycle.elapsed_max.as_millis();
+      const double cost =
+          cycle.run(net, placement, bytes, params.cycles_per_sample)
+              .elapsed_max.as_millis();
       samples.push_back(
           Sample2D{static_cast<double>(p), static_cast<double>(bytes), cost});
       out.push_back(CommSample{c, topo, p, bytes, cost});

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/error.hpp"
-
 namespace netpart::sim {
 
-void Engine::schedule_at(SimTime at, Action action) {
-  NP_REQUIRE(at >= now_, "cannot schedule events in the past");
-  NP_REQUIRE(action != nullptr, "event action must be callable");
+std::uint32_t Engine::free_slot() {
+  NP_REQUIRE(next_seq_ <= (~std::uint64_t{0} >> kSlotBits),
+             "event sequence exhausted");
   if (free_slots_.empty()) {
     if (actions_.size() == actions_.capacity()) {
       // The three tables grow together: every slot can be pending or free
@@ -17,29 +15,64 @@ void Engine::schedule_at(SimTime at, Action action) {
       // and step() never allocates.
       const std::size_t capacity =
           std::max<std::size_t>(64, 2 * actions_.capacity());
+      NP_REQUIRE(capacity <= kSlotMask + 1, "too many pending events");
       actions_.reserve(capacity);
-      heap_.reserve(capacity);
+      heap_.resize(capacity);
       free_slots_.reserve(capacity);
     }
     free_slots_.push_back(static_cast<std::uint32_t>(actions_.size()));
     actions_.emplace_back();
   }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  actions_[slot] = std::move(action);
-  heap_.push_back(Key{at, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return free_slots_.back();
 }
 
-void Engine::schedule_after(SimTime delay, Action action) {
-  NP_REQUIRE(delay >= SimTime::zero(), "delay must be non-negative");
-  schedule_at(now_ + delay, std::move(action));
+void Engine::push(Key key) {
+  // Sift a hole up from the new leaf, then fill it once.
+  std::size_t i = pending_++;
+  Key* const heap = heap_.data();
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!earlier(key, heap[parent])) break;
+    heap[i] = heap[parent];
+    i = parent;
+  }
+  heap[i] = key;
+}
+
+Engine::Key Engine::pop() {
+  Key* const heap = heap_.data();
+  const Key top = heap[0];
+  const std::size_t n = --pending_;
+  const Key last = heap[n];
+  // Sift a hole down from the root along the earlier child until `last`
+  // fits, then fill it once.  The earlier child is picked by arithmetic,
+  // not a branch the data would mispredict: the last parent's second
+  // child may be heap[n], the place `last` just left, which still holds
+  // `last` and so never moves the hole.
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 2 * i + 1;
+    if (first >= n) break;
+    const std::size_t child =
+        first + static_cast<std::size_t>(earlier(heap[first + 1], heap[first]));
+    if (!earlier(heap[child], last)) break;
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = last;
+  return top;
 }
 
 void Engine::reset() {
-  heap_.clear();
-  actions_.clear();
-  free_slots_.clear();
+  // Drop the pending actions unrun and free their slots.  A free slot's
+  // action is already empty, and which slot an event takes never shows:
+  // slots order no events, because sequences are unique.
+  for (std::size_t i = 0; i < pending_; ++i) {
+    const auto slot = static_cast<std::uint32_t>(heap_[i].order & kSlotMask);
+    actions_[slot] = Action();
+    free_slots_.push_back(slot);
+  }
+  pending_ = 0;
   now_ = SimTime::zero();
   next_seq_ = 0;
   executed_ = 0;
@@ -52,10 +85,10 @@ SimTime Engine::run() {
 }
 
 SimTime Engine::run_until(SimTime limit) {
-  while (!heap_.empty() && heap_.front().at <= limit) {
+  while (pending_ > 0 && heap_[0].at <= limit) {
     step();
   }
-  if (now_ < limit && heap_.empty()) {
+  if (now_ < limit && pending_ == 0) {
     // Idle until the limit: time advances even with nothing to do, so
     // run_until composes with timeout-style callers.
     now_ = limit;
@@ -64,14 +97,13 @@ SimTime Engine::run_until(SimTime limit) {
 }
 
 bool Engine::step() {
-  if (heap_.empty()) return false;
-  const Key top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+  if (pending_ == 0) return false;
+  const Key top = pop();
+  const auto slot = static_cast<std::uint32_t>(top.order & kSlotMask);
   // Move the action out and free its slot before running it: the action
   // may schedule, which can reuse the slot or grow the table.
-  Action action = std::move(actions_[top.slot]);
-  free_slots_.push_back(top.slot);
+  Action action = std::move(actions_[slot]);
+  free_slots_.push_back(slot);
   NP_ASSERT(top.at >= now_);
   now_ = top.at;
   ++executed_;

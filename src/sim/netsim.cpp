@@ -24,6 +24,10 @@ NetSim::NetSim(Engine& engine, const Network& network, NetSimParams params,
     base += static_cast<std::size_t>(c.size());
   }
   hosts_.resize(base);
+  host_touched_.assign(hosts_.size(), false);
+  touched_hosts_.reserve(hosts_.size());
+  channel_touched_.assign(channels_.size(), false);
+  touched_channels_.reserve(channels_.size());
 }
 
 std::size_t NetSim::host_slot(ProcessorRef ref) const {
@@ -36,12 +40,24 @@ std::size_t NetSim::host_slot(ProcessorRef ref) const {
          static_cast<std::size_t>(ref.index);
 }
 
-Host& NetSim::host(ProcessorRef ref) { return hosts_[host_slot(ref)]; }
+Host& NetSim::host(ProcessorRef ref) {
+  const std::size_t slot = host_slot(ref);
+  if (!host_touched_[slot]) {
+    host_touched_[slot] = true;
+    touched_hosts_.push_back(slot);
+  }
+  return hosts_[slot];
+}
 
 Channel& NetSim::channel(SegmentId id) {
   NP_REQUIRE(id >= 0 && id < network_.num_segments(),
              "segment id out of range");
-  return channels_[static_cast<std::size_t>(id)];
+  const auto slot = static_cast<std::size_t>(id);
+  if (!channel_touched_[slot]) {
+    channel_touched_[slot] = true;
+    touched_channels_.push_back(slot);
+  }
+  return channels_[slot];
 }
 
 bool NetSim::at_rest() const {
@@ -49,13 +65,17 @@ bool NetSim::at_rest() const {
       params_.loss_rate != 0.0 || tracer_) {
     return false;
   }
+  // An untouched host or channel is as built: free since time zero, alive
+  // or up, at rate 1.
   const SimTime now = engine_.now();
-  for (const Host& h : hosts_) {
+  for (const std::size_t slot : touched_hosts_) {
+    const Host& h = hosts_[slot];
     if (!h.alive() || h.slowdown() != 1.0 || h.busy_until() > now) {
       return false;
     }
   }
-  for (const Channel& ch : channels_) {
+  for (const std::size_t slot : touched_channels_) {
+    const Channel& ch = channels_[slot];
     if (ch.down() || ch.degradation() != 1.0 || ch.busy_until() > now) {
       return false;
     }
@@ -66,16 +86,29 @@ bool NetSim::at_rest() const {
 void NetSim::reset(Rng rng) {
   engine_.reset();
   rng_ = rng;
-  for (std::size_t s = 0; s < channels_.size(); ++s) {
-    const Segment& seg = network_.segment(static_cast<SegmentId>(s));
-    channels_[s] = Channel(seg.bandwidth_bps, seg.frame_overhead);
+  for (const std::size_t slot : touched_channels_) {
+    const Segment& seg = network_.segment(static_cast<SegmentId>(slot));
+    channels_[slot] = Channel(seg.bandwidth_bps, seg.frame_overhead);
+    channel_touched_[slot] = false;
   }
-  std::fill(hosts_.begin(), hosts_.end(), Host{});
+  touched_channels_.clear();
+  for (const std::size_t slot : touched_hosts_) {
+    hosts_[slot] = Host{};
+    host_touched_[slot] = false;
+  }
+  touched_hosts_.clear();
   delivered_ = 0;
   retransmissions_ = 0;
   dropped_ = 0;
-  transits_.clear();
-  free_transits_.clear();
+  if (free_transits_.size() != transits_.size()) {
+    // Messages still in flight: drop their callbacks unrun and free every
+    // slot.  (After a drained run every slot is free and empty already.)
+    free_transits_.clear();
+    for (std::size_t slot = transits_.size(); slot-- > 0;) {
+      transits_[slot].on_delivered = DeliveryCallback();
+      free_transits_.push_back(static_cast<std::uint32_t>(slot));
+    }
+  }
   tracer_ = nullptr;
 }
 
@@ -98,7 +131,7 @@ SimTime NetSim::message_occupancy(const ProcessorType& sender_type,
 void NetSim::send(ProcessorRef src, ProcessorRef dst, std::int64_t bytes,
                   DeliveryCallback on_delivered) {
   NP_REQUIRE(bytes >= 0, "bytes must be non-negative");
-  NP_REQUIRE(on_delivered != nullptr, "delivery callback required");
+  NP_REQUIRE(static_cast<bool>(on_delivered), "delivery callback required");
 
   // Sender host pays the asynchronous-send initiation cost.
   Host& sender = host(src);
@@ -118,19 +151,25 @@ void NetSim::send(ProcessorRef src, ProcessorRef dst, std::int64_t bytes,
   const Cluster& src_cluster = network_.cluster(src.cluster);
   const Cluster& dst_cluster = network_.cluster(dst.cluster);
 
+  // A reused slot keeps its last message's fields: write every one this
+  // message reads before run_leg() and attempt() set the attempt state.
   const std::uint32_t slot = open_transit();
   Transit& t = transits_[slot];
+  t.num_legs = 0;
+  t.next_leg = 0;
   t.src = src;
   t.dst = dst;
   t.bytes = bytes;
+  t.frags = fragments(bytes);
+  t.coerce_cost = network_.needs_coercion(src.cluster, dst.cluster)
+                      ? dst_cluster.type().coerce_per_byte * bytes
+                      : SimTime::zero();
   t.on_delivered = std::move(on_delivered);
-  if (network_.needs_coercion(src.cluster, dst.cluster)) {
-    t.coerce_cost = dst_cluster.type().coerce_per_byte * bytes;
-  }
 
   // Local (same-host) messages skip the wire entirely.
   if (!(src == dst)) {
     Leg& first = t.legs[t.num_legs++];
+    first = Leg{};
     first.channel = &channel(src_cluster.segment());
     first.fixed = src_cluster.type().comm_per_message;
     first.per_byte =
@@ -138,12 +177,13 @@ void NetSim::send(ProcessorRef src, ProcessorRef dst, std::int64_t bytes,
     if (src_cluster.segment() != dst_cluster.segment()) {
       const auto link = network_.router_between(src.cluster, dst.cluster);
       NP_ASSERT(link.has_value());
-      first.post_delay = link->delay_per_packet * fragments(bytes) +
+      first.post_delay = link->delay_per_packet * t.frags +
                          link->delay_per_byte * bytes;
 
       // The router contends as one additional station on the destination
       // segment, pacing at that cluster's interface speed.
       Leg& second = t.legs[t.num_legs++];
+      second = Leg{};
       second.channel = &channel(dst_cluster.segment());
       second.fixed = dst_cluster.type().comm_per_message;
       second.per_byte =
@@ -170,12 +210,11 @@ std::uint32_t NetSim::open_transit() {
   }
   const std::uint32_t slot = free_transits_.back();
   free_transits_.pop_back();
-  transits_[slot] = Transit{};
   return slot;
 }
 
 void NetSim::close_transit(std::uint32_t slot) {
-  transits_[slot].on_delivered = nullptr;
+  transits_[slot].on_delivered = DeliveryCallback();
   free_transits_.push_back(slot);
 }
 
@@ -195,7 +234,7 @@ void NetSim::run_leg(std::uint32_t slot) {
     finish_delivery(slot);
     return;
   }
-  t.frags_left = fragments(t.bytes);
+  t.frags_left = t.frags;
   t.first = true;
   t.round = 0;
   attempt(slot);
@@ -241,7 +280,7 @@ void NetSim::next_fragment(std::uint32_t slot) {
   const std::int64_t frag_bytes = std::min(t.bytes_left, params_.mtu);
   // The per-message fixed cost rides on the first fragment of the first
   // attempt; retransmitted fragments pay only the (small) resend cost.
-  const bool lead = t.first && t.frags_left == fragments(t.bytes);
+  const bool lead = t.first && t.frags_left == t.frags;
   const SimTime occupancy =
       (lead ? leg.fixed
             : (t.first ? SimTime::zero() : params_.send_initiation)) +

@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -58,7 +57,7 @@ struct NetSimParams {
 
 /// Delivery notification: fires when the receiving host has fully processed
 /// the message (after coercion, if any).
-using DeliveryCallback = std::function<void()>;
+using DeliveryCallback = Action;
 
 class NetSim {
  public:
@@ -112,8 +111,11 @@ class NetSim {
   /// engine is reset too (a pending event belongs to one of this
   /// simulator's messages, and is dropped unrun); hosts and channels are
   /// free, alive and at rate 1 again; the counters are zero; and no tracer
-  /// is installed.  The slot tables keep their capacity, so traffic that
-  /// fits the tables' peak so far runs after a reset without allocating.
+  /// is installed.  The slot tables keep their slots, all free, so
+  /// traffic that fits the tables' peak so far runs after a reset without
+  /// allocating.  A reset costs the hosts and channels handed out since
+  /// the last one and, if the engine was not drained, the messages in
+  /// flight: not the size of the network.
   void reset(Rng rng);
 
   /// Install a message-lifecycle observer (see sim/trace.hpp); pass
@@ -138,7 +140,7 @@ class NetSim {
 
   /// One in-flight message, in a reused slot of transits_.  A message has
   /// exactly one pending engine event at a time, so that event captures
-  /// only (this, slot) -- inline in std::function, no allocation -- and the
+  /// only (this, slot) -- inline in an Action, no allocation -- and the
   /// state of the current transmission attempt lives here.
   struct Transit {
     std::array<Leg, 2> legs;  ///< source segment [, destination segment]
@@ -147,6 +149,7 @@ class NetSim {
     ProcessorRef src;
     ProcessorRef dst;
     std::int64_t bytes = 0;
+    std::int64_t frags = 0;  ///< fragments(bytes)
     SimTime coerce_cost;
     DeliveryCallback on_delivered;
     // The current attempt on legs[next_leg].
@@ -157,7 +160,8 @@ class NetSim {
     int round = 0;                ///< retransmission round
   };
 
-  /// Take a free slot (or grow the table) and reset it for a new message.
+  /// Take a free slot (or grow the table) for a new message; send()
+  /// rewrites the fields the message reads.
   std::uint32_t open_transit();
   /// Return a finished or abandoned message's slot.
   void close_transit(std::uint32_t slot);
@@ -191,6 +195,16 @@ class NetSim {
   std::vector<Channel> channels_;        // by SegmentId
   std::vector<Host> hosts_;              // dense, cluster-major
   std::vector<std::size_t> host_base_;   // cluster -> first host slot
+  // The hosts and channels host() and channel() have handed out since
+  // construction or the last reset, each listed once.  Every reservation
+  // and fault reaches a host or channel through them, so the others are
+  // still as built, and at_rest() and reset() visit only these: a sample
+  // on one cluster of a large network costs that cluster alone.  The
+  // lists are reserved at their full size and never allocate.
+  std::vector<bool> host_touched_;
+  std::vector<std::size_t> touched_hosts_;
+  std::vector<bool> channel_touched_;
+  std::vector<std::size_t> touched_channels_;
   std::uint64_t delivered_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t dropped_ = 0;

@@ -51,44 +51,69 @@ std::pair<int, int> mesh_shape(int p) {
   return {rows, p / rows};
 }
 
-std::vector<GlobalRank> send_neighbors(Topology t, GlobalRank rank, int p) {
-  NP_REQUIRE(p >= 1, "need at least one rank");
-  NP_REQUIRE(rank >= 0 && rank < p, "rank out of range");
-  std::vector<GlobalRank> out;
-  if (p == 1) return out;
+namespace {
+
+/// Calls emit(n) for each rank `rank` sends to, in neighbour order.  `cols`
+/// is mesh_shape(p).second, which only the TwoD pattern reads; taking it
+/// from the caller lets a whole cycle share one mesh_shape call.
+template <typename Emit>
+void visit_send_neighbors(Topology t, GlobalRank rank, int p, int cols,
+                          Emit emit) {
+  if (p == 1) return;
   switch (t) {
     case Topology::OneD:
-      if (rank > 0) out.push_back(rank - 1);
-      if (rank < p - 1) out.push_back(rank + 1);
+      if (rank > 0) emit(rank - 1);
+      if (rank < p - 1) emit(rank + 1);
       break;
     case Topology::Ring:
-      out.push_back((rank + 1) % p);
+      emit((rank + 1) % p);
       break;
     case Topology::TwoD: {
-      const auto [rows, cols] = mesh_shape(p);
+      const int rows = p / cols;
       const int r = rank / cols;
       const int c = rank % cols;
-      if (r > 0) out.push_back(rank - cols);
-      if (r < rows - 1) out.push_back(rank + cols);
-      if (c > 0) out.push_back(rank - 1);
-      if (c < cols - 1) out.push_back(rank + 1);
+      if (r > 0) emit(rank - cols);
+      if (r < rows - 1) emit(rank + cols);
+      if (c > 0) emit(rank - 1);
+      if (c < cols - 1) emit(rank + 1);
       break;
     }
     case Topology::Tree: {
       // Binary heap layout: parent (rank-1)/2, children 2r+1, 2r+2.
-      if (rank > 0) out.push_back((rank - 1) / 2);
+      if (rank > 0) emit((rank - 1) / 2);
       const GlobalRank left = 2 * rank + 1;
       const GlobalRank right = 2 * rank + 2;
-      if (left < p) out.push_back(left);
-      if (right < p) out.push_back(right);
+      if (left < p) emit(left);
+      if (right < p) emit(right);
       break;
     }
     case Topology::Broadcast:
       if (rank == 0) {
-        for (GlobalRank r = 1; r < p; ++r) out.push_back(r);
+        for (GlobalRank r = 1; r < p; ++r) emit(r);
       }
       break;
   }
+}
+
+/// Calls emit(from, to) for each directed message of one cycle, in
+/// cycle_messages order (none when p < 1).
+template <typename Emit>
+void visit_cycle_messages(Topology t, int p, Emit emit) {
+  if (p < 1) return;
+  const int cols = mesh_shape(p).second;
+  for (GlobalRank r = 0; r < p; ++r) {
+    visit_send_neighbors(t, r, p, cols, [&](GlobalRank n) { emit(r, n); });
+  }
+}
+
+}  // namespace
+
+std::vector<GlobalRank> send_neighbors(Topology t, GlobalRank rank, int p) {
+  NP_REQUIRE(p >= 1, "need at least one rank");
+  NP_REQUIRE(rank >= 0 && rank < p, "rank out of range");
+  std::vector<GlobalRank> out;
+  visit_send_neighbors(t, rank, p, mesh_shape(p).second,
+                       [&](GlobalRank n) { out.push_back(n); });
   return out;
 }
 
@@ -116,19 +141,16 @@ std::vector<GlobalRank> recv_neighbors(Topology t, GlobalRank rank, int p) {
 std::vector<std::pair<GlobalRank, GlobalRank>> cycle_messages(Topology t,
                                                               int p) {
   std::vector<std::pair<GlobalRank, GlobalRank>> out;
-  for (GlobalRank r = 0; r < p; ++r) {
-    for (GlobalRank n : send_neighbors(t, r, p)) {
-      out.emplace_back(r, n);
-    }
-  }
+  out.reserve(static_cast<std::size_t>(messages_per_cycle(t, p)));
+  visit_cycle_messages(t, p, [&](GlobalRank from, GlobalRank to) {
+    out.emplace_back(from, to);
+  });
   return out;
 }
 
 std::int64_t messages_per_cycle(Topology t, int p) {
   std::int64_t total = 0;
-  for (GlobalRank r = 0; r < p; ++r) {
-    total += static_cast<std::int64_t>(send_neighbors(t, r, p).size());
-  }
+  visit_cycle_messages(t, p, [&](GlobalRank, GlobalRank) { ++total; });
   return total;
 }
 

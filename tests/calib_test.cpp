@@ -380,10 +380,11 @@ TEST_F(CalibrationTest, EveryLossySampleSimulatesEveryCycle) {
 TEST_F(CalibrationTest, ServiceNetworkCalibrationAllocationsAreRatcheted) {
   // One single-worker calibrate() of the e2e service network allocated
   // 67,614 times when every sample built its own simulator and simulated
-  // every cycle; each task now reuses one reset simulator and a lossless
-  // sample simulates one cycle.  Tightening the bound is allowed;
-  // loosening it is not.
-  constexpr std::uint64_t kBound = 45208;
+  // every cycle, and 45,208 when each task reused one reset simulator and
+  // a lossless sample simulated one cycle but rebuilt its cycle's message
+  // list; each p now builds its CommCycle once.  Tightening the bound is
+  // allowed; loosening it is not.
+  constexpr std::uint64_t kBound = 6274;
   const Network net = service_network();
   calibrate_with_workers(net, {}, 1);  // first-use statics
   const std::uint64_t before = heap_allocations();
@@ -391,6 +392,46 @@ TEST_F(CalibrationTest, ServiceNetworkCalibrationAllocationsAreRatcheted) {
   const std::uint64_t allocated = heap_allocations() - before;
   EXPECT_EQ(cal.samples.size(), 2250u);
   EXPECT_LE(allocated, kBound);
+}
+
+TEST_F(CalibrationTest, WarmSweepSampleAllocatesNothing) {
+  // A sweep runs every message size of a p through one CommCycle on one
+  // reset simulator.  Once a sample has grown the simulator's tables and
+  // the cycle's buffers, a sample allocates nothing: here on the service
+  // network's largest cluster, for every topology.
+  const Network net = service_network();
+  const CalibrationParams params;
+  ClusterId widest = 0;
+  for (ClusterId c = 0; c < net.num_clusters(); ++c) {
+    if (net.cluster(c).size() > net.cluster(widest).size()) widest = c;
+  }
+  const int p = net.cluster(widest).size();
+  ASSERT_GE(p, 8);
+  Placement placement;
+  for (ProcessorIndex i = 0; i < p; ++i) {
+    placement.push_back(ProcessorRef{widest, i});
+  }
+  const Rng stream = Rng(params.seed)
+                         .stream(static_cast<std::uint64_t>(widest))
+                         .stream(static_cast<std::uint64_t>(p));
+  sim::Engine engine;
+  sim::NetSim net_sim(engine, net, params.sim_params, stream);
+  for (Topology topo : all_topologies()) {
+    SCOPED_TRACE(to_string(topo));
+    CommCycle cycle(topo, p);
+    net_sim.reset(stream);
+    cycle.run(net_sim, placement, params.message_sizes.front(),
+              params.cycles_per_sample);
+    for (std::int64_t bytes : params.message_sizes) {
+      const std::uint64_t before = heap_allocations();
+      net_sim.reset(stream);
+      const double cost =
+          cycle.run(net_sim, placement, bytes, params.cycles_per_sample)
+              .elapsed_max.as_millis();
+      EXPECT_EQ(heap_allocations() - before, 0u) << bytes << " bytes";
+      EXPECT_GT(cost, 0.0);
+    }
+  }
 }
 
 // Calibrations at once, each on its own worker pool: the pools share

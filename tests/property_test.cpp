@@ -15,8 +15,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "apps/stencil.hpp"
@@ -33,10 +35,14 @@
 namespace netpart {
 namespace {
 
+// gtest prints a parameter's bytes into each test's registered name, so
+// the struct has no padding: padding would print uninitialised bytes, and
+// the names would differ from build to build.
 struct RandomNetCase {
   std::uint64_t seed;
-  int clusters;
+  std::int64_t clusters;
 };
+static_assert(std::has_unique_object_representations_v<RandomNetCase>);
 
 class RandomNetworkProperties
     : public ::testing::TestWithParam<RandomNetCase> {

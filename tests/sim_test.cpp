@@ -1,8 +1,11 @@
 // Unit tests for the discrete-event engine and the network simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <queue>
+#include <string>
 #include <vector>
 
 #include "alloc_count.hpp"
@@ -13,6 +16,7 @@
 #include "sim/host.hpp"
 #include "sim/netsim.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace netpart::sim {
 namespace {
@@ -93,6 +97,164 @@ TEST(EngineTest, ResetRestoresAFreshEngine) {
   EXPECT_EQ(heap_allocations() - before, 0u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(e.events_executed(), 8u);
+}
+
+// ------------------------------------------------ event order, differential
+//
+// The engine against a reference model of its event order: a
+// std::priority_queue of (time, seq) keys under `Later`, the order the
+// engine's std::push_heap/pop_heap queue used before it packed its keys
+// and sifted them itself.  What an event schedules when it runs is a pure
+// function of the round's seed and the event's sequence number, so the
+// model replays the engine's schedule without running any action.
+
+struct Fired {
+  SimTime at;
+  std::uint64_t seq;
+  bool operator==(const Fired&) const = default;
+};
+
+/// Delays of the events that event `seq` schedules when it runs: none,
+/// one or two, each zero (a schedule at now() from inside an action) or a
+/// few µs, so many events share a time.  0.8 children per event on
+/// average, so every round drains.
+std::vector<SimTime> children_of(const Rng& round, std::uint64_t seq) {
+  Rng rng = round.stream(seq);
+  std::vector<SimTime> delays;
+  const std::int64_t draw = rng.next_int(0, 9);
+  const int count = draw < 4 ? 0 : (draw < 8 ? 1 : 2);
+  for (int i = 0; i < count; ++i) {
+    delays.push_back(rng.next_bool(0.4) ? SimTime::zero()
+                                        : SimTime::micros(
+                                              static_cast<double>(
+                                                  rng.next_int(1, 4))));
+  }
+  return delays;
+}
+
+class ReferenceQueue {
+ public:
+  void reset() {
+    queue_ = {};
+    now_ = SimTime::zero();
+    next_seq_ = 0;
+    executed_ = 0;
+  }
+  void schedule_at(SimTime at) { queue_.push(Fired{at, next_seq_++}); }
+  /// Runs events with time <= limit, as Engine::run_until does.
+  void run_until(SimTime limit, const Rng& round, std::vector<Fired>& log) {
+    while (!queue_.empty() && queue_.top().at <= limit) step(round, log);
+    if (now_ < limit && queue_.empty()) now_ = limit;
+  }
+  void run(const Rng& round, std::vector<Fired>& log) {
+    while (!queue_.empty()) step(round, log);
+  }
+  SimTime now() const { return now_; }
+  std::size_t pending() const { return queue_.size(); }
+  std::uint64_t executed() const { return executed_; }
+
+ private:
+  /// The top is the earliest (time, seq).
+  struct Later {
+    bool operator()(const Fired& a, const Fired& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
+    }
+  };
+  void step(const Rng& round, std::vector<Fired>& log) {
+    const Fired top = queue_.top();
+    queue_.pop();
+    now_ = top.at;
+    ++executed_;
+    log.push_back(top);
+    for (const SimTime delay : children_of(round, top.seq)) {
+      schedule_at(now_ + delay);
+    }
+  }
+
+  std::priority_queue<Fired, std::vector<Fired>, Later> queue_;
+  SimTime now_ = SimTime::zero();
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+};
+
+/// Drives an Engine with actions that log (now, own seq) and schedule
+/// children_of(seq).  The engine numbers its events 0, 1, ... since the
+/// last reset; so does `next_seq`.
+struct EngineUnderTest {
+  Engine engine;
+  Rng round{0};
+  std::uint64_t next_seq = 0;
+  std::vector<Fired> log;
+
+  void reset(const Rng& r) {
+    engine.reset();
+    round = r;
+    next_seq = 0;
+    log.clear();
+  }
+  void schedule_at(SimTime at) {
+    const std::uint64_t seq = next_seq++;
+    engine.schedule_at(at, [this, seq] { fire(seq); });
+  }
+  void fire(std::uint64_t seq) {
+    log.push_back(Fired{engine.now(), seq});
+    for (const SimTime delay : children_of(round, seq)) {
+      schedule_at(engine.now() + delay);
+    }
+  }
+};
+
+TEST(EngineTest, EventOrderMatchesTheReferenceQueue) {
+  EngineUnderTest got;
+  ReferenceQueue want;
+  std::vector<Fired> want_log;
+  Rng seeds(2024);
+  std::size_t peak_pending = 0;
+  int reset_busy = 0;
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const Rng r = seeds.stream(static_cast<std::uint64_t>(round));
+    got.reset(r);
+    want.reset();
+    want_log.clear();
+    Rng ops = r.stream(~std::uint64_t{0});
+    // Bursts: up to 300 events over a few distinct times, so the table
+    // grows past its first 64 slots and most events tie on time.
+    const std::int64_t burst = ops.next_int(1, 300);
+    for (std::int64_t i = 0; i < burst; ++i) {
+      const SimTime at = SimTime::micros(
+          static_cast<double>(ops.next_int(0, 3) * 5));
+      got.schedule_at(at);
+      want.schedule_at(at);
+    }
+    peak_pending = std::max(peak_pending, got.engine.pending());
+    // run_until cut-offs, some between the events' times, then a drain
+    // (or, every fourth round, a reset with events still pending).
+    SimTime limit = SimTime::zero();
+    for (int cut = 0; cut < 6; ++cut) {
+      limit += SimTime::nanos(ops.next_int(0, 4000));
+      got.engine.run_until(limit);
+      want.run_until(limit, r, want_log);
+      ASSERT_EQ(got.engine.now(), want.now());
+      ASSERT_EQ(got.engine.pending(), want.pending());
+    }
+    if (round % 4 == 3) {
+      // Left pending: the next round resets an engine that is not idle.
+      ASSERT_EQ(got.log, want_log);
+      if (!got.engine.idle()) ++reset_busy;
+      continue;
+    }
+    got.engine.run();
+    want.run(r, want_log);
+    ASSERT_EQ(got.log, want_log);
+    EXPECT_EQ(got.engine.now(), want.now());
+    EXPECT_EQ(got.engine.events_executed(), want.executed());
+    EXPECT_EQ(got.engine.events_executed(), got.log.size());
+    EXPECT_TRUE(got.engine.idle());
+  }
+  EXPECT_GT(peak_pending, 64u);
+  EXPECT_GT(reset_busy, 0);
 }
 
 TEST(EngineTest, RejectsPastEvents) {
@@ -515,6 +677,11 @@ TEST_F(NetSimTest, ResetMatchesAFreshSimulator) {
     EXPECT_EQ(engine.now(), SimTime::zero());
     EXPECT_EQ(engine.events_executed(), 0u);
     EXPECT_EQ(sim.at_rest(), params.loss_rate == 0.0);
+    // The faulted resources the sample never reached are restored too.
+    EXPECT_TRUE(sim.host(ProcessorRef{0, 4}).alive());
+    EXPECT_EQ(sim.host(ProcessorRef{1, 1}).slowdown(), 1.0);
+    EXPECT_EQ(sim.channel(0).degradation(), 1.0);
+    EXPECT_FALSE(sim.channel(1).down());
     Observed got;
     observe(sim, got);
     expect_same(want, got);
